@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Convergence study: relaxation oracle vs transform solution.
+"""Convergence study: finite-difference oracle vs transform solution.
 
 Solves the quasilinear equation twice per resolution (independent paths)
 and prints the sup difference together with the observed order; a healthy

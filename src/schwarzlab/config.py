@@ -22,10 +22,11 @@ class Tolerances:
     slack_tol: float = 1e-9
     # slack window treated as an equality case
     equality_band: float = 1e-9
-    # finite-difference relaxation solver
+    # finite-difference oracle; one "sweep" is one Picard step (one sparse
+    # solve), and converging cases take 15-200 of them
     fd_update_tol: float = 1e-10
     fd_fail_tol: float = 1e-8
-    fd_max_sweeps: int = 60000
+    fd_max_sweeps: int = 1000
     fd_nonlinear_relax: float = 0.8
     # boundary sampling
     boundary_samples: int = 1024

@@ -3,9 +3,9 @@
 Euclidean harmonic extension by the Poisson kernel (trapezoid rule over
 uniform boundary samples, spectrally accurate for smooth data), the lift of
 boundary data to metric-harmonic solutions through the centered primitive H,
-a finite-difference relaxation oracle that discretizes the quasilinear
-equation directly, and residual diagnostics (pointwise equation residual and
-holomorphy of the quadratic differential).
+a sparse-direct (SuperLU) Picard oracle that discretizes the quasilinear
+equation directly by finite differences, and residual diagnostics
+(pointwise equation residual and holomorphy of the quadratic differential).
 """
 
 from __future__ import annotations
@@ -193,7 +193,8 @@ def random_symmetric_boundary(seed: int, modes: int = 5, max_abs: float = 0.85,
 # Poisson extension
 # ---------------------------------------------------------------------------
 
-_CHUNK = 4096
+# elements (points x samples) per block of kernel temporaries
+_BLOCK_ELEMENTS = 2 ** 19
 
 
 def _complex_points(z) -> np.ndarray:
@@ -215,11 +216,12 @@ def poisson_values(boundary: BoundaryData, z) -> np.ndarray:
     _require_in_disk(flat)
     e = np.exp(1j * boundary.thetas)
     out = np.empty(len(flat))
-    for k in range(0, len(flat), _CHUNK):
-        blk = flat[k:k + _CHUNK, None]
+    rows = max(1, _BLOCK_ELEMENTS // boundary.sample_count)
+    for k in range(0, len(flat), rows):
+        blk = flat[k:k + rows, None]
         d2 = np.abs(e[None, :] - blk) ** 2
         p = (1.0 - np.abs(blk) ** 2) / d2
-        out[k:k + _CHUNK] = p @ boundary.samples / boundary.sample_count
+        out[k:k + rows] = p @ boundary.samples / boundary.sample_count
     return out.reshape(z.shape)
 
 
@@ -231,15 +233,16 @@ def poisson_gradient(boundary: BoundaryData, z) -> tuple[np.ndarray, np.ndarray]
     e = np.exp(1j * boundary.thetas)
     gx = np.empty(len(flat))
     gy = np.empty(len(flat))
-    for k in range(0, len(flat), _CHUNK):
-        blk = flat[k:k + _CHUNK, None]
+    rows = max(1, _BLOCK_ELEMENTS // boundary.sample_count)
+    for k in range(0, len(flat), rows):
+        blk = flat[k:k + rows, None]
         diff = e[None, :] - blk
         d2 = np.abs(diff) ** 2
         one_m = 1.0 - np.abs(blk) ** 2
         px = -2.0 * blk.real / d2 + 2.0 * one_m * diff.real / d2 ** 2
         py = -2.0 * blk.imag / d2 + 2.0 * one_m * diff.imag / d2 ** 2
-        gx[k:k + _CHUNK] = px @ boundary.samples / boundary.sample_count
-        gy[k:k + _CHUNK] = py @ boundary.samples / boundary.sample_count
+        gx[k:k + rows] = px @ boundary.samples / boundary.sample_count
+        gy[k:k + rows] = py @ boundary.samples / boundary.sample_count
     return gx.reshape(z.shape), gy.reshape(z.shape)
 
 
@@ -427,7 +430,7 @@ class GridField:
     xs: np.ndarray
     values: np.ndarray          # (n, n), x-major; NaN outside the disk
     inside: np.ndarray          # unknown interior nodes
-    sweeps: int
+    sweeps: int                 # Picard solves taken (1 for constant data)
     final_update: float
 
     def interior_points(self) -> tuple[np.ndarray, np.ndarray]:
@@ -437,160 +440,164 @@ class GridField:
 
     def to_csv(self, path) -> None:
         pts, vals = self.interior_points()
+        rows = np.column_stack([pts.real, pts.imag, vals])
         with open(path, "w") as fh:
             fh.write("x,y,f\n")
-            for p, v in zip(pts, vals):
-                fh.write(f"{p.real:.17g},{p.imag:.17g},{v:.17g}\n")
+            fh.write(("%.17g,%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist()))
+
+
+def _disk_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid coordinates and the mask of unknown nodes strictly inside the disk."""
+    xs = np.linspace(-1.0, 1.0, n)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    return xs, X * X + Y * Y < 1.0 - 1e-14
+
+
+@dataclass(frozen=True, eq=False)
+class _DiskOperator:
+    """Shortley-Weller discretization of -Laplacian * h^2/2 on the n x n disk grid.
+
+    Unknowns are the interior nodes in `np.nonzero(inside)` order.  Each arm
+    points either at another unknown or, at a cut cell, at the circle
+    crossing; `nbr[d]` indexes the concatenation [unknowns, crossing values],
+    with the crossing values taken at `angles`.
+    """
+    xs: np.ndarray
+    h: float
+    inside: np.ndarray
+    arms: dict                  # arm -> (m,) arm length in units of h
+    nbr: dict                   # arm -> (m,) index into [unknowns, crossings]
+    angles: np.ndarray          # (k,) polar angles of the circle crossings
+    coupling: object            # (m, k) sparse weights of the crossing values
+    lu: object                  # SuperLU factor of the (m, m) operator
+
+
+@functools.lru_cache(maxsize=2)
+def _disk_operator(n: int) -> _DiskOperator:
+    # scipy.sparse is imported here, not at module top: most runs never reach
+    # the oracle, and the import costs start-up time and memory
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
+    xs, inside = _disk_nodes(n)
+    h = xs[1] - xs[0]
+    m = int(inside.sum())
+    number = np.full((n, n), -1)
+    number[inside] = np.arange(m)
+    ii, jj = np.nonzero(inside)
+    x, y = xs[ii], xs[jj]
+    xc = np.sqrt(np.maximum(1.0 - y * y, 0.0))   # row y meets the circle at +-xc
+    yc = np.sqrt(np.maximum(1.0 - x * x, 0.0))   # column x meets it at +-yc
+
+    arms, nbr, angles = {}, {}, []
+    k = m
+    # arm, grid step in i (along x), grid step in j (along y)
+    for d, di, dj in (("E", 1, 0), ("W", -1, 0), ("N", 0, 1), ("S", 0, -1)):
+        nb = number[ii + di, jj + dj]   # interior nodes never touch the grid edge
+        cut = nb < 0
+        if dj == 0:
+            gap, ang = xc - di * x, np.arctan2(y[cut], di * xc[cut])
+        else:
+            gap, ang = yc - dj * y, np.arctan2(dj * yc[cut], x[cut])
+        a = np.ones(m)
+        a[cut] = np.clip(gap[cut] / h, 1e-6, 1.0)
+        nb[cut] = k + np.arange(len(ang))
+        k += len(ang)
+        arms[d], nbr[d] = a, nb
+        angles.append(ang)
+
+    aE, aW, aN, aS = (arms[d] for d in "EWNS")
+    weights = {"E": 1.0 / (aE * (aE + aW)), "W": 1.0 / (aW * (aE + aW)),
+               "N": 1.0 / (aN * (aN + aS)), "S": 1.0 / (aS * (aN + aS))}
+    diag = 1.0 / (aE * aW) + 1.0 / (aN * aS)
+    coupling = sparse.csr_matrix(
+        (np.concatenate([weights[d] for d in "EWNS"]),
+         (np.tile(np.arange(m), 4), np.concatenate([nbr[d] for d in "EWNS"]))),
+        shape=(m, k))
+    operator = sparse.diags(diag) - coupling[:, :m]
+    # every GridField at this n shares these two arrays
+    xs.flags.writeable = inside.flags.writeable = False
+    return _DiskOperator(xs=xs, h=h, inside=inside, arms=arms, nbr=nbr,
+                         angles=np.concatenate(angles),
+                         coupling=coupling[:, m:].tocsr(),
+                         lu=splu(operator.tocsc()))
 
 
 def fd_solve_oracle(metric: Metric1D, boundary: BoundaryData, n: int,
-                    tols: Tolerances = DEFAULT,
-                    omega: Optional[float] = None) -> GridField:
-    """Relaxation solve of the quasilinear equation on an n x n disk grid.
+                    tols: Tolerances = DEFAULT) -> GridField:
+    """Finite-difference solve of the quasilinear equation on an n x n disk grid.
 
     Shortley-Weller arms tie cut cells to exact circle crossings (boundary
-    value looked up at the crossing angle), the nonlinear term is evaluated
-    explicitly from the previous iterate with under-relaxed blending, and
-    the linear part is swept red-black with over-relaxation.  Entirely
-    independent of the H-transform solution path.
+    value looked up at the crossing angle).  The linear 5-point operator is
+    assembled and LU-factored once per n (SuperLU, cached); each Picard step
+    freezes the nonlinear term, evaluated explicitly from the previous
+    iterate with under-relaxed blending, and solves the linear system by one
+    back-substitution.  One "sweep" in `tols.fd_max_sweeps` and
+    `GridField.sweeps` is one such solve.  Entirely independent of the
+    H-transform solution path.
     """
     if n < 33:
         raise InvalidInput("oracle grid needs n >= 33")
-    xs = np.linspace(-1.0, 1.0, n)
-    h = xs[1] - xs[0]
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    rr = X * X + Y * Y
-    inside = rr < 1.0 - 1e-14
-
-    def shift(a, di, dj, fill=0.0):
-        out = np.full_like(a, fill)
-        if di == 1:
-            out[:-1, :] = a[1:, :]
-        elif di == -1:
-            out[1:, :] = a[:-1, :]
-        elif dj == 1:
-            out[:, :-1] = a[:, 1:]
-        elif dj == -1:
-            out[:, 1:] = a[:, :-1]
-        return out
-
-    nbr_inside = {d: shift(inside.astype(float), *ij) > 0.5
-                  for d, ij in {"E": (1, 0), "W": (-1, 0),
-                                "N": (0, 1), "S": (0, -1)}.items()}
-
-    alpha = {}
-    bval = {}
-    amin = 1e-6
-    with np.errstate(invalid="ignore"):
-        xc = np.sqrt(np.maximum(1.0 - Y * Y, 0.0))
-        yc = np.sqrt(np.maximum(1.0 - X * X, 0.0))
-    for d, cross, dist in (("E", xc, (xc - X) / h), ("W", -xc, (X + xc) / h),
-                           ("N", yc, (yc - Y) / h), ("S", -yc, (Y + yc) / h)):
-        cut = inside & ~nbr_inside[d]
-        a = np.ones_like(X)
-        a[cut] = np.clip(dist[cut], amin, 1.0)
-        alpha[d] = a
-        b = np.zeros_like(X)
-        if d in ("E", "W"):
-            ang = np.arctan2(Y[cut], cross[cut])
-        else:
-            ang = np.arctan2(cross[cut], X[cut])
-        b[cut] = boundary.values(ang)
-        bval[d] = b
-        bval[d + "cut"] = cut
-
-    aE, aW, aN, aS = alpha["E"], alpha["W"], alpha["N"], alpha["S"]
-    cE = 1.0 / (aE * (aE + aW))
-    cW = 1.0 / (aW * (aE + aW))
-    cN = 1.0 / (aN * (aN + aS))
-    cS = 1.0 / (aS * (aN + aS))
-    diag = 1.0 / (aE * aW) + 1.0 / (aN * aS)
-
-    if omega is None:
-        omega = 2.0 / (1.0 + math.sin(math.pi * h / 2.0))
-    relax = tols.fd_nonlinear_relax
     # iterates may not leave the boundary-value range (the transform maximum
     # principle guarantees the solution stays inside it); the clamp also
     # keeps the log-derivative of the density bounded
     lo = max(boundary.target_lo + 1e-12, float(boundary.samples.min()))
     hi = min(boundary.target_hi - 1e-12, float(boundary.samples.max()))
     if lo >= hi:   # constant data: the constant solves the equation exactly
+        xs, inside = _disk_nodes(n)
         values = np.where(inside, boundary.mean(), np.nan)
         return GridField(n=n, xs=xs, values=values, inside=inside,
                          sweeps=1, final_update=0.0)
 
-    F = np.full((n, n), boundary.mean())
-    F[~inside] = 0.0
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    red = ((ii + jj) % 2 == 0) & inside
-    black = ((ii + jj) % 2 == 1) & inside
-    h2half = 0.5 * h * h
+    op = _disk_operator(n)
+    crossing = np.asarray(boundary.values(op.angles), float)
+    b_cut = op.coupling @ crossing
+    u = np.full(len(b_cut), boundary.mean())
+    ext = np.concatenate([u, crossing])     # [unknowns, crossing values]
+    aE, aW, aN, aS = (op.arms[d] for d in "EWNS")
+    nE, nW, nN, nS = (op.nbr[d] for d in "EWNS")
+    h2half = 0.5 * op.h * op.h
 
-    def gather(FF, d):
-        di, dj = {"E": (1, 0), "W": (-1, 0), "N": (0, 1), "S": (0, -1)}[d]
-        return np.where(bval[d + "cut"], bval[d], shift(FF, di, dj))
-
-    def source(FF):
+    def source(u):
         # wide differences (crossing-to-crossing) keep the quadratic term
-        # bounded at cut cells; the alpha-weighted one-sided form would let
+        # bounded at cut cells; the arm-weighted one-sided form would let
         # the nonlinearity balance the stiff Dirichlet pin and admit a
         # spurious boundary-layer root
-        fE, fW = gather(FF, "E"), gather(FF, "W")
-        fN, fS = gather(FF, "N"), gather(FF, "S")
-        fx = (fE - fW) / ((aE + aW) * h)
-        fy = (fN - fS) / ((aN + aS) * h)
-        clipped = np.clip(FF, lo, hi)
+        ext[:len(u)] = u
+        fx = (ext[nE] - ext[nW]) / ((aE + aW) * op.h)
+        fy = (ext[nN] - ext[nS]) / ((aN + aS) * op.h)
+        clipped = np.clip(u, lo, hi)
         dens = np.asarray(metric.density(clipped), float)
         ddens = np.asarray(metric.d_density(clipped), float)
         return ddens / dens * (fx * fx + fy * fy)
 
-    # outer loop: freeze the (under-relaxed) nonlinear source, relax the
-    # linear system with red-black sweeps, repeat until the whole iterate
-    # stops moving
-    S = np.zeros((n, n))
+    # Picard iteration: freeze the (under-relaxed) nonlinear source, solve
+    # the linear system exactly, repeat until the iterate stops moving
+    relax = tols.fd_nonlinear_relax
+    S = None
     sweeps = 0
     update = math.inf
-    converged = False
-    while sweeps < tols.fd_max_sweeps:
-        s_new = source(F)
-        S = s_new if sweeps == 0 else relax * s_new + (1.0 - relax) * S
-        outer_start = F.copy()
-        inner_tol = max(0.02 * tols.fd_update_tol,
-                        min(1e-4, 1e-3 * update if math.isfinite(update) else 1e-4))
-        while sweeps < tols.fd_max_sweeps:
-            sweeps += 1
-            prev = F.copy()
-            for color in (red, black):
-                fE, fW = gather(F, "E"), gather(F, "W")
-                fN, fS = gather(F, "N"), gather(F, "S")
-                gs = (cE * fE + cW * fW + cN * fN + cS * fS + h2half * S) / diag
-                cand = np.clip(F + omega * (gs - F), lo, hi)
-                F = np.where(color, cand, F)
-            inner_update = float(np.max(np.abs(F - prev)[inside]))
-            if inner_update < inner_tol:
-                break
-        update = float(np.max(np.abs(F - outer_start)[inside]))
-        if update < tols.fd_update_tol:
-            converged = True
-            break
-    if not converged and update > tols.fd_fail_tol:
+    # comparisons are written so that a NaN update counts as not converged
+    while sweeps < tols.fd_max_sweeps and not update < tols.fd_update_tol:
+        s_new = source(u)
+        S = s_new if S is None else relax * s_new + (1.0 - relax) * S
+        new = np.clip(op.lu.solve(b_cut + h2half * S), lo, hi)
+        update = float(np.max(np.abs(new - u)))
+        u = new
+        sweeps += 1
+    if not (update < tols.fd_update_tol or update <= tols.fd_fail_tol):
         raise NoConvergence(
-            f"relaxation stalled at update {update:.3e} after {sweeps} sweeps")
+            f"Picard iteration stalled at update {update:.3e} after {sweeps} solves")
 
-    values = np.where(inside, F, np.nan)
-    return GridField(n=n, xs=xs, values=values, inside=inside,
+    values = np.full((n, n), np.nan)
+    values[op.inside] = u
+    return GridField(n=n, xs=op.xs, values=values, inside=op.inside,
                      sweeps=sweeps, final_update=update)
-
-
-def grid_field_of(field: HarmonicField, grid: GridField) -> np.ndarray:
-    """Evaluate a field at the grid's interior nodes (for oracle comparison)."""
-    pts, _ = grid.interior_points()
-    return field.value_many(pts)
 
 
 def oracle_sup_difference(metric: Metric1D, boundary: BoundaryData, n: int,
                           tols: Tolerances = DEFAULT, radius: float = 0.99) -> float:
-    """Sup difference between the relaxation oracle and the transform solution.
+    """Sup difference between the FD oracle and the transform solution.
 
     Compared on interior nodes with |z| <= radius: the trapezoid Poisson
     integral behind the reference degrades at the very rim while the oracle

@@ -5,18 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schwarzlab.errors import (InvalidInput, OutsideDisk, StencilOutsideDisk)
+from schwarzlab.errors import (InvalidInput, NoConvergence, OutsideDisk,
+                               StencilOutsideDisk)
 from schwarzlab.harmonic import (BoundaryData, analytic_field,
                                  boundary_from_function, boundary_from_json,
                                  boundary_from_samples, constant_boundary,
                                  cosine_boundary, euclidean_field,
                                  fd_solve_oracle, gradient_of, harmonic_extend,
                                  hopf_holomorphy_residual, oracle_sup_difference,
-                                 pde_residual, poisson_values,
+                                 pde_residual, poisson_gradient, poisson_values,
                                  random_smooth_boundary,
                                  random_symmetric_boundary, solve_R_harmonic,
                                  solved_field, step_boundary)
-from schwarzlab.metrics import (constant_metric, cosine_metric,
+from schwarzlab.metrics import (Metric1D, constant_metric, cosine_metric,
                                 exponential_metric, hyperbolic_metric)
 
 
@@ -107,6 +108,25 @@ def test_conjugation_symmetry():
         z = 0.9 * math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform())
         assert harmonic_extend(b, np.conj(z)) == pytest.approx(
             harmonic_extend(b, z), abs=1e-12)
+
+
+@pytest.mark.parametrize("samples", [2048, 1000])
+def test_poisson_blocks_match_unblocked_sums(samples):
+    # 3000 points span several blocks and a short last one
+    b = random_smooth_boundary(5, sample_count=samples)
+    rng = np.random.default_rng(11)
+    z = np.sqrt(rng.uniform(0.0, 0.98, 3000)) * np.exp(
+        2j * math.pi * rng.uniform(size=3000))
+    diff = np.exp(1j * b.thetas)[None, :] - z[:, None]
+    d2 = np.abs(diff) ** 2
+    one_m = (1.0 - np.abs(z) ** 2)[:, None]
+    kernel = one_m / d2
+    kx = -2.0 * z.real[:, None] / d2 + 2.0 * one_m * diff.real / d2 ** 2
+    ky = -2.0 * z.imag[:, None] / d2 + 2.0 * one_m * diff.imag / d2 ** 2
+    gx, gy = poisson_gradient(b, z)
+    assert np.max(np.abs(poisson_values(b, z) - kernel @ b.samples / samples)) <= 1e-13
+    assert np.max(np.abs(gx - kx @ b.samples / samples)) <= 1e-13
+    assert np.max(np.abs(gy - ky @ b.samples / samples)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +295,10 @@ def test_oracle_csv_roundtrip(tmp_path):
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
     assert rows.shape[1] == 3
     assert rows.shape[0] == int(np.sum(grid.inside))
+    pts, vals = grid.interior_points()
+    per_row = "x,y,f\n" + "".join(f"{p.real:.17g},{p.imag:.17g},{v:.17g}\n"
+                                   for p, v in zip(pts, vals))
+    assert path.read_bytes() == per_row.encode()
 
 
 def test_oracle_no_convergence_with_tiny_cap():
@@ -284,3 +308,39 @@ def test_oracle_no_convergence_with_tiny_cap():
     tols = DEFAULT.replaced(fd_max_sweeps=3)
     with pytest.raises(NoConvergence):
         fd_solve_oracle(cosine_metric(), cosine_boundary(0.8), 65, tols=tols)
+
+
+def test_oracle_stall_raises_under_default_tolerances():
+    with pytest.raises(NoConvergence):
+        fd_solve_oracle(exponential_metric(3.0), step_boundary(0.9), 65)
+
+
+def test_oracle_nan_source_raises():
+    broken = Metric1D(-1.0, 1.0, lambda u: np.ones_like(u),
+                      lambda u: np.full_like(u, np.nan), name="nan-slope")
+    with pytest.raises(NoConvergence):
+        fd_solve_oracle(broken, cosine_boundary(0.8), 65)
+
+
+def test_oracle_never_touches_transform_path(monkeypatch):
+    import schwarzlab.harmonic as harmonic
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle must not use the H-transform path")
+
+    for name in ("transform_table", "HTransform", "solved_field"):
+        monkeypatch.setattr(harmonic, name, refuse)
+    grid = fd_solve_oracle(exponential_metric(1.0), random_smooth_boundary(2), 65)
+    assert np.all(np.isfinite(grid.interior_points()[1]))
+
+
+def test_package_import_leaves_scipy_sparse_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    import schwarzlab
+    src = os.path.dirname(os.path.dirname(schwarzlab.__file__))
+    code = "import schwarzlab, sys; assert 'scipy.sparse' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=src))
