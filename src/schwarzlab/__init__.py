@@ -3,8 +3,8 @@
 from .bounds import (BoundReport, check_distance_contraction,
                      check_gradient_bound, check_unimodal_bounds, chen_rhs,
                      cos_quadratic_majorant_check, hyperbolic_distance,
-                     mobius_automorphism, radial_grid, random_disk_pairs,
-                     ring_grid, schwarz_quotient)
+                     mobius_automorphism, random_disk_pairs, ring_grid,
+                     schwarz_quotient)
 from .config import DEFAULT, Tolerances
 from .errors import (DerivativeUnavailable, DomainError, InvalidInput,
                      NoConvergence, NonIntegrable, NumericInversionFailure,
@@ -14,14 +14,12 @@ from .gallery import (ExampleReport, run_halfplane_example,
                       run_negative_curvature_example, run_strip_example,
                       run_zero_curvature_example)
 from .harmonic import (BoundaryData, GridField, HarmonicField, analytic_field,
-                       boundary_from_function, boundary_from_json,
-                       boundary_from_samples, constant_boundary,
-                       cosine_boundary, euclidean_field, fd_solve_oracle,
-                       gradient_of, harmonic_extend, hopf_holomorphy_residual,
+                       boundary_from_json, boundary_from_samples,
+                       constant_boundary, cosine_boundary, euclidean_field,
+                       fd_solve_oracle, hopf_holomorphy_residual,
                        oracle_sup_difference, pde_residual, poisson_gradient,
                        poisson_values, random_smooth_boundary,
-                       random_symmetric_boundary, solve_R_harmonic,
-                       solved_field, step_boundary)
+                       random_symmetric_boundary, solved_field, step_boundary)
 from .lemmas import (ConcaveTentMap, LogConcaveDiffeo, SweepRecord,
                      check_unimodal, dif_diagnostics, generate_logconcave,
                      logconcave_diffeo_slack, psi_family, psi_sweep, r_ratio,

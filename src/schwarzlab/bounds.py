@@ -10,7 +10,6 @@ examples sit exactly on the bound.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field as dfield
 from typing import Dict, Optional, Sequence
@@ -24,6 +23,8 @@ from .lemmas import check_unimodal
 from .metrics import (Metric1D, log_concavity_report, mass, transform_table)
 
 FOUR_OVER_PI = 4.0 / math.pi
+# slacks within this distance of zero are counted as equality cases
+EQUALITY_BAND = 1e-9
 
 
 def ring_grid(radii: int = DEFAULT.grid_radii, angles: int = DEFAULT.grid_angles,
@@ -31,12 +32,6 @@ def ring_grid(radii: int = DEFAULT.grid_radii, angles: int = DEFAULT.grid_angles
     """Concentric evaluation rings: `radii` circles up to `radius`, `angles` spokes."""
     r = radius * (1.0 + np.arange(radii)) / radii
     t = 2.0 * math.pi * np.arange(angles) / angles
-    return (r[:, None] * np.exp(1j * t)[None, :]).ravel()
-
-
-def radial_grid(radii: int = 25, spokes: int = 8, radius: float = 0.95) -> np.ndarray:
-    r = radius * (1.0 + np.arange(radii)) / radii
-    t = 2.0 * math.pi * np.arange(spokes) / spokes
     return (r[:, None] * np.exp(1j * t)[None, :]).ravel()
 
 
@@ -77,7 +72,7 @@ class BoundReport:
 
     @property
     def equality_count(self) -> int:
-        return int(np.sum(np.abs(self.slack) <= DEFAULT.equality_band))
+        return int(np.sum(np.abs(self.slack) <= EQUALITY_BAND))
 
     def to_json_dict(self) -> dict:
         return {
@@ -93,11 +88,6 @@ class BoundReport:
             "extras": {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
                        for k, v in self.extras.items()},
         }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -117,9 +107,9 @@ def schwarz_quotient(metric: Optional[Metric1D], field: HarmonicField, z) -> flo
     z = complex(z)
     if abs(z) >= 1.0:
         raise OutsideDisk("Schwarz quotient needs |z| < 1")
-    f = field.evaluate(z)
-    g = field.gradient(z)
-    return float(np.hypot(g[0], g[1]) * (1.0 - abs(z) ** 2) / (1.0 - f * f))
+    f = float(field.value_many(z))
+    gx, gy = field.gradient_many(z)
+    return float(np.hypot(gx, gy) * (1.0 - abs(z) ** 2) / (1.0 - f * f))
 
 
 def chen_rhs(g_value: float, z) -> float:
@@ -132,16 +122,16 @@ def chen_rhs(g_value: float, z) -> float:
     return FOUR_OVER_PI * math.cos(0.5 * math.pi * g_value) / (1.0 - abs(z) ** 2)
 
 
-def hyperbolic_distance(z, w) -> float:
-    """artanh(|z - w| / |1 - z conj(w)|) for points of the open disk."""
-    z, w = complex(z), complex(w)
-    if abs(z) >= 1.0 or abs(w) >= 1.0:
+def hyperbolic_distance(z, w):
+    """artanh(|z - w| / |1 - z conj(w)|) for points of the open disk.
+
+    Accepts scalars or broadcastable arrays; returns a float for scalars.
+    """
+    z, w = np.asarray(z, complex), np.asarray(w, complex)
+    if np.any(np.abs(z) >= 1.0) or np.any(np.abs(w) >= 1.0):
         raise OutsideDisk("hyperbolic distance needs both points inside the disk")
-    return float(np.arctanh(abs(z - w) / abs(1.0 - z * np.conj(w))))
-
-
-def _hyperbolic_distance_many(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return np.arctanh(np.abs(z - w) / np.abs(1.0 - z * np.conj(w)))
+    d = np.arctanh(np.abs(z - w) / np.abs(1.0 - z * np.conj(w)))
+    return float(d) if d.ndim == 0 else d
 
 
 def cos_quadratic_majorant_check(samples: Sequence[float]) -> float:
@@ -259,8 +249,8 @@ def check_unimodal_bounds(metric: Metric1D, boundary: BoundaryData,
                           warnings=warn1,
                           extras={"mass": float(table.r) if table else math.inf})
 
-    rad = radial_grid()
-    f0 = field.evaluate(0.0)
+    rad = ring_grid(25, 8, 0.95)   # 8 radial spokes of 25 points each
+    f0 = float(field.value_many(0.0))
     if table is not None:
         balance = abs(table.h(np.array([0.0]))[0])  # H(0) = (B - A)/2
         balanced = balance <= 1e-9 * table.r
@@ -298,7 +288,7 @@ def check_distance_contraction(metric: Metric1D, boundary: BoundaryData,
     fz = field.value_many(z)
     fw = field.value_many(w)
     lhs = np.arctanh(np.abs(fz - fw) / np.abs(1.0 - fz * fw))
-    rhs = FOUR_OVER_PI * _hyperbolic_distance_many(z, w)
+    rhs = FOUR_OVER_PI * hyperbolic_distance(z, w)
     curv = log_concavity_report(metric, _curvature_scan_grid(), tols=tols)
     warnings = () if curv.is_nonnegative else (
         "metric is not certified non-negative curvature",)

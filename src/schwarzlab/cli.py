@@ -89,10 +89,11 @@ def _metric(config: RunConfig):
     return metrics_mod.metric_from_json(_load_json(config.metric_spec_path))
 
 
-def _boundary(config: RunConfig):
+def _boundary(config: RunConfig, tols: Tolerances):
     if not config.boundary_spec_path:
         raise InvalidInput("this subcommand needs --boundary")
-    return harmonic_mod.boundary_from_json(_load_json(config.boundary_spec_path))
+    return harmonic_mod.boundary_from_json(_load_json(config.boundary_spec_path),
+                                           sample_count=tols.boundary_samples)
 
 
 def _tols(config: RunConfig) -> Tolerances:
@@ -110,9 +111,8 @@ def _run_curvature(config: RunConfig, out: Path):
     pad = 1e-3 * (min(metric.domain_hi, 10.0) - metric.domain_lo)
     hi = min(metric.domain_hi - pad, metric.domain_lo + 20.0)
     grid = np.linspace(metric.domain_lo + pad, hi, n)
-    curv = [metrics_mod.curvature_at(metric, float(u), tols=tols) for u in grid]
     report = metrics_mod.log_concavity_report(metric, grid, tols=tols)
-    _write_csv(out / "curvature.csv", ["u", "curvature"], zip(grid, curv))
+    _write_csv(out / "curvature.csv", ["u", "curvature"], zip(grid, report.curvature))
     summary = {
         "metric": metric.name,
         "min_curvature": report.min_curvature,
@@ -144,8 +144,8 @@ def _run_transform(config: RunConfig, out: Path):
 
 def _run_solve(config: RunConfig, out: Path):
     metric = _metric(config)
-    boundary = _boundary(config)
     tols = _tols(config)
+    boundary = _boundary(config, tols)
     n = int(config.options.get("grid_n", 201))
     grid = harmonic_mod.fd_solve_oracle(metric, boundary, n, tols=tols)
     grid.to_csv(out / "solution.csv")
@@ -169,13 +169,12 @@ def _run_solve(config: RunConfig, out: Path):
 
 def _run_check_bounds(config: RunConfig, out: Path):
     metric = _metric(config)
-    boundary = _boundary(config)
     tols = _tols(config)
-    radius = float(config.options.get("radius", tols.grid_radius))
-    grid = bounds_mod.ring_grid(tols.grid_radii, tols.grid_angles, radius)
+    boundary = _boundary(config, tols)
+    grid = bounds_mod.ring_grid(tols.grid_radii, tols.grid_angles, tols.grid_radius)
     gradient = bounds_mod.check_gradient_bound(metric, boundary, grid, tols=tols)
     uni1, uni2 = bounds_mod.check_unimodal_bounds(metric, boundary, grid, tols=tols)
-    pairs = bounds_mod.random_disk_pairs(config.seed, 1000, radius)
+    pairs = bounds_mod.random_disk_pairs(config.seed, 1000, tols.grid_radius)
     dist = bounds_mod.check_distance_contraction(metric, boundary, pairs, tols=tols)
     reports = {
         "gradient_bound": gradient,
@@ -183,7 +182,8 @@ def _run_check_bounds(config: RunConfig, out: Path):
         "arctan_radial_bound": uni2,
         "distance_contraction": dist,
     }
-    summary = {"metric": metric.name, "boundary": boundary.name, "radius": radius}
+    summary = {"metric": metric.name, "boundary": boundary.name,
+               "radius": tols.grid_radius}
     failed = False
     for key, rep in reports.items():
         rep.to_csv(out / f"{key}.csv")
@@ -375,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check-bounds", help="gradient/distance bound reports")
     common(sp, metric=True, boundary=True)
-    sp.add_argument("--radius", type=float, default=DEFAULT.grid_radius)
 
     sp = sub.add_parser("lemma", help="randomized scalar-lemma oracles")
     common(sp)
@@ -403,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     options = {}
-    for key in ("grid_n", "radius", "which", "trials", "family",
+    for key in ("grid_n", "which", "trials", "family",
                 "n_max", "k_max", "name", "n", "c", "k"):
         if hasattr(args, key):
             options[key] = getattr(args, key)

@@ -20,8 +20,6 @@ class Tolerances:
     inverse_rel_tol: float = 1e-12
     # slack below which a bound check still counts as passed
     slack_tol: float = 1e-9
-    # slack window treated as an equality case
-    equality_band: float = 1e-9
     # finite-difference oracle; one "sweep" is one Picard step (one sparse
     # solve), and converging cases take 15-200 of them
     fd_update_tol: float = 1e-10

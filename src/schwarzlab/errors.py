@@ -46,4 +46,4 @@ class ParameterOutOfRange(SchwarzlabError):
 
 
 class NumericInversionFailure(SchwarzlabError):
-    """Newton inversion of a conformal map failed at a sample point."""
+    """Newton inversion (of H or of a conformal map) did not converge."""

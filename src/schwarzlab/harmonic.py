@@ -65,22 +65,15 @@ class BoundaryData:
         return float(np.mean(self.samples))
 
 
-def boundary_from_function(fn: Callable, target_lo: float = -1.0,
-                           target_hi: float = 1.0,
-                           sample_count: int = DEFAULT.boundary_samples,
-                           name: str = "boundary") -> BoundaryData:
-    return BoundaryData(fn, target_lo, target_hi, sample_count, name)
-
-
 def constant_boundary(value: float, **kw) -> BoundaryData:
-    return boundary_from_function(
+    return BoundaryData(
         lambda th: np.full_like(np.asarray(th, float), value),
         name=f"constant({value:g})", **kw)
 
 
 def cosine_boundary(amplitude: float = 0.8, frequency: int = 1,
                     phase: float = 0.0, **kw) -> BoundaryData:
-    return boundary_from_function(
+    return BoundaryData(
         lambda th: amplitude * np.cos(frequency * np.asarray(th, float) + phase),
         name=f"cosine(a={amplitude:g}, m={frequency})", **kw)
 
@@ -92,7 +85,7 @@ def step_boundary(amplitude: float = 1.0, **kw) -> BoundaryData:
         s = np.sin(np.asarray(th, float))
         return amplitude * np.where(np.abs(s) < 1e-9, 0.0, np.sign(s))
 
-    return boundary_from_function(fn, name=f"step({amplitude:g})", **kw)
+    return BoundaryData(fn, name=f"step({amplitude:g})", **kw)
 
 
 def boundary_from_samples(theta: Sequence[float], values: Sequence[float],
@@ -113,7 +106,7 @@ def boundary_from_samples(theta: Sequence[float], values: Sequence[float],
         th = np.mod(np.asarray(th, float) - theta[0], TWO_PI) + theta[0]
         return np.interp(th, tx, vx)
 
-    return boundary_from_function(interp, name="samples", **kw)
+    return BoundaryData(interp, name="samples", **kw)
 
 
 def boundary_from_json(spec: dict, **kw) -> BoundaryData:
@@ -141,26 +134,37 @@ def boundary_from_json(spec: dict, **kw) -> BoundaryData:
     raise InvalidInput(f"unknown boundary kind {kind!r}")
 
 
-def random_smooth_boundary(seed: int, modes: int = 5, max_abs: float = 0.85,
-                           **kw) -> BoundaryData:
-    """Random low-order trigonometric polynomial scaled into (-max_abs, max_abs)."""
+def _random_trig_boundary(seed: int, freqs: np.ndarray, weights: np.ndarray,
+                          max_abs: float, name: str, **kw) -> BoundaryData:
+    """Random trigonometric polynomial over `freqs`, scaled into (-max_abs, max_abs).
+
+    Coefficients are standard normal draws divided by `weights`; the peak
+    modulus is a random share in [1/2, 1) of max_abs.
+    """
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal(modes + 1) / (1.0 + np.arange(modes + 1)) ** 2
-    b = rng.standard_normal(modes + 1) / (1.0 + np.arange(modes + 1)) ** 2
-    b[0] = 0.0
+    a = rng.standard_normal(len(freqs)) / weights
+    b = rng.standard_normal(len(freqs)) / weights
+    b[freqs == 0] = 0.0
     amp = max_abs * rng.uniform(0.5, 1.0)
 
     def fn(th):
         th = np.asarray(th, float)
         acc = np.zeros_like(th)
-        for m in range(modes + 1):
-            acc = acc + a[m] * np.cos(m * th) + b[m] * np.sin(m * th)
+        for m, am, bm in zip(freqs, a, b):
+            acc = acc + am * np.cos(m * th) + bm * np.sin(m * th)
         return acc
 
     probe = fn(TWO_PI * np.arange(4096) / 4096)
     scale = amp / max(np.max(np.abs(probe)), 1e-12)
-    return boundary_from_function(lambda th: scale * fn(th),
-                                  name=f"random(seed={seed})", **kw)
+    return BoundaryData(lambda th: scale * fn(th), name=name, **kw)
+
+
+def random_smooth_boundary(seed: int, modes: int = 5, max_abs: float = 0.85,
+                           **kw) -> BoundaryData:
+    """Random low-order trigonometric polynomial scaled into (-max_abs, max_abs)."""
+    freqs = np.arange(modes + 1)
+    return _random_trig_boundary(seed, freqs, (1.0 + freqs) ** 2, max_abs,
+                                 f"random(seed={seed})", **kw)
 
 
 def random_symmetric_boundary(seed: int, modes: int = 5, max_abs: float = 0.85,
@@ -170,23 +174,9 @@ def random_symmetric_boundary(seed: int, modes: int = 5, max_abs: float = 0.85,
     For an even metric this forces the lifted solution to vanish at the
     origin, which the origin-pinned bound checks require.
     """
-    rng = np.random.default_rng(seed)
-    ms = np.arange(1, 2 * modes, 2)
-    a = rng.standard_normal(len(ms)) / ms.astype(float) ** 2
-    b = rng.standard_normal(len(ms)) / ms.astype(float) ** 2
-    amp = max_abs * rng.uniform(0.5, 1.0)
-
-    def fn(th):
-        th = np.asarray(th, float)
-        acc = np.zeros_like(th)
-        for m, am, bm in zip(ms, a, b):
-            acc = acc + am * np.cos(m * th) + bm * np.sin(m * th)
-        return acc
-
-    probe = fn(TWO_PI * np.arange(4096) / 4096)
-    scale = amp / max(np.max(np.abs(probe)), 1e-12)
-    return boundary_from_function(lambda th: scale * fn(th),
-                                  name=f"random-odd(seed={seed})", **kw)
+    freqs = np.arange(1, 2 * modes, 2)
+    return _random_trig_boundary(seed, freqs, freqs.astype(float) ** 2, max_abs,
+                                 f"random-odd(seed={seed})", **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +236,6 @@ def poisson_gradient(boundary: BoundaryData, z) -> tuple[np.ndarray, np.ndarray]
     return gx.reshape(z.shape), gy.reshape(z.shape)
 
 
-def harmonic_extend(boundary: BoundaryData, z) -> float:
-    """Poisson-integral value of the Euclidean harmonic extension at z."""
-    return float(poisson_values(boundary, complex(z)))
-
-
-def gradient_of(boundary: BoundaryData, z) -> np.ndarray:
-    gx, gy = poisson_gradient(boundary, complex(z))
-    return np.array([float(gx), float(gy)])
-
-
 # ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------
@@ -279,13 +259,6 @@ class HarmonicField:
 
     def gradient_many(self, z) -> tuple[np.ndarray, np.ndarray]:
         return self._gradient_many(_complex_points(z))
-
-    def evaluate(self, z) -> float:
-        return float(self.value_many(complex(z)))
-
-    def gradient(self, z) -> np.ndarray:
-        gx, gy = self.gradient_many(complex(z))
-        return np.array([float(gx), float(gy)])
 
 
 def euclidean_field(boundary: BoundaryData) -> HarmonicField:
@@ -368,11 +341,6 @@ def solved_field(metric: Metric1D, boundary: BoundaryData) -> HarmonicField:
 
     return HarmonicField(value_many, gradient_many, metric=metric,
                          name=f"solved[{metric.name}; {boundary.name}]")
-
-
-def solve_R_harmonic(metric: Metric1D, boundary: BoundaryData, z) -> float:
-    """Value at z of the metric-harmonic extension of the boundary data."""
-    return solved_field(metric, boundary).evaluate(z)
 
 
 # ---------------------------------------------------------------------------

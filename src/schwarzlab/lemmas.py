@@ -61,17 +61,18 @@ class LogConcaveDiffeo:
     def slopes(self) -> np.ndarray:
         return np.diff(self.knots_h) / np.diff(self.knots_x)
 
-    def _piece(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(np.searchsorted(self.knots_x, x, side="right") - 1,
-                       0, len(self.knots_x) - 2)
-
-    def f(self, x) -> np.ndarray:
+    def _local(self, x):
+        """Piece index of x, offset from its left knot, log f' there and its slope."""
         x = np.asarray(x, float)
-        i = self._piece(x)
+        i = np.clip(np.searchsorted(self.knots_x, x, side="right") - 1,
+                    0, len(self.knots_x) - 2)
         x0 = self.knots_x[i]
         h0 = self.knots_h[i]
         s = (self.knots_h[i + 1] - h0) / (self.knots_x[i + 1] - x0)
-        dx = x - x0
+        return i, x - x0, h0, s
+
+    def f(self, x) -> np.ndarray:
+        i, dx, h0, s = self._local(x)
         small = np.abs(s) < 1e-12
         with np.errstate(over="raise"):
             grow = np.where(small, dx, np.expm1(np.where(small, 0.0, s) * dx)
@@ -79,12 +80,8 @@ class LogConcaveDiffeo:
         return self.f_knots[i] + self.scale * np.exp(h0) * grow
 
     def f_prime(self, x) -> np.ndarray:
-        x = np.asarray(x, float)
-        i = self._piece(x)
-        x0 = self.knots_x[i]
-        h0 = self.knots_h[i]
-        s = (self.knots_h[i + 1] - h0) / (self.knots_x[i + 1] - x0)
-        return self.scale * np.exp(h0 + s * (x - x0))
+        _, dx, h0, s = self._local(x)
+        return self.scale * np.exp(h0 + s * dx)
 
     def to_json_dict(self) -> dict:
         return {"knots_x": list(map(float, self.knots_x)),

@@ -19,7 +19,8 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import (DerivativeUnavailable, DomainError, InvalidInput,
-                     NonIntegrable, OutOfRange, ParameterOutOfRange)
+                     NonIntegrable, NumericInversionFailure, OutOfRange,
+                     ParameterOutOfRange)
 from .quadrature import (adaptive_simpson, gauss_legendre,
                          integrate_to_endpoint, segments_gauss)
 
@@ -40,14 +41,13 @@ class Metric1D:
     name: str = "metric"
     claims_nonneg_curvature: bool = False
 
-    def require_inside(self, u: float) -> None:
-        if not (self.domain_lo < u < self.domain_hi):
-            raise DomainError(
-                f"{u!r} outside the open interval ({self.domain_lo}, {self.domain_hi})")
-
-    def without_second_derivative(self) -> "Metric1D":
-        """Copy that forces the finite-difference curvature path."""
-        return dataclasses.replace(self, d2_density=None)
+    def require_inside(self, u) -> None:
+        """Raise DomainError unless every element of u lies in the open domain."""
+        u = np.asarray(u, float)
+        outside = ~((self.domain_lo < u) & (u < self.domain_hi))
+        if np.any(outside):
+            raise DomainError(f"{float(u[outside][0])!r} outside the open interval "
+                              f"({self.domain_lo}, {self.domain_hi})")
 
 
 def _require_unit_domain(metric: Metric1D) -> None:
@@ -138,26 +138,14 @@ def half_plane_metric() -> Metric1D:
 
 
 def tent_metric(a: float, s: float) -> Metric1D:
-    """Density psi'(a, s): an even piecewise-linear tent with flat wings.
+    """Density psi'(a, s) of the concave tent map: an even tent with flat wings.
 
-    psi is the concave piecewise map with a quadratic cap on (0, s) and an
-    affine tail on (s, 1), extended oddly.  Its derivative is continuous
-    but has corners at |u| in {0, s}, so no second derivative is attached.
+    Its derivative is continuous but has corners at |u| in {0, s}, so no
+    second derivative is attached.
     """
-    u0 = a * s * s
-    if not (0.0 < s < 1.0) or not (0.0 < u0 < 1.0) or a <= 0:
-        raise ParameterOutOfRange("tent family needs s in (0,1) and a*s^2 in (0,1)")
-    peak = 1.0 + 2.0 * a * s - u0
-
-    def rho(x):
-        ax = np.abs(np.asarray(x, float))
-        return np.where(ax < s, peak - 2.0 * a * ax, 1.0 - u0)
-
-    def drho(x):
-        x = np.asarray(x, float)
-        return np.where(np.abs(x) < s, -2.0 * a * np.sign(x), 0.0)
-
-    return Metric1D(-1.0, 1.0, rho, drho, None, name=f"tent(a={a:g}, s={s:g})")
+    from .lemmas import ConcaveTentMap   # lemmas imports this module
+    psi = ConcaveTentMap(a, s)
+    return Metric1D(-1.0, 1.0, psi.deriv, psi.second_deriv, None, name=psi.label)
 
 
 def tabulated_metric(u: Sequence[float], R: Sequence[float]) -> Metric1D:
@@ -218,36 +206,46 @@ def metric_from_json(spec: dict) -> Metric1D:
 # curvature
 # ---------------------------------------------------------------------------
 
-def curvature_at(metric: Metric1D, u: float, *, force_numeric: bool = False,
-                 step: Optional[float] = None, tols: Tolerances = DEFAULT) -> float:
-    """Gaussian curvature -(1/R^2) (R'/R)' of the strip metric at u."""
-    u = float(u)
+def curvature_at(metric: Metric1D, u, *, force_numeric: bool = False,
+                 tols: Tolerances = DEFAULT):
+    """Gaussian curvature -(1/R^2) (R'/R)' of the strip metric at u.
+
+    Takes a float or an array and returns the same shape (a float for a
+    float).  Every element must lie inside the domain, with room for its
+    central-difference step on the numeric path.
+    """
+    u = np.asarray(u, float)
     metric.require_inside(u)
-    R = float(metric.density(u))
-    if R <= 0:
-        raise DomainError(f"density must be positive, got {R} at {u}")
+    R = np.asarray(metric.density(u), float)
+    if np.any(R <= 0):
+        raise DomainError(f"density must be positive, got {float(R.min())}")
     if metric.d2_density is not None and not force_numeric:
-        Rp = float(metric.d_density(u))
-        Rpp = float(metric.d2_density(u))
+        Rp, Rpp = metric.d_density(u), metric.d2_density(u)
         w_prime = Rpp / R - (Rp / R) ** 2
     else:
-        h = step if step is not None else max(tols.diff_step, tols.diff_step * abs(u))
-        h = min(h, 0.5 * (u - metric.domain_lo), 0.5 * (metric.domain_hi - u))
-        if h < 4.0 * np.finfo(float).eps * max(1.0, abs(u)):
-            raise DerivativeUnavailable(f"cannot difference at {u} without leaving the domain")
-        w_hi = float(metric.d_density(u + h)) / float(metric.density(u + h))
-        w_lo = float(metric.d_density(u - h)) / float(metric.density(u - h))
+        h = np.maximum(tols.diff_step, tols.diff_step * np.abs(u))
+        h = np.minimum(h, np.minimum(0.5 * (u - metric.domain_lo),
+                                     0.5 * (metric.domain_hi - u)))
+        cramped = h < 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(u))
+        if np.any(cramped):
+            raise DerivativeUnavailable(
+                f"cannot difference at {float(u[cramped][0])} without leaving the domain")
+        w_hi = metric.d_density(u + h) / metric.density(u + h)
+        w_lo = metric.d_density(u - h) / metric.density(u - h)
         w_prime = (w_hi - w_lo) / (2.0 * h)
-    return -w_prime / (R * R)
+    curv = -w_prime / (R * R)
+    return float(curv) if curv.ndim == 0 else curv
 
 
 @dataclass(frozen=True)
 class LogConcavityReport:
+    """Curvature scan of a metric over a grid; `curvature` holds the scanned values."""
     min_curvature: float
     worst_u: float
     is_nonnegative: bool
     exp_majorant_ok: bool
     majorant_min_slack: float
+    curvature: np.ndarray = dataclasses.field(repr=False, compare=False)
 
 
 def log_concavity_report(metric: Metric1D, grid: Sequence[float],
@@ -258,9 +256,7 @@ def log_concavity_report(metric: Metric1D, grid: Sequence[float],
     case), otherwise at the grid midpoint.
     """
     grid = np.asarray(grid, float)
-    for u in (grid.min(), grid.max()):
-        metric.require_inside(float(u))
-    curv = np.array([curvature_at(metric, float(u), tols=tols) for u in grid])
+    curv = curvature_at(metric, grid, tols=tols)
     i = int(np.argmin(curv))
     anchor = 0.0 if metric.domain_lo < 0.0 < metric.domain_hi \
         else float(np.median(grid))
@@ -273,6 +269,7 @@ def log_concavity_report(metric: Metric1D, grid: Sequence[float],
         is_nonnegative=bool(curv[i] >= -tols.slack_tol),
         exp_majorant_ok=bool(slack.min() >= -tols.slack_tol),
         majorant_min_slack=float(slack.min()),
+        curvature=curv,
     )
 
 
@@ -423,6 +420,10 @@ class HTransform:
                 newton = u - res / dens
             bad = ~np.isfinite(newton) | (newton <= lo) | (newton >= hi)
             u = np.where(bad, 0.5 * (lo + hi), newton)
+        else:
+            raise NumericInversionFailure(
+                f"H inversion did not converge in 80 iterations: max residual "
+                f"{np.max(np.abs(res)):.3e} above {target:.3e}")
         return u.reshape(t.shape)
 
 

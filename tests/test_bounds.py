@@ -9,12 +9,11 @@ from schwarzlab.bounds import (BoundReport, check_distance_contraction,
                                check_gradient_bound, check_unimodal_bounds,
                                chen_rhs, cos_quadratic_majorant_check,
                                hyperbolic_distance, mobius_automorphism,
-                               radial_grid, random_disk_pairs, ring_grid,
-                               schwarz_quotient)
+                               random_disk_pairs, ring_grid, schwarz_quotient)
 from schwarzlab.errors import OutsideDisk
-from schwarzlab.harmonic import (analytic_field, boundary_from_function,
+from schwarzlab.harmonic import (BoundaryData, analytic_field,
                                  constant_boundary, euclidean_field,
-                                 gradient_of, poisson_values,
+                                 poisson_gradient, poisson_values,
                                  random_smooth_boundary,
                                  random_symmetric_boundary, solved_field,
                                  step_boundary)
@@ -66,7 +65,7 @@ def test_chen_dominates_step_extension():
     for _ in range(300):
         z = 0.95 * math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform())
         g = poisson_values(b, np.array([z]))[0]
-        grad = np.hypot(*gradient_of(b, z))
+        grad = np.hypot(*poisson_gradient(b, z))
         worst = min(worst, chen_rhs(g, z) - grad)
     assert worst >= -1e-9
 
@@ -85,6 +84,15 @@ def test_hyperbolic_distance_basics():
     assert hyperbolic_distance(0.3 + 0.1j, 0.3 + 0.1j) == 0.0
     with pytest.raises(OutsideDisk):
         hyperbolic_distance(0, 1.0)
+
+
+def test_hyperbolic_distance_arrays():
+    pairs = random_disk_pairs(3, 50, 0.95)
+    d = hyperbolic_distance(pairs[:, 0], pairs[:, 1])
+    assert d.shape == (50,)
+    assert np.array_equal(d, [hyperbolic_distance(z, w) for z, w in pairs])
+    with pytest.raises(OutsideDisk):
+        hyperbolic_distance(pairs[:, 0], np.append(pairs[1:, 1], 1.0))
 
 
 @settings(max_examples=50, deadline=None)
@@ -125,7 +133,7 @@ def test_gradient_bound_step_equality_at_origin():
 
 def test_gradient_bound_hyperbolic_fails_by_design():
     m = hyperbolic_metric()
-    b = boundary_from_function(lambda th: np.tanh(3 * np.cos(th)))
+    b = BoundaryData(lambda th: np.tanh(3 * np.cos(th)))
     grid = np.concatenate([[1e-9 + 0j], ring_grid()])
     rep = check_gradient_bound(m, b, grid)
     assert not rep.passed
@@ -254,10 +262,8 @@ def test_schwarz_quotient_mobius_invariance():
 def test_report_json_and_csv(tmp_path):
     rep = check_gradient_bound(cosine_metric(), random_smooth_boundary(0),
                                ring_grid(4, 8, 0.9))
-    rep.to_json(tmp_path / "rep.json")
     rep.to_csv(tmp_path / "rep.csv")
-    import json
-    payload = json.loads((tmp_path / "rep.json").read_text())
+    payload = rep.to_json_dict()
     assert payload["passed"]
     rows = np.loadtxt(tmp_path / "rep.csv", delimiter=",", skiprows=1)
     assert rows.shape == (32, 5)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from schwarzlab.cli import main
+from schwarzlab.metrics import cosine_metric, curvature_at
 
 
 @pytest.fixture
@@ -27,7 +28,10 @@ def test_curvature_subcommand(specs):
     assert code == 0
     summary = _summary(out)
     assert summary["is_nonnegative"]
-    assert (out / "curvature.csv").exists()
+    rows = np.loadtxt(out / "curvature.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (99, 2)
+    assert np.array_equal(rows[:, 1], curvature_at(cosine_metric(), rows[:, 0]))
+    assert rows[:, 1].min() == summary["min_curvature"]
 
 
 def test_transform_subcommand(specs):
@@ -141,6 +145,45 @@ def test_tolerance_override_recorded(specs):
                  "--tolerance", "slack_tol=1e-6"])
     assert code == 0
     assert _summary(out)["effective_tolerances"]["slack_tol"] == 1e-6
+
+
+def test_grid_radius_override_moves_the_ring_grid(specs):
+    out = specs["dir"] / "o14"
+    code = main(["check-bounds", "--metric", specs["metric"],
+                 "--boundary", specs["boundary"], "--out", str(out),
+                 "--tolerance", "grid_radius=0.5"])
+    assert code == 0
+    assert _summary(out)["radius"] == 0.5
+    for name in ("gradient_bound", "unimodal_gradient_bound"):
+        rows = np.loadtxt(out / f"{name}.csv", delimiter=",", skiprows=1)
+        assert np.max(np.hypot(rows[:, 0], rows[:, 1])) == pytest.approx(0.5, abs=1e-15)
+    rows = np.loadtxt(out / "distance_contraction.csv", delimiter=",", skiprows=1)
+    assert np.max(np.hypot(rows[:, 0], rows[:, 1])) <= 0.5
+    with pytest.raises(SystemExit):
+        main(["check-bounds", "--metric", specs["metric"],
+              "--boundary", specs["boundary"], "--radius", "0.5"])
+
+
+def test_boundary_samples_override_is_applied(specs):
+    slacks = []
+    for i, samples in enumerate((1024, 512)):
+        out = specs["dir"] / f"o15-{i}"
+        assert main(["check-bounds", "--metric", specs["metric"],
+                     "--boundary", specs["boundary"], "--out", str(out),
+                     "--tolerance", f"boundary_samples={samples}"]) == 0
+        summary = _summary(out)
+        assert summary["effective_tolerances"]["boundary_samples"] == samples
+        slacks.append(summary["gradient_bound"]["min_slack"])
+    assert slacks[0] != slacks[1]
+
+
+def test_equality_band_is_not_a_tolerance(specs, capsys):
+    out = specs["dir"] / "o16"
+    code = main(["check-bounds", "--metric", specs["metric"],
+                 "--boundary", specs["boundary"], "--out", str(out),
+                 "--tolerance", "equality_band=1.0"])
+    assert code == 2
+    assert "unknown tolerance 'equality_band'" in capsys.readouterr().err
 
 
 def test_deterministic_summaries(specs):

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schwarzlab.errors import (DomainError, InvalidInput, NonIntegrable,
+from schwarzlab.config import DEFAULT
+from schwarzlab.errors import (DerivativeUnavailable, DomainError, InvalidInput,
+                               NonIntegrable, NumericInversionFailure,
                                OutOfRange, ParameterOutOfRange)
-from schwarzlab.lemmas import psi_family
+from schwarzlab.lemmas import ConcaveTentMap, psi_family
 from schwarzlab.metrics import (HTransform, Metric1D, constant_metric,
                                 cosine_metric, curvature_at, exponential_metric,
                                 half_plane_metric, hyperbolic_metric, inverse_H,
@@ -60,6 +62,60 @@ def test_curvature_outside_domain_raises():
         curvature_at(cosine_metric(), 1.0)
     with pytest.raises(DomainError):
         curvature_at(half_plane_metric(), -0.5)
+
+
+def _pointwise_curvature(metric, grid, force_numeric=False):
+    """-(1/R^2)(R'/R)' one point at a time, in Python floats."""
+    out = []
+    for u in map(float, grid):
+        R = float(metric.density(u))
+        if metric.d2_density is not None and not force_numeric:
+            Rp, Rpp = float(metric.d_density(u)), float(metric.d2_density(u))
+            w_prime = Rpp / R - (Rp / R) ** 2
+        else:
+            h = min(max(1e-6, 1e-6 * abs(u)), 0.5 * (u - metric.domain_lo),
+                    0.5 * (metric.domain_hi - u))
+            w_hi = float(metric.d_density(u + h)) / float(metric.density(u + h))
+            w_lo = float(metric.d_density(u - h)) / float(metric.density(u - h))
+            w_prime = (w_hi - w_lo) / (2.0 * h)
+        out.append(-w_prime / (R * R))
+    return np.array(out)
+
+
+def _every_family():
+    unit = np.linspace(-0.999, 0.999, 601)
+    return [(constant_metric(), unit), (exponential_metric(1.5), unit),
+            (exponential_metric(-2.0), unit), (cosine_metric(), unit),
+            (hyperbolic_metric(), unit), (secant_metric(), unit),
+            (half_plane_metric(), np.linspace(0.02, 20.0, 601)),
+            (tent_metric(2.0, 0.3), unit),
+            (tabulated_metric(np.linspace(-1, 1, 21),
+                              1.0 + 0.5 * np.cos(np.linspace(-1, 1, 21))),
+             np.linspace(-0.99, 0.99, 601)),
+            (mollify(psi_family(0.5, 0.5), 0.05), unit)]
+
+
+def test_curvature_array_matches_pointwise_loop():
+    for metric, grid in _every_family():
+        curv = curvature_at(metric, grid)
+        assert curv.shape == grid.shape
+        np.testing.assert_allclose(curv, _pointwise_curvature(metric, grid),
+                                   rtol=1e-15, atol=0.0, err_msg=metric.name)
+        # the forced difference quotient divides last-bit differences between
+        # scalar and vectorized evaluation of the density by h ~ 1e-6
+        np.testing.assert_allclose(
+            curvature_at(metric, grid, force_numeric=True),
+            _pointwise_curvature(metric, grid, force_numeric=True),
+            rtol=1e-9, atol=1e-9, err_msg=metric.name)
+    assert isinstance(curvature_at(cosine_metric(), 0.3), float)
+
+
+def test_curvature_array_checks_every_element():
+    with pytest.raises(DomainError):
+        curvature_at(cosine_metric(), np.array([0.0, 0.5, 1.0]))
+    with pytest.raises(DerivativeUnavailable):
+        curvature_at(cosine_metric(), np.array([0.0, -1.0 + 1e-15]),
+                     force_numeric=True)
 
 
 def test_half_plane_curvature_identity():
@@ -160,6 +216,13 @@ def test_table_inverse_residual():
     ts = np.linspace(-0.99, 0.99, 301) * tab.r
     us = tab.h_inv(ts)
     assert np.max(np.abs(tab.h(us) - ts)) <= 1e-12 * tab.r
+
+
+def test_table_inverse_raises_when_newton_stalls():
+    # a zero tolerance cannot be met: the residual stalls near 1e-16
+    tab = HTransform(cosine_metric(), tols=DEFAULT.replaced(inverse_rel_tol=0.0))
+    with pytest.raises(NumericInversionFailure):
+        tab.h_inv(np.linspace(-0.9, 0.9, 31) * tab.r)
 
 
 def test_range_table_for_infinite_mass():
@@ -273,6 +336,21 @@ def test_mollify_rejects_bad_input():
         mollify(_IdentityMap(), 1.5)  # epsilon outside (0, 1)
 
 
+def test_tent_metric_is_the_tent_map_derivative():
+    a, s = 2.0, 0.3
+    u0 = a * s * s
+    x = np.linspace(-1.0, 1.0, 100001)
+    m = tent_metric(a, s)
+    closed = np.where(np.abs(x) < s, (1.0 + 2.0 * a * s - u0) - 2.0 * a * np.abs(x),
+                      1.0 - u0)
+    assert np.array_equal(m.density(x), closed)
+    assert np.array_equal(m.density(x), ConcaveTentMap(a, s).deriv(x))
+    assert np.array_equal(m.d_density(x),
+                          np.where(np.abs(x) < s, -2.0 * a * np.sign(x), 0.0))
+    assert m.d2_density is None
+    assert m.name == "tent(a=2, s=0.3)"
+
+
 def test_tent_metric_parameter_validation():
     with pytest.raises(ParameterOutOfRange):
         tent_metric(5.0, 0.5)  # a s^2 = 1.25 >= 1
@@ -313,12 +391,10 @@ def test_tabulated_monotone_positive():
 
 
 def test_derivative_unavailable_at_the_edge():
-    from schwarzlab.errors import DerivativeUnavailable
-    m = cosine_metric().without_second_derivative()
     u = -1.0 + 1e-16
     if u > -1.0:   # representable strictly inside
         with pytest.raises(DerivativeUnavailable):
-            curvature_at(m, u)
+            curvature_at(cosine_metric(), u, force_numeric=True)
 
 
 def test_nonneg_curvature_families_have_finite_mass():
