@@ -107,8 +107,8 @@ def schwarz_quotient(metric: Optional[Metric1D], field: HarmonicField, z) -> flo
     z = complex(z)
     if abs(z) >= 1.0:
         raise OutsideDisk("Schwarz quotient needs |z| < 1")
-    f = float(field.value_many(z))
-    gx, gy = field.gradient_many(z)
+    f, gx, gy = field.value_and_gradient_many(z)
+    f = float(f)
     return float(np.hypot(gx, gy) * (1.0 - abs(z) ** 2) / (1.0 - f * f))
 
 
@@ -173,8 +173,7 @@ def check_gradient_bound(metric: Metric1D, boundary: BoundaryData,
     z = np.ravel(np.asarray(grid, complex))
     field = solved_field(metric, boundary)
 
-    f = field.value_many(z)
-    gx, gy = field.gradient_many(z)
+    f, gx, gy = field.value_and_gradient_many(z)
     grad = np.hypot(gx, gy)
     one_minus = 1.0 - np.abs(z) ** 2
 
@@ -239,8 +238,7 @@ def check_unimodal_bounds(metric: Metric1D, boundary: BoundaryData,
         table = None
     field = solved_field(metric, boundary)
 
-    f = field.value_many(z)
-    gx, gy = field.gradient_many(z)
+    f, gx, gy = field.value_and_gradient_many(z)
     lhs1 = np.hypot(gx, gy)
     rhs1 = 2.0 * (1.0 - np.abs(f)) / (1.0 - np.abs(z) ** 2)
     warn1 = () if unimodal else ("density failed the sampled unimodality check",)

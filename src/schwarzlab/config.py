@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
 
+from .errors import InvalidInput
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -32,6 +34,14 @@ class Tolerances:
     grid_radii: int = 24
     grid_angles: int = 96
     grid_radius: float = 0.95
+
+    def __post_init__(self):
+        # the check grid is input: a radius outside (0, 1) would put points
+        # off the disk, and a grid needs at least one ring and one spoke
+        if not 0.0 < self.grid_radius < 1.0:
+            raise InvalidInput(f"grid_radius must lie in (0, 1), got {self.grid_radius!r}")
+        if self.grid_radii < 1 or self.grid_angles < 1:
+            raise InvalidInput("grid_radii and grid_angles must be at least 1")
 
     def replaced(self, **overrides: float) -> "Tolerances":
         data = asdict(self)

@@ -141,8 +141,7 @@ def run_zero_curvature_example(c: float = 1.0, seed: int = 0) -> ExampleReport:
     fld = solved_field(metric, boundary)
     rng = np.random.default_rng(seed)
     z = 0.9 * np.sqrt(rng.uniform(0, 1, 400)) * np.exp(2j * math.pi * rng.uniform(0, 1, 400))
-    fv = fld.value_many(z)
-    gx, gy = fld.gradient_many(z)
+    fv, gx, gy = fld.value_and_gradient_many(z)
     a_at = _zero_curvature_majorant(c, fv, 1.0 - np.abs(z) ** 2)
     solved_slack = float(np.min(a_at - np.hypot(gx, gy)))
 

@@ -6,6 +6,18 @@ boundary data to metric-harmonic solutions through the centered primitive H,
 a sparse-direct (SuperLU) Picard oracle that discretizes the quasilinear
 equation directly by finite differences, and residual diagnostics
 (pointwise equation residual and holomorphy of the quadratic differential).
+
+The trapezoid Poisson sums take one of two paths with the same result up to
+rounding.  Points on a row-major ring grid (`radii[:, None] * exp(2 pi i
+a / A)`, as `bounds.ring_grid` makes them, with A >= 8 spokes, every radius
+> 0 and every point within a few ulps of that position) are served by FFT:
+on such a grid the sum is a circular convolution in angle, evaluated with
+closed-form alias-summed kernel spectra on lcm(samples, A) angles.  The FFT
+path is taken only while its transforms are at most a quarter of the direct
+sum's points x samples (gcd(A, samples) >= 4) and its spectra fit one
+kernel block.  All other points (scattered pairs, the oracle's nodes, user
+points) take the direct blocked sum, which is also the reference the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -183,8 +195,19 @@ def random_symmetric_boundary(seed: int, modes: int = 5, max_abs: float = 0.85,
 # Poisson extension
 # ---------------------------------------------------------------------------
 
-# elements (points x samples) per block of kernel temporaries
+# elements (points x samples) per block of kernel temporaries; also the cap
+# on (radii x spectrum length) of the ring-grid multipliers
 _BLOCK_ELEMENTS = 2 ** 19
+# a ring grid needs at least this many spokes for the FFT path
+_RING_MIN_SPOKES = 8
+# and each point within this many ulps (of its radius) of its ideal position
+_RING_ULPS = 4.0
+# the FFT path runs only while len(radii) * L is at most this share of the
+# direct sum's points * samples, i.e. gcd(spokes, samples) >= 4.  Measured
+# for a 24-ring grid and 1024 samples on a 2-core x86-64 machine: at gcd 1 (97 spokes, L = 99328) the
+# transforms cost 2.5x the direct sum, at gcd 8 (1000 samples, 96 spokes)
+# a tenth of it
+_RING_WORK_SHARE = 4
 
 
 def _complex_points(z) -> np.ndarray:
@@ -199,11 +222,91 @@ def _require_in_disk(z: np.ndarray) -> None:
         raise OutsideDisk("evaluation point outside the open unit disk")
 
 
-def poisson_values(boundary: BoundaryData, z) -> np.ndarray:
-    """Trapezoid Poisson integral of the boundary samples at points z."""
-    z = _complex_points(z)
-    flat = np.ravel(z)
-    _require_in_disk(flat)
+@dataclass(frozen=True, eq=False)
+class _Ring:
+    """A row-major ring grid: z[i * spokes + a] = radii[i] * phase[a]."""
+    radii: np.ndarray           # (R,) all > 0
+    phase: np.ndarray           # (spokes,) exp(2 pi i a / spokes)
+    size: int                   # L = lcm(samples, spokes)
+
+
+def _ring_layout(flat: np.ndarray, sample_count: int) -> Optional[_Ring]:
+    """The ring grid `flat` lies on, if the FFT path should serve it."""
+    if flat.size < _RING_MIN_SPOKES:
+        return None
+    # the second point sits one spoke on; a NaN or zero angle compares False
+    step = float(np.angle(flat[1]))
+    turns = TWO_PI / step if step > 0.0 else math.inf
+    if not _RING_MIN_SPOKES - 0.5 <= turns <= flat.size + 0.5:
+        return None
+    spokes = round(turns)
+    if flat.size % spokes:
+        return None
+    radii = np.abs(flat[::spokes])
+    size = math.lcm(sample_count, spokes)
+    if (not np.all(radii > 0.0)
+            or _RING_WORK_SHARE * len(radii) * size > flat.size * sample_count
+            or len(radii) * (size // 2 + 1) > _BLOCK_ELEMENTS):
+        return None
+    # the same arithmetic as bounds.ring_grid, so its grids match exactly
+    phase = np.exp(1j * (TWO_PI * np.arange(spokes) / spokes))
+    ideal = (radii[:, None] * phase[None, :]).ravel()
+    slack = _RING_ULPS * np.finfo(float).eps * np.repeat(radii, spokes)
+    if not np.all(np.abs(flat - ideal) <= slack):
+        return None
+    return _Ring(radii, phase, size)
+
+
+@functools.lru_cache(maxsize=4)
+def _ring_multipliers(radii: tuple, size: int) -> tuple[np.ndarray, ...]:
+    """Alias-summed Poisson kernel spectra on `size` angles, one row per radius.
+
+    The kernel is sum_k rho^|k| e^(ik t); sampled on `size` angles its DFT
+    at 0 <= q <= size/2 is size times the sum over k = q (mod size).  With
+    a = rho^q, b = rho^(size-q) and d = 1 - rho^size the geometric series
+    give, for the value, d/dphi and d/drho kernels,
+
+        sum rho^|k|              = (a + b) / d
+        sum k rho^|k|            = q (a + b) / d + size (a rho^size - b) / d^2
+        sum |k| rho^(|k|-1)      = [q (a - b) / d + size (a rho^size + b) / d^2] / rho
+
+    Closed forms, not a numeric FFT of the sampled kernel: the kernel peaks
+    near the rim, and transforming it loses digits there.  Returned as
+    (values, i * d/dphi, d/drho), read-only.
+    """
+    rho = np.array(radii)[:, None]
+    q = np.arange(size // 2 + 1, dtype=float)
+    a = rho ** q
+    b = rho ** (size - q)
+    x = rho ** size
+    d = 1.0 - x
+    xa = x * a
+    values = (a + b) / d
+    d_phi = 1j * (q * (a + b) / d + size * (xa - b) / d ** 2)
+    d_rho = (q * (a - b) / d + size * (xa + b) / d ** 2) / rho
+    for arr in (values, d_phi, d_rho):
+        arr.flags.writeable = False
+    return values, d_phi, d_rho
+
+
+def _ring_sums(boundary: BoundaryData, ring: _Ring, multipliers) -> list:
+    """Trapezoid Poisson sums on a ring grid, one (R, spokes) array per multiplier.
+
+    The sum over the boundary samples is a circular convolution in angle:
+    zero-stuff the N samples onto L = lcm(N, spokes) angles, multiply their
+    rFFT by the kernel spectrum and keep every (L / spokes)-th sample of
+    the inverse.
+    """
+    n = boundary.sample_count
+    stuffed = np.zeros(ring.size)
+    stuffed[::ring.size // n] = boundary.samples
+    spectrum = np.fft.rfft(stuffed) * (ring.size / n)
+    keep = ring.size // len(ring.phase)
+    return [np.fft.irfft(spectrum * mult, n=ring.size)[:, ::keep]
+            for mult in multipliers]
+
+
+def _direct_values(boundary: BoundaryData, flat: np.ndarray) -> np.ndarray:
     e = np.exp(1j * boundary.thetas)
     out = np.empty(len(flat))
     rows = max(1, _BLOCK_ELEMENTS // boundary.sample_count)
@@ -212,14 +315,11 @@ def poisson_values(boundary: BoundaryData, z) -> np.ndarray:
         d2 = np.abs(e[None, :] - blk) ** 2
         p = (1.0 - np.abs(blk) ** 2) / d2
         out[k:k + rows] = p @ boundary.samples / boundary.sample_count
-    return out.reshape(z.shape)
+    return out
 
 
-def poisson_gradient(boundary: BoundaryData, z) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of the Poisson extension via the differentiated kernel."""
-    z = _complex_points(z)
-    flat = np.ravel(z)
-    _require_in_disk(flat)
+def _direct_gradient(boundary: BoundaryData,
+                     flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e = np.exp(1j * boundary.thetas)
     gx = np.empty(len(flat))
     gy = np.empty(len(flat))
@@ -233,6 +333,38 @@ def poisson_gradient(boundary: BoundaryData, z) -> tuple[np.ndarray, np.ndarray]
         py = -2.0 * blk.imag / d2 + 2.0 * one_m * diff.imag / d2 ** 2
         gx[k:k + rows] = px @ boundary.samples / boundary.sample_count
         gy[k:k + rows] = py @ boundary.samples / boundary.sample_count
+    return gx, gy
+
+
+def poisson_values(boundary: BoundaryData, z) -> np.ndarray:
+    """Trapezoid Poisson integral of the boundary samples at points z."""
+    z = _complex_points(z)
+    flat = np.ravel(z)
+    _require_in_disk(flat)
+    ring = _ring_layout(flat, boundary.sample_count)
+    if ring is None:
+        return _direct_values(boundary, flat).reshape(z.shape)
+    values, _, _ = _ring_multipliers(tuple(ring.radii), ring.size)
+    (out,) = _ring_sums(boundary, ring, [values])
+    return out.reshape(z.shape)
+
+
+def poisson_gradient(boundary: BoundaryData, z) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of the Poisson extension via the differentiated kernel."""
+    z = _complex_points(z)
+    flat = np.ravel(z)
+    _require_in_disk(flat)
+    ring = _ring_layout(flat, boundary.sample_count)
+    if ring is None:
+        gx, gy = _direct_gradient(boundary, flat)
+        return gx.reshape(z.shape), gy.reshape(z.shape)
+    _, d_phi, d_rho = _ring_multipliers(tuple(ring.radii), ring.size)
+    u_phi, u_rho = _ring_sums(boundary, ring, [d_phi, d_rho])
+    # polar to Cartesian: grad = u_rho e_rho + (u_phi / rho) e_phi
+    u_t = u_phi / ring.radii[:, None]
+    c, s = ring.phase.real, ring.phase.imag
+    gx = u_rho * c - u_t * s
+    gy = u_rho * s + u_t * c
     return gx.reshape(z.shape), gy.reshape(z.shape)
 
 
@@ -245,25 +377,32 @@ class HarmonicField:
 
     Wraps either a Euclidean Poisson extension (metric is None) or a lifted
     metric-harmonic solution, or any closed-form field supplied directly.
+    `value_and_gradient_many` is the one gradient path; `gradient_many` is
+    that call without the values.
     """
 
-    def __init__(self, value_many: Callable, gradient_many: Callable,
+    def __init__(self, value_many: Callable, value_and_gradient_many: Callable,
                  metric: Optional[Metric1D] = None, name: str = "field"):
         self._value_many = value_many
-        self._gradient_many = gradient_many
+        self._value_and_gradient_many = value_and_gradient_many
         self.metric = metric
         self.name = name
 
     def value_many(self, z) -> np.ndarray:
         return self._value_many(_complex_points(z))
 
+    def value_and_gradient_many(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._value_and_gradient_many(_complex_points(z))
+
     def gradient_many(self, z) -> tuple[np.ndarray, np.ndarray]:
-        return self._gradient_many(_complex_points(z))
+        _, gx, gy = self.value_and_gradient_many(z)
+        return gx, gy
 
 
 def euclidean_field(boundary: BoundaryData) -> HarmonicField:
     return HarmonicField(lambda z: poisson_values(boundary, z),
-                         lambda z: poisson_gradient(boundary, z),
+                         lambda z: (poisson_values(boundary, z),
+                                    *poisson_gradient(boundary, z)),
                          metric=None, name=f"poisson[{boundary.name}]")
 
 
@@ -275,11 +414,11 @@ def analytic_field(value: Callable, grad: Callable,
     def value_many(z):
         return np.asarray(value(z.real, z.imag), float)
 
-    def gradient_many(z):
+    def value_and_gradient_many(z):
         gx, gy = grad(z.real, z.imag)
-        return np.asarray(gx, float), np.asarray(gy, float)
+        return value_many(z), np.asarray(gx, float), np.asarray(gy, float)
 
-    return HarmonicField(value_many, gradient_many, metric=metric, name=name)
+    return HarmonicField(value_many, value_and_gradient_many, metric=metric, name=name)
 
 
 @functools.lru_cache(maxsize=256)
@@ -332,14 +471,13 @@ def solved_field(metric: Metric1D, boundary: BoundaryData) -> HarmonicField:
         g = np.clip(poisson_values(g_boundary, z), g_lo, g_hi)
         return table.h_inv(r * g)
 
-    def gradient_many(z):
-        g = np.clip(poisson_values(g_boundary, z), g_lo, g_hi)
-        f = table.h_inv(r * g)
+    def value_and_gradient_many(z):
+        f = value_many(z)
         gx, gy = poisson_gradient(g_boundary, z)
         scale = r / np.asarray(metric.density(f), float)
-        return gx * scale, gy * scale
+        return f, gx * scale, gy * scale
 
-    return HarmonicField(value_many, gradient_many, metric=metric,
+    return HarmonicField(value_many, value_and_gradient_many, metric=metric,
                          name=f"solved[{metric.name}; {boundary.name}]")
 
 
@@ -375,8 +513,8 @@ def hopf_holomorphy_residual(metric: Metric1D, field: HarmonicField,
     if np.any(np.abs(centers) >= 1.0):
         raise StencilOutsideDisk("holomorphy stencil leaves the disk")
     flat = centers.reshape(-1)
-    fmid = field.value_many(flat).reshape(centers.shape)
-    gx, gy = field.gradient_many(flat)
+    fmid, gx, gy = field.value_and_gradient_many(flat)
+    fmid = fmid.reshape(centers.shape)
     fz = 0.5 * (gx - 1j * gy).reshape(centers.shape)
     w = np.asarray(metric.density(fmid), float) ** 2 * fz ** 2
     # stencil order: +h, -h, +ih, -ih

@@ -408,18 +408,27 @@ class HTransform:
             0.0, 1.0)
         scale = self.r if self.normalized else float(np.max(np.abs(self._h_nodes)))
         target = self.tols.inverse_rel_tol * scale
+        # only points still above target move: a converged point's Newton
+        # step rounds back onto its bracket end and would count as a
+        # bisection, throwing it half a cell away
+        live = np.arange(flat.size)
         for _ in range(80):
-            res = self.h(u) - flat
-            if np.max(np.abs(res)) <= target:
+            ul = u[live]
+            res = self.h(ul) - flat[live]
+            # written so that a NaN residual counts as not converged
+            moving = ~(np.abs(res) <= target)
+            if not np.any(moving):
                 break
+            live, ul, res = live[moving], ul[moving], res[moving]
             above = res > 0
-            hi = np.where(above, u, hi)
-            lo = np.where(above, lo, u)
-            dens = np.asarray(self.metric.density(u), float)
+            hl = np.where(above, ul, hi[live])
+            ll = np.where(above, lo[live], ul)
+            dens = np.asarray(self.metric.density(ul), float)
             with np.errstate(divide="ignore", invalid="ignore"):
-                newton = u - res / dens
-            bad = ~np.isfinite(newton) | (newton <= lo) | (newton >= hi)
-            u = np.where(bad, 0.5 * (lo + hi), newton)
+                newton = ul - res / dens
+            bad = ~np.isfinite(newton) | (newton <= ll) | (newton >= hl)
+            u[live] = np.where(bad, 0.5 * (ll + hl), newton)
+            lo[live], hi[live] = ll, hl
         else:
             raise NumericInversionFailure(
                 f"H inversion did not converge in 80 iterations: max residual "

@@ -164,6 +164,17 @@ def test_grid_radius_override_moves_the_ring_grid(specs):
               "--boundary", specs["boundary"], "--radius", "0.5"])
 
 
+@pytest.mark.parametrize("override", ["grid_radius=1.5", "grid_radius=0",
+                                      "grid_radii=0", "grid_angles=0"])
+def test_bad_grid_tolerance_exits_2(specs, capsys, override):
+    out = specs["dir"] / "o17"
+    code = main(["check-bounds", "--metric", specs["metric"],
+                 "--boundary", specs["boundary"], "--out", str(out),
+                 "--tolerance", override])
+    assert code == 2
+    assert override.split("=")[0] in capsys.readouterr().err
+
+
 def test_boundary_samples_override_is_applied(specs):
     slacks = []
     for i, samples in enumerate((1024, 512)):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import schwarzlab.harmonic as harmonic
+from schwarzlab.bounds import check_gradient_bound, random_disk_pairs, ring_grid
 from schwarzlab.errors import (InvalidInput, NoConvergence, OutsideDisk,
                                StencilOutsideDisk)
 from schwarzlab.harmonic import (BoundaryData, analytic_field,
@@ -127,6 +129,150 @@ def test_poisson_blocks_match_unblocked_sums(samples):
     assert np.max(np.abs(poisson_values(b, z) - kernel @ b.samples / samples)) <= 1e-13
     assert np.max(np.abs(gx - kx @ b.samples / samples)) <= 1e-13
     assert np.max(np.abs(gy - ky @ b.samples / samples)) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# ring-grid FFT path
+# ---------------------------------------------------------------------------
+
+def _spy_direct(monkeypatch):
+    """Count calls of the direct kernels; the FFT path makes none."""
+    calls = []
+    for name in ("_direct_values", "_direct_gradient"):
+        kernel = getattr(harmonic, name)
+
+        def spy(boundary, flat, _kernel=kernel, _name=name):
+            calls.append(_name)
+            return _kernel(boundary, flat)
+
+        monkeypatch.setattr(harmonic, name, spy)
+    return calls
+
+
+def _long_double_sums(boundaries, radii, angles):
+    """Trapezoid Poisson sums and gradients in long double at the ideal ring points."""
+    ld = np.longdouble
+    pi = 4 * np.arctan(ld(1))
+    n = boundaries[0].sample_count
+    th = 2 * pi * np.arange(n, dtype=ld) / n
+    ex, ey = np.cos(th)[None, :], np.sin(th)[None, :]
+    t = 2 * pi * np.arange(angles, dtype=ld) / angles
+    s = np.stack([b.samples.astype(ld) for b in boundaries], axis=1)
+    rows = []
+    for r in np.asarray(radii, ld):       # one ring at a time keeps memory small
+        x, y = (r * np.cos(t))[:, None], (r * np.sin(t))[:, None]
+        dx, dy = ex - x, ey - y
+        d2 = dx * dx + dy * dy
+        one_m = 1 - x * x - y * y
+        px = -2 * x / d2 + 2 * one_m * dx / d2 ** 2
+        py = -2 * y / d2 + 2 * one_m * dy / d2 ** 2
+        rows.append([(k @ s / n).T for k in (one_m / d2, px, py)])
+    # (quantity, boundary, point) in the grid's row-major point order
+    return np.concatenate(rows, axis=2)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="the reference needs an extended-precision long double")
+@pytest.mark.parametrize("rho", [0.95, 0.99])
+@pytest.mark.parametrize("samples", [1000, 1024, 2048])
+def test_ring_fft_matches_direct_sums(monkeypatch, rho, samples):
+    z = ring_grid(24, 96, rho)
+    boundaries = [step_boundary(sample_count=samples),
+                  random_smooth_boundary(4, sample_count=samples)]
+    ref = _long_double_sums(boundaries, np.abs(z[::96]), 96)
+    direct = [(poisson_values(b, z), *poisson_gradient(b, z)) for b in boundaries]
+    calls = _spy_direct(monkeypatch)
+    for i, b in enumerate(boundaries):
+        fft = (poisson_values(b, z), *poisson_gradient(b, z))
+        for k in range(3):
+            assert np.max(np.abs(fft[k] - ref[k, i])) <= 1e-13
+            assert np.max(np.abs(fft[k] - direct[i][k])) <= 1e-11
+    assert calls == []
+
+
+def test_ring_fft_serves_eight_spokes(monkeypatch):
+    b = random_smooth_boundary(6)
+    z = ring_grid(25, 8, 0.95)
+    direct = (poisson_values(b, z), *poisson_gradient(b, z))
+    calls = _spy_direct(monkeypatch)
+    fft = (poisson_values(b, z), *poisson_gradient(b, z))
+    assert calls == []
+    for k in range(3):
+        assert np.max(np.abs(fft[k] - direct[k])) <= 1e-13
+
+
+def test_ring_fft_keeps_the_point_shape():
+    b = random_smooth_boundary(6)
+    z = ring_grid(6, 16, 0.9)
+    grid = z.reshape(6, 16)
+    assert poisson_values(b, grid).shape == (6, 16)
+    assert np.array_equal(poisson_values(b, grid).ravel(), poisson_values(b, z))
+    gx, gy = poisson_gradient(b, grid)
+    assert gx.shape == gy.shape == (6, 16)
+
+
+def test_non_ring_points_take_the_direct_path(monkeypatch):
+    b = random_smooth_boundary(6)
+    z = ring_grid(24, 96, 0.95)
+    fft = (poisson_values(b, z), *poisson_gradient(b, z))
+    moved = z.copy()
+    moved[500] += 1e-9
+    order = np.random.default_rng(3).permutation(len(z))
+    pairs = random_disk_pairs(0, 1000, 0.95).ravel()
+    # (points, the FFT result at the ring points they stand for, tolerance)
+    # 97 spokes share no factor with 1024 samples: L = 97 * 1024 angles
+    # would cost more than the direct sum
+    coprime = ring_grid(4, 97, 0.9)
+    cases = [(moved, None, 0.0), (z[order], [q[order] for q in fft], 1e-12),
+             (pairs, None, 0.0), (coprime, None, 0.0)]
+    for points, expected, tol in cases:
+        calls = _spy_direct(monkeypatch)
+        got = (poisson_values(b, points), *poisson_gradient(b, points))
+        assert calls == ["_direct_values", "_direct_gradient"]
+        monkeypatch.undo()
+        reference = (harmonic._direct_values(b, points),
+                     *harmonic._direct_gradient(b, points))
+        for k in range(3):
+            assert np.array_equal(got[k], reference[k])
+            if expected is not None:
+                assert np.max(np.abs(got[k] - expected[k])) <= tol
+    # the moved point only shifts the values by about |grad| * 1e-9
+    got = poisson_values(b, moved)
+    assert np.max(np.abs(np.delete(got - fft[0], 500))) <= 1e-12
+    assert abs(got[500] - fft[0][500]) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# fused value and gradient
+# ---------------------------------------------------------------------------
+
+def test_value_and_gradient_is_bit_equal_to_the_parts():
+    z = np.concatenate([ring_grid(24, 96, 0.95), random_disk_pairs(1, 200).ravel()])
+    fields = [solved_field(cosine_metric(), random_smooth_boundary(2)),
+              analytic_field(lambda x, y: np.tanh(2 * x) * np.cos(y),
+                             lambda x, y: (2 * np.cos(y) / np.cosh(2 * x) ** 2,
+                                           -np.tanh(2 * x) * np.sin(y)))]
+    for fld in fields:
+        for points in (z, z[:2304], 0.3 - 0.2j):
+            f, gx, gy = fld.value_and_gradient_many(points)
+            assert np.array_equal(f, fld.value_many(points))
+            gx2, gy2 = fld.gradient_many(points)
+            assert np.array_equal(gx, gx2) and np.array_equal(gy, gy2)
+
+
+def test_gradient_bound_makes_one_pass_of_each_kind(monkeypatch):
+    metric, boundary = cosine_metric(), random_smooth_boundary(13)
+    calls = []
+    for name in ("poisson_values", "poisson_gradient"):
+        original = getattr(harmonic, name)
+
+        def counted(b, z, _original=original, _name=name):
+            calls.append(_name)
+            return _original(b, z)
+
+        monkeypatch.setattr(harmonic, name, counted)
+    check_gradient_bound(metric, boundary)
+    assert sorted(calls) == ["poisson_gradient", "poisson_values"]
 
 
 # ---------------------------------------------------------------------------

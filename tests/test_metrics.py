@@ -225,6 +225,27 @@ def test_table_inverse_raises_when_newton_stalls():
         tab.h_inv(np.linspace(-0.9, 0.9, 31) * tab.r)
 
 
+def test_table_inverse_leaves_converged_points_alone(monkeypatch):
+    # the linear start already meets the target on this smooth table; a
+    # point within target must not be moved again (it used to be bisected
+    # half a cell away, so the loop ran ~30 rounds)
+    tab = HTransform(mollify(psi_family(0.25, 0.6), 0.05))
+    us = np.random.default_rng(0).uniform(-0.99, 0.99, 5000)
+    ts = tab.h(us)
+    calls = []
+    h = HTransform.h
+
+    def counted(self, u):
+        calls.append(np.size(u))
+        return h(self, u)
+
+    monkeypatch.setattr(HTransform, "h", counted)
+    back = tab.h_inv(ts)
+    monkeypatch.undo()
+    assert len(calls) <= 4
+    assert np.max(np.abs(tab.h(back) - ts)) <= tab.tols.inverse_rel_tol * tab.r
+
+
 def test_range_table_for_infinite_mass():
     m = hyperbolic_metric()
     tab = HTransform(m, lo=-0.9, hi=0.9, normalized=False)
