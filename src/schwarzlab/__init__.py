@@ -17,7 +17,8 @@ from .harmonic import (BoundaryData, GridField, HarmonicField, analytic_field,
                        boundary_from_json, boundary_from_samples,
                        constant_boundary, cosine_boundary, euclidean_field,
                        fd_solve_oracle, hopf_holomorphy_residual,
-                       oracle_sup_difference, pde_residual, poisson_gradient,
+                       lift_sup_difference, oracle_sup_difference,
+                       pde_residual, poisson_gradient,
                        poisson_values, random_smooth_boundary,
                        random_symmetric_boundary, solved_field, step_boundary)
 from .lemmas import (ConcaveTentMap, LogConcaveDiffeo, SweepRecord,

@@ -134,6 +134,29 @@ def hyperbolic_distance(z, w):
     return float(d) if d.ndim == 0 else d
 
 
+def _sampling_warnings(boundary: BoundaryData, z, tols: Tolerances,
+                      gradient: bool) -> tuple:
+    """A warning when the N boundary samples are too few for the points z.
+
+    The trapezoid Poisson sum folds mode q + mN onto q.  At rho = max |z|
+    the folded modes add at most 2 sum_q |s_q| rho^(N-q) / (1 - rho^N) to a
+    value, and (N-q) rho^(N-q-1) in place of rho^(N-q) to a gradient, with
+    s_q (q = 0..N/2) the DFT of the samples over N.  A bound above
+    `tols.slack_tol` can swamp a report's slack; the verdict is unchanged.
+    """
+    n = boundary.sample_count
+    rho = float(np.max(np.abs(np.asarray(z))))
+    coef = np.abs(np.fft.rfft(boundary.samples)) / n
+    k = n - np.arange(len(coef))
+    fold = k * rho ** (k - 1) if gradient else rho ** k
+    bound = 2.0 * float(np.sum(coef * fold)) / (1.0 - rho ** n)
+    if not bound > tols.slack_tol:
+        return ()
+    kind = "gradient" if gradient else "value"
+    return (f"{n} boundary samples are too few: trapezoid {kind} alias bound "
+            f"{bound:.3g} at |z| <= {rho:.3g} exceeds slack_tol {tols.slack_tol:g}",)
+
+
 def cos_quadratic_majorant_check(samples: Sequence[float]) -> float:
     """min over samples b in [0, 1] of (1 - b^2) - cos(pi b / 2); must be >= 0."""
     b = np.asarray(samples, float)
@@ -171,7 +194,7 @@ def check_gradient_bound(metric: Metric1D, boundary: BoundaryData,
     if grid is None:
         grid = ring_grid(tols.grid_radii, tols.grid_angles, tols.grid_radius)
     z = np.ravel(np.asarray(grid, complex))
-    field = solved_field(metric, boundary)
+    field = solved_field(metric, boundary, tols)
 
     f, gx, gy = field.value_and_gradient_many(z)
     grad = np.hypot(gx, gy)
@@ -180,7 +203,7 @@ def check_gradient_bound(metric: Metric1D, boundary: BoundaryData,
     lhs = grad
     rhs = FOUR_OVER_PI * (1.0 - f * f) / one_minus
 
-    warnings = []
+    warnings = list(_sampling_warnings(boundary, z, tols, gradient=True))
     curv = log_concavity_report(metric, _curvature_scan_grid(), tols=tols)
     chain_checked = curv.is_nonnegative
     if not curv.is_nonnegative:
@@ -191,7 +214,7 @@ def check_gradient_bound(metric: Metric1D, boundary: BoundaryData,
 
     extras = {"chain_checked": chain_checked, "min_curvature": curv.min_curvature}
     try:
-        table = transform_table(metric)
+        table = transform_table(metric, tols)
     except NonIntegrable:
         table = None
         extras["chain_checked"] = False
@@ -233,15 +256,16 @@ def check_unimodal_bounds(metric: Metric1D, boundary: BoundaryData,
     # a unimodal density is bounded by its peak, hence integrable; the table
     # can only fail for metrics that already miss the precondition
     try:
-        table = transform_table(metric)
+        table = transform_table(metric, tols)
     except NonIntegrable:
         table = None
-    field = solved_field(metric, boundary)
+    field = solved_field(metric, boundary, tols)
 
     f, gx, gy = field.value_and_gradient_many(z)
     lhs1 = np.hypot(gx, gy)
     rhs1 = 2.0 * (1.0 - np.abs(f)) / (1.0 - np.abs(z) ** 2)
     warn1 = () if unimodal else ("density failed the sampled unimodality check",)
+    warn1 += _sampling_warnings(boundary, z, tols, gradient=True)
     report1 = BoundReport("gradient_bound_unimodal", z, lhs1, rhs1,
                           tolerance=tols.slack_tol, applicable=unimodal,
                           warnings=warn1,
@@ -264,6 +288,7 @@ def check_unimodal_bounds(metric: Metric1D, boundary: BoundaryData,
         warn2.append(f"half-masses differ by {2 * balance:.3g}")
     if not origin_fixed:
         warn2.append(f"f(0) = {f0:.3g} is not 0")
+    warn2.extend(_sampling_warnings(boundary, rad, tols, gradient=False))
     fr = field.value_many(rad)
     report2 = BoundReport("arctan_radial_bound", rad, np.abs(fr),
                           FOUR_OVER_PI * np.arctan(np.abs(rad)),
@@ -282,7 +307,7 @@ def check_distance_contraction(metric: Metric1D, boundary: BoundaryData,
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("pairs must have shape (m, 2)")
     z, w = pairs[:, 0], pairs[:, 1]
-    field = solved_field(metric, boundary)
+    field = solved_field(metric, boundary, tols)
     fz = field.value_many(z)
     fw = field.value_many(w)
     lhs = np.arctanh(np.abs(fz - fw) / np.abs(1.0 - fz * fw))
@@ -290,6 +315,7 @@ def check_distance_contraction(metric: Metric1D, boundary: BoundaryData,
     curv = log_concavity_report(metric, _curvature_scan_grid(), tols=tols)
     warnings = () if curv.is_nonnegative else (
         "metric is not certified non-negative curvature",)
+    warnings += _sampling_warnings(boundary, pairs, tols, gradient=False)
     return BoundReport("distance_contraction_4_over_pi", z, lhs, rhs,
                        tolerance=tols.slack_tol, warnings=warnings,
                        extras={"min_curvature": curv.min_curvature})

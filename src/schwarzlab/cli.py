@@ -19,9 +19,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional
 
 import numpy as np
 
@@ -32,20 +30,9 @@ from . import lemmas as lemmas_mod
 from . import metrics as metrics_mod
 from .config import DEFAULT, Tolerances
 from .errors import (InvalidInput, NoConvergence, NonIntegrable,
-                     NumericInversionFailure, OutOfRange, SchwarzlabError)
+                     NumericInversionFailure, OutOfRange)
 
 OUTPUT_ENV = "SCHWARZLAB_OUT"
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    metric_spec_path: Optional[str] = None
-    boundary_spec_path: Optional[str] = None
-    output_dir: str = "schwarzlab-out"
-    tolerance_overrides: Dict[str, float] = field(default_factory=dict)
-    seed: int = 0
-    options: Dict[str, object] = field(default_factory=dict)
 
 
 def _fmt(x) -> object:
@@ -83,31 +70,23 @@ def _load_json(path: str) -> dict:
         raise InvalidInput(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _metric(config: RunConfig):
-    if not config.metric_spec_path:
-        raise InvalidInput("this subcommand needs --metric")
-    return metrics_mod.metric_from_json(_load_json(config.metric_spec_path))
+def _metric(args: argparse.Namespace):
+    return metrics_mod.metric_from_json(_load_json(args.metric))
 
 
-def _boundary(config: RunConfig, tols: Tolerances):
-    if not config.boundary_spec_path:
-        raise InvalidInput("this subcommand needs --boundary")
-    return harmonic_mod.boundary_from_json(_load_json(config.boundary_spec_path),
+def _boundary(args: argparse.Namespace, tols: Tolerances):
+    return harmonic_mod.boundary_from_json(_load_json(args.boundary),
                                            sample_count=tols.boundary_samples)
 
 
-def _tols(config: RunConfig) -> Tolerances:
-    return DEFAULT.replaced(**config.tolerance_overrides)
-
-
 # ---------------------------------------------------------------------------
-# subcommand pipelines (each returns (exit_code, summary_dict))
+# subcommand pipelines: each takes (args, tols, out), returns (exit_code,
+# summary); build_parser binds each to its subcommand as `args.run`
 # ---------------------------------------------------------------------------
 
-def _run_curvature(config: RunConfig, out: Path):
-    metric = _metric(config)
-    tols = _tols(config)
-    n = int(config.options.get("grid_n", 999))
+def _run_curvature(args, tols: Tolerances, out: Path):
+    metric = _metric(args)
+    n = args.grid_n
     pad = 1e-3 * (min(metric.domain_hi, 10.0) - metric.domain_lo)
     hi = min(metric.domain_hi - pad, metric.domain_lo + 20.0)
     grid = np.linspace(metric.domain_lo + pad, hi, n)
@@ -124,15 +103,14 @@ def _run_curvature(config: RunConfig, out: Path):
     return 0, summary
 
 
-def _run_transform(config: RunConfig, out: Path):
-    metric = _metric(config)
-    tols = _tols(config)
-    n = int(config.options.get("grid_n", 201))
+def _run_transform(args, tols: Tolerances, out: Path):
+    metric = _metric(args)
+    n = args.grid_n
     r = metrics_mod.mass(metric, tols=tols)
     grid = np.linspace(-1.0 + 1e-6, 1.0 - 1e-6, n)
     hv = [metrics_mod.transform_H(metric, float(u), tols=tols) for u in grid]
     _write_csv(out / "transform.csv", ["u", "H"], zip(grid, hv))
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(args.seed)
     probes = rng.uniform(-0.99, 0.99, 32)
     round_trip = max(abs(metrics_mod.inverse_H(
         metric, metrics_mod.transform_H(metric, float(u), tols=tols), tols=tols) - u)
@@ -142,39 +120,32 @@ def _run_transform(config: RunConfig, out: Path):
     return 0, summary
 
 
-def _run_solve(config: RunConfig, out: Path):
-    metric = _metric(config)
-    tols = _tols(config)
-    boundary = _boundary(config, tols)
-    n = int(config.options.get("grid_n", 201))
-    grid = harmonic_mod.fd_solve_oracle(metric, boundary, n, tols=tols)
+def _run_solve(args, tols: Tolerances, out: Path):
+    metric = _metric(args)
+    boundary = _boundary(args, tols)
+    grid = harmonic_mod.fd_solve_oracle(metric, boundary, args.grid_n, tols=tols)
     grid.to_csv(out / "solution.csv")
-    pts, vals = grid.interior_points()
-    keep = np.abs(pts) <= 0.99
-    field = harmonic_mod.solved_field(metric, boundary)
-    ref = field.value_many(pts[keep])
-    sup = float(np.max(np.abs(vals[keep] - ref)))
     summary = {
         "metric": metric.name,
         "boundary": boundary.name,
-        "grid_n": n,
+        "grid_n": args.grid_n,
         "relaxation_sweeps": grid.sweeps,
         "final_update": grid.final_update,
-        "transform_vs_oracle_sup": sup,
-        "value_min": float(np.nanmin(vals)),
-        "value_max": float(np.nanmax(vals)),
+        "transform_vs_oracle_sup": harmonic_mod.lift_sup_difference(
+            grid, metric, boundary, tols),
+        "value_min": float(np.nanmin(grid.values)),
+        "value_max": float(np.nanmax(grid.values)),
     }
     return 0, summary
 
 
-def _run_check_bounds(config: RunConfig, out: Path):
-    metric = _metric(config)
-    tols = _tols(config)
-    boundary = _boundary(config, tols)
+def _run_check_bounds(args, tols: Tolerances, out: Path):
+    metric = _metric(args)
+    boundary = _boundary(args, tols)
     grid = bounds_mod.ring_grid(tols.grid_radii, tols.grid_angles, tols.grid_radius)
     gradient = bounds_mod.check_gradient_bound(metric, boundary, grid, tols=tols)
     uni1, uni2 = bounds_mod.check_unimodal_bounds(metric, boundary, grid, tols=tols)
-    pairs = bounds_mod.random_disk_pairs(config.seed, 1000, tols.grid_radius)
+    pairs = bounds_mod.random_disk_pairs(args.seed, 1000, tols.grid_radius)
     dist = bounds_mod.check_distance_contraction(metric, boundary, pairs, tols=tols)
     reports = {
         "gradient_bound": gradient,
@@ -193,113 +164,83 @@ def _run_check_bounds(config: RunConfig, out: Path):
     return (1 if failed else 0), summary
 
 
-def _run_lemma(config: RunConfig, out: Path):
-    which = config.options.get("which")
-    trials = int(config.options.get("trials", 10000))
-    tols = _tols(config)
-    rng = np.random.default_rng(config.seed)
-    if which == "diffeo":
+def _run_lemma(args, tols: Tolerances, out: Path):
+    worst = math.inf
+    if args.which == "diffeo":
         grid = np.linspace(-1.0 + 1e-4, 1.0 - 1e-4, 2001)
-        worst = math.inf
-        failures = []
-        for i in range(trials):
-            diffeo = lemmas_mod.generate_logconcave(config.seed + i, 2 + i % 7)
+        failed = []
+        for i in range(args.trials):
+            diffeo = lemmas_mod.generate_logconcave(args.seed + i, 2 + i % 7)
             slack = lemmas_mod.logconcave_diffeo_slack(diffeo, grid)
-            if slack < worst:
-                worst = slack
+            worst = min(worst, slack)
             if slack < -tols.slack_tol:
-                failures.append({"seed": config.seed + i,
-                                 "slack": slack, **diffeo.to_json_dict()})
-        if failures:
-            _write_json(out / "diffeo_failures.json", {"failures": failures})
-        summary = {"which": which, "trials": trials, "min_slack": worst,
-                   "failures": len(failures)}
-        return (1 if failures else 0), summary
-    if which == "unimodal":
-        worst = math.inf
+                failed.append({"seed": args.seed + i,
+                               "slack": slack, **diffeo.to_json_dict()})
+        if failed:
+            _write_json(out / "diffeo_failures.json", {"failures": failed})
+        failures = len(failed)
+    else:
+        rng = np.random.default_rng(args.seed)
         failures = 0
         vs = np.linspace(-0.999, 0.999, 201)
-        for i in range(trials):
+        for _ in range(args.trials):
             s = rng.uniform(0.05, 0.95)
             a = rng.uniform(0.05, 0.95) / (s * s)
-            metric = metrics_mod.tent_metric(a, s)
-            for v in vs:
-                slack = lemmas_mod.unimodal_slack(metric, float(v), tols=tols)
-                if slack < worst:
-                    worst = slack
-                if slack < -tols.slack_tol:
-                    failures += 1
-        summary = {"which": which, "trials": trials, "min_slack": worst,
-                   "failures": failures}
-        return (1 if failures else 0), summary
-    raise InvalidInput("--which must be 'diffeo' or 'unimodal'")
+            slack = lemmas_mod.unimodal_slack(metrics_mod.tent_metric(a, s), vs, tols=tols)
+            worst = min(worst, float(np.min(slack)))
+            failures += int(np.sum(slack < -tols.slack_tol))
+    summary = {"which": args.which, "trials": args.trials, "min_slack": worst,
+               "failures": failures}
+    return (1 if failures else 0), summary
 
 
-def _run_sweep(config: RunConfig, out: Path):
-    family = config.options.get("family")
-    if family == "psi":
-        n_max = int(config.options.get("n_max", 1000))
-        records = lemmas_mod.psi_sweep(n_max)
+def _run_sweep(args, tols: Tolerances, out: Path):
+    if args.family == "psi":
+        records = lemmas_mod.psi_sweep(args.n_max)
         _write_csv(out / "psi_sweep.csv", ["n", "s", "u", "ratio"],
                    [(rec.parameters["n"], rec.parameters["s"],
                      rec.parameters["u"], rec.ratio) for rec in records])
         ratios = [rec.ratio for rec in records]
-        summary = {"family": family, "n_max": n_max,
+        summary = {"family": args.family, "n_max": args.n_max,
                    "max_ratio": max(ratios),
                    "monotone": bool(np.all(np.diff(ratios) > 0))}
         return 0, summary
-    if family == "r-ratio":
-        k_max = float(config.options.get("k_max", 20.0))
-        grid_n = int(config.options.get("grid_n", 200))
-        ks = np.linspace(k_max / grid_n, k_max, grid_n)
-        xs = np.linspace(0.0, 0.999, grid_n)
-        vals = lemmas_mod.r_ratio(ks[:, None], xs[None, :])
-        rows = [(k, x, vals[i, j]) for i, k in enumerate(ks)
-                for j, x in enumerate(xs)]
-        _write_csv(out / "r_ratio_sweep.csv", ["k", "x", "r_ratio"], rows)
-        summary = {"family": family, "k_max": k_max, "grid_n": grid_n,
-                   "max_ratio": float(np.max(vals))}
-        return 0, summary
-    raise InvalidInput("--family must be 'psi' or 'r-ratio'")
+    ks = np.linspace(args.k_max / args.grid_n, args.k_max, args.grid_n)
+    xs = np.linspace(0.0, 0.999, args.grid_n)
+    vals = lemmas_mod.r_ratio(ks[:, None], xs[None, :])
+    rows = [(k, x, vals[i, j]) for i, k in enumerate(ks)
+            for j, x in enumerate(xs)]
+    _write_csv(out / "r_ratio_sweep.csv", ["k", "x", "r_ratio"], rows)
+    summary = {"family": args.family, "k_max": args.k_max, "grid_n": args.grid_n,
+               "max_ratio": float(np.max(vals))}
+    return 0, summary
 
 
-def _run_gallery(config: RunConfig, out: Path):
-    name = config.options.get("name")
-    if name == "negative-curvature":
-        report = gallery_mod.run_negative_curvature_example(
-            int(config.options.get("n", 3)))
-    elif name == "zero-curvature":
-        report = gallery_mod.run_zero_curvature_example(
-            float(config.options.get("c", 1.0)), seed=config.seed)
-    elif name == "strip":
-        report = gallery_mod.run_strip_example(float(config.options.get("k", 1.0)))
-    elif name == "half-plane":
-        report = gallery_mod.run_halfplane_example()
-    else:
-        raise InvalidInput(
-            "--name must be negative-curvature|zero-curvature|strip|half-plane")
-    payload = report.to_json_dict()
-    _write_json(out / f"gallery_{report.name}.json", payload)
-    exit_code = 0
-    if not report.passed or report.bound_violated:
-        exit_code = 1
-    return exit_code, payload
-
-
-_PIPELINES = {
-    "curvature": _run_curvature,
-    "transform": _run_transform,
-    "solve": _run_solve,
-    "check-bounds": _run_check_bounds,
-    "lemma": _run_lemma,
-    "sweep": _run_sweep,
-    "gallery": _run_gallery,
+_GALLERY = {
+    "negative-curvature": lambda args: gallery_mod.run_negative_curvature_example(args.n),
+    "zero-curvature": lambda args: gallery_mod.run_zero_curvature_example(
+        args.c, seed=args.seed),
+    "strip": lambda args: gallery_mod.run_strip_example(args.k),
+    "half-plane": lambda args: gallery_mod.run_halfplane_example(),
 }
 
 
-def dispatch(config: RunConfig) -> int:
-    """Run the configured pipeline; write summary + metadata; return exit code."""
-    out = Path(config.output_dir)
+def _run_gallery(args, tols: Tolerances, out: Path):
+    report = _GALLERY[args.name](args)
+    payload = report.to_json_dict()
+    _write_json(out / f"gallery_{report.name}.json", payload)
+    failed = not report.passed or report.bound_violated
+    return (1 if failed else 0), payload
+
+
+def dispatch(args: argparse.Namespace) -> int:
+    """Run the parsed subcommand; write summary + metadata; return exit code."""
+    try:
+        tols = DEFAULT.replaced(**dict(args.tolerance))
+    except InvalidInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -307,21 +248,21 @@ def dispatch(config: RunConfig) -> int:
         return 2
     started = time.time()
     try:
-        code, summary = _PIPELINES[config.subcommand](config, out)
-    except (InvalidInput, KeyError, ValueError) as exc:
+        code, summary = args.run(args, tols, out)
+    except (InvalidInput, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NonIntegrable, NoConvergence, NumericInversionFailure, OutOfRange) as exc:
         _write_json(out / "error.json", {
-            "subcommand": config.subcommand,
+            "subcommand": args.subcommand,
             "error_type": type(exc).__name__,
             "message": str(exc),
         })
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    summary["subcommand"] = config.subcommand
-    summary["seed"] = config.seed
-    summary["effective_tolerances"] = dataclasses.asdict(_tols(config))
+    summary["subcommand"] = args.subcommand
+    summary["seed"] = args.seed
+    summary["effective_tolerances"] = dataclasses.asdict(tols)
     _write_json(out / "summary.json", summary)
     _write_json(out / "metadata.json", {
         "elapsed_seconds": time.time() - started,
@@ -347,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "functions on the unit disk.")
     default_out = os.environ.get(OUTPUT_ENV, "schwarzlab-out")
 
-    def common(sp, metric=False, boundary=False):
+    def common(sp, run, metric=False, boundary=False):
+        sp.set_defaults(run=run)
         if metric:
             sp.add_argument("--metric", required=True, help="metric spec JSON")
         if boundary:
@@ -362,37 +304,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     sp = sub.add_parser("curvature", help="curvature profile of a metric")
-    common(sp, metric=True)
+    common(sp, _run_curvature, metric=True)
     sp.add_argument("--grid-n", type=int, default=999)
 
     sp = sub.add_parser("transform", help="centered primitive H and round trips")
-    common(sp, metric=True)
+    common(sp, _run_transform, metric=True)
     sp.add_argument("--grid-n", type=int, default=201)
 
     sp = sub.add_parser("solve", help="relaxation solve + transform comparison")
-    common(sp, metric=True, boundary=True)
+    common(sp, _run_solve, metric=True, boundary=True)
     sp.add_argument("--grid-n", type=int, default=201)
 
     sp = sub.add_parser("check-bounds", help="gradient/distance bound reports")
-    common(sp, metric=True, boundary=True)
+    common(sp, _run_check_bounds, metric=True, boundary=True)
 
     sp = sub.add_parser("lemma", help="randomized scalar-lemma oracles")
-    common(sp)
+    common(sp, _run_lemma)
     sp.add_argument("--which", required=True, choices=["diffeo", "unimodal"])
     sp.add_argument("--trials", type=int, default=10000)
 
     sp = sub.add_parser("sweep", help="sharpness sweeps as CSV")
-    common(sp)
+    common(sp, _run_sweep)
     sp.add_argument("--family", required=True, choices=["psi", "r-ratio"])
     sp.add_argument("--n-max", type=int, default=1000)
     sp.add_argument("--k-max", type=float, default=20.0)
     sp.add_argument("--grid-n", type=int, default=200)
 
     sp = sub.add_parser("gallery", help="reproduce a worked example")
-    common(sp)
-    sp.add_argument("--name", required=True,
-                    choices=["negative-curvature", "zero-curvature",
-                             "strip", "half-plane"])
+    common(sp, _run_gallery)
+    sp.add_argument("--name", required=True, choices=list(_GALLERY))
     sp.add_argument("--n", type=int, default=3, help="tanh frequency")
     sp.add_argument("--c", type=float, default=1.0, help="exponential rate")
     sp.add_argument("--k", type=float, default=1.0, help="strip slope")
@@ -400,27 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    options = {}
-    for key in ("grid_n", "which", "trials", "family",
-                "n_max", "k_max", "name", "n", "c", "k"):
-        if hasattr(args, key):
-            options[key] = getattr(args, key)
-    return RunConfig(
-        subcommand=args.subcommand,
-        metric_spec_path=getattr(args, "metric", None),
-        boundary_spec_path=getattr(args, "boundary", None),
-        output_dir=args.out,
-        tolerance_overrides=dict(args.tolerance),
-        seed=args.seed,
-        options=options,
-    )
-
-
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    return dispatch(config_from_args(args))
+    return dispatch(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ CLI can override them uniformly and reports can record the effective values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 from .errors import InvalidInput
 
@@ -47,8 +47,11 @@ class Tolerances:
         data = asdict(self)
         for key, value in overrides.items():
             if key not in data:
-                raise KeyError(f"unknown tolerance {key!r}")
-            data[key] = type(data[key])(value)
+                raise InvalidInput(f"unknown tolerance {key!r}")
+            try:
+                data[key] = type(data[key])(value)
+            except (ValueError, OverflowError) as exc:
+                raise InvalidInput(f"bad value {value!r} for tolerance {key!r}") from exc
         return Tolerances(**data)
 
 

@@ -422,7 +422,8 @@ def analytic_field(value: Callable, grad: Callable,
 
 
 @functools.lru_cache(maxsize=256)
-def solved_field(metric: Metric1D, boundary: BoundaryData) -> HarmonicField:
+def solved_field(metric: Metric1D, boundary: BoundaryData,
+                 tols: Tolerances = DEFAULT) -> HarmonicField:
     """Lift boundary data to the metric-harmonic solution via H.
 
     The Euclidean extension g of H(boundary)/r is computed by the Poisson
@@ -432,10 +433,11 @@ def solved_field(metric: Metric1D, boundary: BoundaryData) -> HarmonicField:
     Densities of infinite mass still admit the lift whenever the boundary
     values stay compactly inside the target interval: scaling by r is only
     cosmetic (harmonicity is scale-invariant), so a transform table over a
-    compact value range replaces the centered H.
+    compact value range replaces the centered H.  Both tables integrate and
+    invert with the quadrature and inversion tolerances of `tols`.
     """
     try:
-        table = transform_table(metric)
+        table = transform_table(metric, tols)
         r = table.r
     except NonIntegrable:
         m0 = float(boundary.samples.min())
@@ -444,7 +446,7 @@ def solved_field(metric: Metric1D, boundary: BoundaryData) -> HarmonicField:
         if maxabs >= 1.0 - 1e-9:
             raise
         pad = min(0.02, 0.5 * (1.0 - maxabs))
-        table = HTransform(metric, lo=min(m0, 0.0) - pad, hi=max(m1, 0.0) + pad,
+        table = HTransform(metric, tols, lo=min(m0, 0.0) - pad, hi=max(m1, 0.0) + pad,
                            normalized=False)
         r = 1.0
     g_samples = table.h(np.clip(boundary.samples, -1.0, 1.0)) / r
@@ -701,17 +703,23 @@ def fd_solve_oracle(metric: Metric1D, boundary: BoundaryData, n: int,
                      sweeps=sweeps, final_update=update)
 
 
-def oracle_sup_difference(metric: Metric1D, boundary: BoundaryData, n: int,
-                          tols: Tolerances = DEFAULT, radius: float = 0.99) -> float:
-    """Sup difference between the FD oracle and the transform solution.
+def lift_sup_difference(grid: GridField, metric: Metric1D, boundary: BoundaryData,
+                        tols: Tolerances = DEFAULT, radius: float = 0.99) -> float:
+    """Sup difference between an oracle grid and the transform solution.
 
     Compared on interior nodes with |z| <= radius: the trapezoid Poisson
     integral behind the reference degrades at the very rim while the oracle
     is pinned there by construction, so rim nodes compare two different
     error sources rather than the two solution paths.
     """
-    grid = fd_solve_oracle(metric, boundary, n, tols=tols)
     pts, vals = grid.interior_points()
     keep = np.abs(pts) <= radius
-    ref = solved_field(metric, boundary).value_many(pts[keep])
+    ref = solved_field(metric, boundary, tols).value_many(pts[keep])
     return float(np.max(np.abs(vals[keep] - ref)))
+
+
+def oracle_sup_difference(metric: Metric1D, boundary: BoundaryData, n: int,
+                          tols: Tolerances = DEFAULT, radius: float = 0.99) -> float:
+    """Solve the FD oracle at n and compare it with the transform solution."""
+    grid = fd_solve_oracle(metric, boundary, n, tols=tols)
+    return lift_sup_difference(grid, metric, boundary, tols, radius)

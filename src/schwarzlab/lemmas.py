@@ -196,18 +196,25 @@ def check_unimodal(metric: Metric1D, samples: int = 401,
                 and np.all(np.diff(r_right) <= band))
 
 
-def unimodal_slack(metric: Metric1D, v: float, tols: Tolerances = DEFAULT) -> float:
+def unimodal_slack(metric: Metric1D, v, tols: Tolerances = DEFAULT):
     """Slack of the sine tail bound for unimodal densities at v; expected >= 0.
 
     slack = (pi / 2r)(1 - |v|) R(v) - sin(pi * integral_v^1 R / (2r)).
+
+    Takes a float or an array of v and returns the same shape.  The tail
+    integral is the scalar adaptive `transform_H` at each v: the transform
+    table misses tent corners between its nodes by more than slack_tol.
     """
     if not check_unimodal(metric):
         raise PreconditionViolated("density is not unimodal (sampled R' sign check)")
+    v = np.asarray(v, float)
     metric.require_inside(v)
     r = mass(metric, tols=tols)
-    tail = r - transform_H(metric, v, tols=tols)  # integral of R over (v, 1)
-    rhs = math.pi / (2.0 * r) * (1.0 - abs(v)) * float(metric.density(v))
-    return rhs - math.sin(math.pi * tail / (2.0 * r))
+    h = np.array([transform_H(metric, u, tols=tols) for u in v.ravel()])
+    tail = r - h.reshape(v.shape)  # integral of R over (v, 1)
+    rhs = math.pi / (2.0 * r) * (1.0 - np.abs(v)) * np.asarray(metric.density(v), float)
+    slack = rhs - np.sin(math.pi * tail / (2.0 * r))
+    return float(slack) if slack.ndim == 0 else slack
 
 
 def sharpness_ratio(a: float, s: float) -> float:

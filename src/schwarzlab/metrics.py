@@ -278,19 +278,34 @@ def log_concavity_report(metric: Metric1D, grid: Sequence[float],
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=256)
-def _mass_parts(metric: Metric1D, quad_tol: float, ceiling: float) -> tuple[float, float]:
-    # A = integral over (0, 1), B = integral over (-1, 0); both endpoints open
-    A = integrate_to_endpoint(lambda t: float(metric.density(t)), 0.0, 1.0,
-                              tol=quad_tol, ceiling=ceiling)
-    B = integrate_to_endpoint(lambda t: float(metric.density(-t)), 0.0, 1.0,
-                              tol=quad_tol, ceiling=ceiling)
+def _mass_parts(metric: Metric1D, quad_tol: float, ceiling: float) -> tuple[float, float] | str:
+    """A = integral over (0, 1), B = over (-1, 0), or the divergence message.
+
+    lru_cache does not cache exceptions, so a NonIntegrable verdict is kept
+    as its message for `_half_masses` to raise anew.
+    """
+    try:
+        A = integrate_to_endpoint(lambda t: float(metric.density(t)), 0.0, 1.0,
+                                  tol=quad_tol, ceiling=ceiling)
+        B = integrate_to_endpoint(lambda t: float(metric.density(-t)), 0.0, 1.0,
+                                  tol=quad_tol, ceiling=ceiling)
+    except NonIntegrable as exc:
+        return str(exc)
     return A, B
+
+
+def _half_masses(metric: Metric1D, tols: Tolerances) -> tuple[float, float]:
+    parts = _mass_parts(metric, tols.quad_abs_tol, tols.quad_ceiling)
+    if isinstance(parts, str):
+        # a fresh instance each time: re-raising one would grow its traceback
+        raise NonIntegrable(parts)
+    return parts
 
 
 def mass(metric: Metric1D, tols: Tolerances = DEFAULT) -> float:
     """r = (1/2) * integral of R over (-1, 1)."""
     _require_unit_domain(metric)
-    A, B = _mass_parts(metric, tols.quad_abs_tol, tols.quad_ceiling)
+    A, B = _half_masses(metric, tols)
     return 0.5 * (A + B)
 
 
@@ -299,7 +314,7 @@ def transform_H(metric: Metric1D, u: float, tols: Tolerances = DEFAULT) -> float
     _require_unit_domain(metric)
     u = float(u)
     metric.require_inside(u)
-    A, B = _mass_parts(metric, tols.quad_abs_tol, tols.quad_ceiling)
+    A, B = _half_masses(metric, tols)
     core = adaptive_simpson(lambda t: float(metric.density(t)), 0.0, u,
                             tol=tols.quad_abs_tol, ceiling=tols.quad_ceiling)
     return -0.5 * (A - B) + core
@@ -335,11 +350,15 @@ def inverse_H(metric: Metric1D, t: float, tols: Tolerances = DEFAULT) -> float:
 # fast vectorized H tables for the solvers
 # ---------------------------------------------------------------------------
 
+# cells of an HTransform table
+_TABLE_CELLS = 4096
+
+
 class HTransform:
     """Cumulative table for H with vectorized evaluation and inversion.
 
-    Built once per metric; agrees with transform_H to the quadrature
-    tolerance (tested).  h() and h_inv() accept numpy arrays.
+    Built once per (metric, tolerances); agrees with transform_H to the
+    quadrature tolerance (tested).  h() and h_inv() accept numpy arrays.
 
     For densities of infinite mass the centered H of the unit interval does
     not exist, but the primitive is still strictly increasing, so a table
@@ -349,7 +368,7 @@ class HTransform:
 
     _GL_NODES, _GL_WEIGHTS = gauss_legendre(12)
 
-    def __init__(self, metric: Metric1D, cells: int = 4096, tols: Tolerances = DEFAULT,
+    def __init__(self, metric: Metric1D, tols: Tolerances = DEFAULT,
                  lo: float = -1.0, hi: float = 1.0, normalized: bool = True):
         _require_unit_domain(metric)
         self.metric = metric
@@ -362,7 +381,7 @@ class HTransform:
             if not (-1.0 <= lo < 0.0 < hi <= 1.0):
                 raise DomainError("range table needs lo < 0 < hi inside [-1, 1]")
             self.r = math.nan
-        nodes = np.linspace(lo, hi, cells + 1)
+        nodes = np.linspace(lo, hi, _TABLE_CELLS + 1)
         piece = segments_gauss(metric.density, nodes[:-1, None], nodes[1:, None],
                                self._GL_NODES, self._GL_WEIGHTS)
         cum = np.concatenate([[0.0], np.cumsum(piece)])
@@ -370,9 +389,9 @@ class HTransform:
         if normalized:
             # H(u) = C(u) - r with C the cumulative integral from -1;
             # recenter at the exact H(0) = (B - A)/2 to kill cumulative drift
-            A, B = _mass_parts(metric, tols.quad_abs_tol, tols.quad_ceiling)
+            _, B = _half_masses(metric, tols)
             self._h_nodes = cum - self.r
-            k0 = cells // 2
+            k0 = _TABLE_CELLS // 2
             self._h_nodes += (B - self.r) - self._h_nodes[k0]
         else:
             k0 = int(np.searchsorted(nodes, 0.0))
@@ -437,8 +456,8 @@ class HTransform:
 
 
 @functools.lru_cache(maxsize=64)
-def transform_table(metric: Metric1D) -> HTransform:
-    return HTransform(metric)
+def transform_table(metric: Metric1D, tols: Tolerances = DEFAULT) -> HTransform:
+    return HTransform(metric, tols)
 
 
 # ---------------------------------------------------------------------------
@@ -511,19 +530,16 @@ def _convolve_with_bump(fn: Callable, x: np.ndarray, epsilon: float,
 
 
 def mollified_density_exact(psi: Callable, epsilon: float) -> Callable:
-    """Direct convolution evaluation of the smoothed derivative (slow path)."""
-    knots = np.asarray(getattr(psi, "knots", (0.0, 1.0)), float)
-    knots = np.unique(np.concatenate([knots, -knots, 2.0 - knots, knots - 2.0]))
-    deriv = getattr(psi, "deriv", None)
-    if deriv is None:
-        h = 1e-7
+    """Direct convolution evaluation of the smoothed derivative (slow path).
 
-        def dfn(x, _psi=psi, _h=h):
-            x = np.asarray(x, float)
-            return (_reflected(_psi, x + _h) - _reflected(_psi, x - _h)) / (2.0 * _h)
-    else:
-        def dfn(x, _d=deriv):
-            return _reflected_deriv(_d, x)
+    `psi` carries its derivative `deriv` and the break points `knots` of
+    that derivative on [0, 1], as `ConcaveTentMap` does.
+    """
+    knots = np.asarray(psi.knots, float)
+    knots = np.unique(np.concatenate([knots, -knots, 2.0 - knots, knots - 2.0]))
+
+    def dfn(x):
+        return _reflected_deriv(psi.deriv, x)
 
     norm = float(_convolve_with_bump(lambda x: _reflected(psi, x),
                                      np.array([1.0]), epsilon, knots)[0])
@@ -546,6 +562,8 @@ def mollify(psi: Callable, epsilon: float, tols: Tolerances = DEFAULT,
     """
     if not (0.0 < epsilon < 1.0):
         raise InvalidInput("epsilon must lie in (0, 1)")
+    if not (hasattr(psi, "deriv") and hasattr(psi, "knots")):
+        raise InvalidInput("psi must carry its derivative `deriv` and its `knots`")
     probe = np.linspace(-1.0, 1.0, 513)
     vals = np.asarray(psi(probe), float)
     if abs(vals[-1] - 1.0) > 1e-9 or abs(vals[0] + 1.0) > 1e-9:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from schwarzlab.cli import main
+from schwarzlab.config import DEFAULT
 from schwarzlab.metrics import cosine_metric, curvature_at
 
 
@@ -165,7 +166,8 @@ def test_grid_radius_override_moves_the_ring_grid(specs):
 
 
 @pytest.mark.parametrize("override", ["grid_radius=1.5", "grid_radius=0",
-                                      "grid_radii=0", "grid_angles=0"])
+                                      "grid_radii=0", "grid_angles=0",
+                                      "grid_radii=nan", "fd_max_sweeps=inf"])
 def test_bad_grid_tolerance_exits_2(specs, capsys, override):
     out = specs["dir"] / "o17"
     code = main(["check-bounds", "--metric", specs["metric"],
@@ -213,3 +215,114 @@ def test_output_dir_env(specs, monkeypatch):
     code = main(["curvature", "--metric", specs["metric"], "--grid-n", "33"])
     assert code == 0
     assert (target / "summary.json").exists()
+
+
+def test_unknown_tolerance_is_invalid_input():
+    from schwarzlab.config import DEFAULT
+    from schwarzlab.errors import InvalidInput
+    with pytest.raises(InvalidInput, match="unknown tolerance 'nope'"):
+        DEFAULT.replaced(nope=1.0)
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--family", "psi", "--n-max", "20"],
+                                  ["gallery", "--name", "half-plane"]])
+@pytest.mark.parametrize("override", ["nope=1", "grid_radius=1.5"])
+def test_bad_tolerance_exits_2_before_running(specs, capsys, argv, override):
+    out = specs["dir"] / "o18"
+    code = main(argv + ["--out", str(out), "--tolerance", override])
+    assert code == 2
+    assert override.split("=")[0] in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["lemma"], ["lemma", "--which", "both"],
+                                  ["sweep", "--family", "nope"],
+                                  ["gallery", "--name", "nope"],
+                                  ["curvature"], ["solve", "--metric", "m.json"]])
+def test_argparse_rejects_missing_or_unknown_choices(argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+
+
+def test_internal_key_error_is_not_an_input_error(specs, monkeypatch):
+    import schwarzlab.cli as cli
+
+    def broken(spec):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli.metrics_mod, "metric_from_json", broken)
+    with pytest.raises(KeyError):
+        main(["curvature", "--metric", specs["metric"], "--out", str(specs["dir"] / "o20")])
+
+
+def test_solve_compares_like_oracle_sup_difference(specs):
+    from schwarzlab.harmonic import oracle_sup_difference, step_boundary
+    out = specs["dir"] / "o19"
+    assert main(["solve", "--metric", specs["metric"], "--boundary", specs["boundary"],
+                 "--grid-n", "65", "--out", str(out),
+                 "--tolerance", "inverse_rel_tol=1e-2"]) == 0
+    tols = DEFAULT.replaced(inverse_rel_tol=1e-2)
+    assert _summary(out)["transform_vs_oracle_sup"] == oracle_sup_difference(
+        cosine_metric(), step_boundary(), 65, tols=tols)
+
+
+def _artifacts(out):
+    """Every output but the timing file, with the recorded tolerances dropped."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        if path.name == "summary.json":
+            summary = _summary(out)
+            summary.pop("effective_tolerances")
+            files[path.name] = summary
+        elif path.name != "metadata.json":
+            files[path.name] = path.read_bytes()
+    return files
+
+
+# One case per Tolerances field, on a subcommand that reads it: (field,
+# subcommand arguments, overrides every run shares, the override, and the exit
+# codes without and with it).  Equal exit codes mean the artifacts must differ.
+TOLERANCE_CASES = [
+    ("quad_abs_tol", ["check-bounds"], [], "1e-3", (0, 0)),
+    ("quad_ceiling", ["transform", "--grid-n", "33"], [], "0.5", (0, 3)),
+    ("diff_step", ["curvature", "--grid-n", "99", "--metric", "tent"], [], "1e-3", (0, 0)),
+    ("inverse_rel_tol", ["solve", "--grid-n", "65"], [], "1e-2", (0, 0)),
+    ("slack_tol", ["check-bounds"], [], "1e-13", (0, 0)),
+    ("fd_update_tol", ["solve", "--grid-n", "65"], [], "1e-4", (0, 0)),
+    ("fd_fail_tol", ["solve", "--grid-n", "65"], ["fd_max_sweeps=3"], "1.0", (3, 0)),
+    ("fd_max_sweeps", ["solve", "--grid-n", "65"], [], "3", (0, 3)),
+    ("fd_nonlinear_relax", ["solve", "--grid-n", "65"], [], "0.5", (0, 0)),
+    ("boundary_samples", ["check-bounds"], [], "512", (0, 0)),
+    ("grid_radii", ["check-bounds"], [], "12", (0, 0)),
+    ("grid_angles", ["check-bounds"], [], "48", (0, 0)),
+    ("grid_radius", ["check-bounds"], [], "0.5", (0, 0)),
+]
+
+
+def test_tolerance_cases_cover_every_field():
+    from dataclasses import fields
+    from schwarzlab.config import Tolerances
+    assert sorted(case[0] for case in TOLERANCE_CASES) == sorted(
+        f.name for f in fields(Tolerances))
+
+
+@pytest.mark.parametrize("name, argv, shared, value, codes", TOLERANCE_CASES,
+                         ids=[case[0] for case in TOLERANCE_CASES])
+def test_every_tolerance_is_applied(specs, name, argv, shared, value, codes):
+    tent = specs["dir"] / "tent.json"
+    tent.write_text('{"kind": "lemma_psi_family", "params": {"a": 2.0, "s": 0.3}}\n')
+    argv = [str(tent) if a == "tent" else a for a in argv]
+    if "--metric" not in argv:
+        argv += ["--metric", specs["metric"]]
+    if argv[0] in ("solve", "check-bounds"):
+        argv += ["--boundary", specs["boundary"]]
+    shared = [arg for item in shared for arg in ("--tolerance", item)]
+    runs = []
+    for i, extra in enumerate(([], ["--tolerance", f"{name}={value}"])):
+        out = specs["dir"] / f"t-{name}-{i}"
+        runs.append((main(argv + shared + extra + ["--out", str(out)]), out))
+    assert (runs[0][0], runs[1][0]) == codes
+    if codes[0] == codes[1]:
+        assert _artifacts(runs[0][1]) != _artifacts(runs[1][1])
+        assert _summary(runs[1][1])["effective_tolerances"][name] == float(value)

@@ -180,6 +180,28 @@ def test_unimodal_slack_nonnegative_for_mollified_tent():
         assert unimodal_slack(m, float(v)) >= -1e-9
 
 
+def test_unimodal_slack_over_arrays(monkeypatch):
+    import schwarzlab.lemmas as lemmas
+    m = tent_metric(356.4, 0.05)   # its corner falls between table nodes
+    vs = np.linspace(-0.99, 0.99, 41).reshape(41, 1)
+    scalar = [unimodal_slack(m, float(v)) for v in vs.ravel()]
+    calls = {"check_unimodal": 0, "mass": 0}
+    for name in calls:
+        real = getattr(lemmas, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(lemmas, name, counted)
+    out = unimodal_slack(m, vs)
+    assert out.shape == vs.shape
+    assert calls == {"check_unimodal": 1, "mass": 1}
+    # numpy and math may round the sine apart by an ulp
+    assert np.max(np.abs(out.ravel() - scalar)) <= 1e-15
+    assert isinstance(unimodal_slack(m, 0.25), float)
+
+
 def test_unimodal_precondition_violation():
     from schwarzlab.metrics import hyperbolic_metric
     with pytest.raises(PreconditionViolated):

@@ -143,6 +143,43 @@ def test_mass_divergent():
         mass(secant_metric())
 
 
+def test_divergence_verdict_is_cached(monkeypatch):
+    import schwarzlab.metrics as metrics
+    m = hyperbolic_metric()
+    with pytest.raises(NonIntegrable) as first:
+        mass(m)
+    calls = []
+    real = metrics.integrate_to_endpoint
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "integrate_to_endpoint", counted)
+    raised = []
+    for call in (mass, transform_table, mass):
+        with pytest.raises(NonIntegrable) as info:
+            call(m)
+        raised.append(info.value)
+    assert calls == []
+    # each raise is a fresh exception carrying the cached message
+    assert len({id(exc) for exc in raised + [first.value]}) == 4
+    assert {str(exc) for exc in raised} == {str(first.value)}
+    # the verdict is cached per quadrature tolerance, not per metric alone
+    with pytest.raises(NonIntegrable):
+        mass(m, tols=DEFAULT.replaced(quad_abs_tol=1e-10))
+    assert calls
+
+
+def test_transform_table_is_keyed_on_tolerances():
+    m = cosine_metric()
+    loose = DEFAULT.replaced(inverse_rel_tol=1e-2)
+    assert transform_table(m, loose) is transform_table(m, DEFAULT.replaced(inverse_rel_tol=1e-2))
+    assert transform_table(m, loose) is not transform_table(m, DEFAULT)
+    assert transform_table(m, loose).tols == loose
+    assert transform_table(m, DEFAULT).tols == DEFAULT
+
+
 def test_transform_H_identity_for_euclidean():
     m = constant_metric()
     assert transform_H(m, 0.25) == pytest.approx(0.25, abs=1e-12)
@@ -301,6 +338,19 @@ def test_mollify_identity_gives_unit_density():
     m = mollify(_IdentityMap(), 0.1)
     grid = np.linspace(-0.99, 0.99, 101)
     assert np.max(np.abs(np.asarray(m.density(grid)) - 1.0)) < 1e-12
+
+
+def test_mollify_needs_the_derivative_and_knots():
+    class NoDerivative:
+        knots = (0.0, 1.0)
+
+        def __call__(self, x):
+            return np.asarray(x, float)
+
+    with pytest.raises(InvalidInput, match="deriv"):
+        mollify(NoDerivative(), 0.1)
+    with pytest.raises(InvalidInput, match="deriv"):
+        mollify(lambda x: np.asarray(x, float), 0.1)
 
 
 def test_mollify_even_and_positive():
