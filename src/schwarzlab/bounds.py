@@ -308,8 +308,8 @@ def check_distance_contraction(metric: Metric1D, boundary: BoundaryData,
         raise ValueError("pairs must have shape (m, 2)")
     z, w = pairs[:, 0], pairs[:, 1]
     field = solved_field(metric, boundary, tols)
-    fz = field.value_many(z)
-    fw = field.value_many(w)
+    # one value pass over both ends of every pair
+    fz, fw = field.value_many(pairs.ravel()).reshape(-1, 2).T
     lhs = np.arctanh(np.abs(fz - fw) / np.abs(1.0 - fz * fw))
     rhs = FOUR_OVER_PI * hyperbolic_distance(z, w)
     curv = log_concavity_report(metric, _curvature_scan_grid(), tols=tols)

@@ -235,8 +235,10 @@ def _run_gallery(args, tols: Tolerances, out: Path):
 
 def dispatch(args: argparse.Namespace) -> int:
     """Run the parsed subcommand; write summary + metadata; return exit code."""
+    # None: the subcommand reads no tolerances and takes no --tolerance
+    overrides = args.tolerance
     try:
-        tols = DEFAULT.replaced(**dict(args.tolerance))
+        tols = DEFAULT.replaced(**dict(overrides or ()))
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -262,7 +264,8 @@ def dispatch(args: argparse.Namespace) -> int:
         return 3
     summary["subcommand"] = args.subcommand
     summary["seed"] = args.seed
-    summary["effective_tolerances"] = dataclasses.asdict(tols)
+    if overrides is not None:
+        summary["effective_tolerances"] = dataclasses.asdict(tols)
     _write_json(out / "summary.json", summary)
     _write_json(out / "metadata.json", {
         "elapsed_seconds": time.time() - started,
@@ -288,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "functions on the unit disk.")
     default_out = os.environ.get(OUTPUT_ENV, "schwarzlab-out")
 
-    def common(sp, run, metric=False, boundary=False):
+    def common(sp, run, metric=False, boundary=False, tolerances=True):
         sp.set_defaults(run=run)
         if metric:
             sp.add_argument("--metric", required=True, help="metric spec JSON")
@@ -297,9 +300,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=default_out,
                         help=f"output directory (default ${OUTPUT_ENV} or ./schwarzlab-out)")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tolerance", action="append", default=[],
-                        type=_parse_tolerance, metavar="NAME=VALUE",
-                        help="override a named tolerance (repeatable)")
+        if tolerances:
+            sp.add_argument("--tolerance", action="append", default=[],
+                            type=_parse_tolerance, metavar="NAME=VALUE",
+                            help="override a named tolerance (repeatable)")
+        else:
+            sp.set_defaults(tolerance=None)
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -324,14 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=10000)
 
     sp = sub.add_parser("sweep", help="sharpness sweeps as CSV")
-    common(sp, _run_sweep)
+    common(sp, _run_sweep, tolerances=False)
     sp.add_argument("--family", required=True, choices=["psi", "r-ratio"])
     sp.add_argument("--n-max", type=int, default=1000)
     sp.add_argument("--k-max", type=float, default=20.0)
     sp.add_argument("--grid-n", type=int, default=200)
 
     sp = sub.add_parser("gallery", help="reproduce a worked example")
-    common(sp, _run_gallery)
+    common(sp, _run_gallery, tolerances=False)
     sp.add_argument("--name", required=True, choices=list(_GALLERY))
     sp.add_argument("--n", type=int, default=3, help="tanh frequency")
     sp.add_argument("--c", type=float, default=1.0, help="exponential rate")

@@ -48,10 +48,14 @@ class Tolerances:
         for key, value in overrides.items():
             if key not in data:
                 raise InvalidInput(f"unknown tolerance {key!r}")
+            kind = type(data[key])
             try:
-                data[key] = type(data[key])(value)
+                data[key] = kind(value)
             except (ValueError, OverflowError) as exc:
                 raise InvalidInput(f"bad value {value!r} for tolerance {key!r}") from exc
+            # a count takes only integral values: int() would truncate 2.7 to 2
+            if kind is int and data[key] != value:
+                raise InvalidInput(f"tolerance {key!r} needs an integer, got {value!r}")
         return Tolerances(**data)
 
 

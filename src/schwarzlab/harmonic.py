@@ -8,16 +8,22 @@ equation directly by finite differences, and residual diagnostics
 (pointwise equation residual and holomorphy of the quadratic differential).
 
 The trapezoid Poisson sums take one of two paths with the same result up to
-rounding.  Points on a row-major ring grid (`radii[:, None] * exp(2 pi i
-a / A)`, as `bounds.ring_grid` makes them, with A >= 8 spokes, every radius
-> 0 and every point within a few ulps of that position) are served by FFT:
-on such a grid the sum is a circular convolution in angle, evaluated with
-closed-form alias-summed kernel spectra on lcm(samples, A) angles.  The FFT
-path is taken only while its transforms are at most a quarter of the direct
-sum's points x samples (gcd(A, samples) >= 4) and its spectra fit one
-kernel block.  All other points (scattered pairs, the oracle's nodes, user
-points) take the direct blocked sum, which is also the reference the tests
-compare against.
+rounding (on a ring grid the FFT sums at the ideal positions, a few ulps from
+the given points).  With c = fft(samples) / N, the N-sample sum is exactly
+
+    u_N(z) = c_0 + 2 Re[p(z) / (1 - z^N)],  p(z) = sum_{j=1}^{N-1} c_j z^j + c_0 z^N,
+
+the alias sum of the kernel's series r^|k| e^(ik(phi - theta)).  Points on a
+row-major ring grid (`radii[:, None] * exp(2 pi i a / A)`, as
+`bounds.ring_grid` makes them, with A >= 8 spokes, every radius > 0 and every
+point within a few ulps of that position) are served by FFT: on such a grid
+the sum is a circular convolution in angle, evaluated with closed-form
+alias-summed kernel spectra on lcm(samples, A) angles.  The FFT path is taken
+only while its transforms are at most a quarter of the points x samples
+(gcd(A, samples) >= 4) and its spectra fit one kernel block.  All other
+points (scattered pairs, the oracle's nodes, user points) evaluate the
+Laurent form itself: p and p' by blocked Horner, one complex matrix product
+of the point powers with the coefficient matrix per block of points.
 """
 
 from __future__ import annotations
@@ -195,18 +201,21 @@ def random_symmetric_boundary(seed: int, modes: int = 5, max_abs: float = 0.85,
 # Poisson extension
 # ---------------------------------------------------------------------------
 
-# elements (points x samples) per block of kernel temporaries; also the cap
-# on (radii x spectrum length) of the ring-grid multipliers
+# complex elements per block of kernel temporaries (points x (powers +
+# Horner columns) on scattered points); also the cap on (radii x spectrum
+# length) of the ring-grid multipliers
 _BLOCK_ELEMENTS = 2 ** 19
+# powers of z per Horner block in the Laurent path
+_HORNER_BLOCK = 64
 # a ring grid needs at least this many spokes for the FFT path
 _RING_MIN_SPOKES = 8
 # and each point within this many ulps (of its radius) of its ideal position
 _RING_ULPS = 4.0
-# the FFT path runs only while len(radii) * L is at most this share of the
-# direct sum's points * samples, i.e. gcd(spokes, samples) >= 4.  Measured
-# for a 24-ring grid and 1024 samples on a 2-core x86-64 machine: at gcd 1 (97 spokes, L = 99328) the
-# transforms cost 2.5x the direct sum, at gcd 8 (1000 samples, 96 spokes)
-# a tenth of it
+# the FFT path runs only while len(radii) * L is at most this share of
+# points * samples, i.e. gcd(spokes, samples) >= 4.  Set against the direct
+# kernel sum (points x samples kernel evaluations) for a 24-ring grid on a
+# 2-core x86-64 machine: at gcd 1 (97 spokes, 1024 samples, L = 99328) the
+# transforms cost 2.5x that sum, at gcd 8 (1000 samples, 96 spokes) a tenth
 _RING_WORK_SHARE = 4
 
 
@@ -306,34 +315,63 @@ def _ring_sums(boundary: BoundaryData, ring: _Ring, multipliers) -> list:
             for mult in multipliers]
 
 
-def _direct_values(boundary: BoundaryData, flat: np.ndarray) -> np.ndarray:
-    e = np.exp(1j * boundary.thetas)
-    out = np.empty(len(flat))
-    rows = max(1, _BLOCK_ELEMENTS // boundary.sample_count)
+def _laurent_sums(boundary: BoundaryData, flat: np.ndarray,
+                  gradient: bool = False) -> np.ndarray:
+    """The trapezoid Poisson sum at scattered points, by its Laurent form.
+
+    Returns u_N(z) = c_0 + 2 Re F(z), F = p / (1 - z^N), or with `gradient`
+    the complex 2 F'(z) = gx - i gy, where
+
+        F' = (p' (1 - z^N) + N z^(N-1) p) / (1 - z^N)^2.
+
+    p(z) = z q(z), with q's N coefficients roll(c, -1) zero-padded to
+    `_HORNER_BLOCK` x cols.  Both q and p' = sum_m (m+1) q_m z^m share the
+    powers Z = [z^0 .. z^(B-1)]: one matrix product of Z with the (cols, B)
+    coefficient rows (and their differentiated rows) gives the block
+    polynomials, and Horner in w = z^B adds them up.  z^N and z^(N-1) come
+    from z by powers, never by dividing by z (NaN at z = 0) nor from the
+    Horner blocks (which lose digits near the rim).
+    """
+    n = boundary.sample_count
+    c = np.fft.fft(boundary.samples) / n
+    cols = -(-n // _HORNER_BLOCK)
+    q = np.zeros(cols * _HORNER_BLOCK, complex)
+    q[:n] = np.roll(c, -1)
+    coef = q.reshape(cols, _HORNER_BLOCK)
+    if gradient:
+        degree = np.arange(1.0, q.size + 1).reshape(coef.shape)
+        coef = np.concatenate([coef, coef * degree])
+    out = np.empty(len(flat), complex if gradient else float)
+    # per point: the powers and one block polynomial per coefficient row
+    rows = max(1, _BLOCK_ELEMENTS // (_HORNER_BLOCK + len(coef)))
     for k in range(0, len(flat), rows):
-        blk = flat[k:k + rows, None]
-        d2 = np.abs(e[None, :] - blk) ** 2
-        p = (1.0 - np.abs(blk) ** 2) / d2
-        out[k:k + rows] = p @ boundary.samples / boundary.sample_count
+        z = flat[k:k + rows]
+        # the running product row by row: np.cumprod over the same rows
+        # takes five times as long for complex input
+        powers = np.empty((_HORNER_BLOCK, len(z)), complex)
+        powers[0] = 1.0
+        for j in range(1, _HORNER_BLOCK):
+            np.multiply(powers[j - 1], z, out=powers[j])
+        w = powers[-1] * z
+        blocks = coef @ powers
+        p = z * _horner(blocks[:cols], w)
+        if gradient:
+            z_n1 = z ** (n - 1)
+            d = 1.0 - z_n1 * z
+            dp = _horner(blocks[cols:], w)
+            out[k:k + rows] = 2.0 * (dp * d + n * z_n1 * p) / d ** 2
+        else:
+            out[k:k + rows] = c[0].real + 2.0 * (p / (1.0 - z ** n)).real
     return out
 
 
-def _direct_gradient(boundary: BoundaryData,
-                     flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    e = np.exp(1j * boundary.thetas)
-    gx = np.empty(len(flat))
-    gy = np.empty(len(flat))
-    rows = max(1, _BLOCK_ELEMENTS // boundary.sample_count)
-    for k in range(0, len(flat), rows):
-        blk = flat[k:k + rows, None]
-        diff = e[None, :] - blk
-        d2 = np.abs(diff) ** 2
-        one_m = 1.0 - np.abs(blk) ** 2
-        px = -2.0 * blk.real / d2 + 2.0 * one_m * diff.real / d2 ** 2
-        py = -2.0 * blk.imag / d2 + 2.0 * one_m * diff.imag / d2 ** 2
-        gx[k:k + rows] = px @ boundary.samples / boundary.sample_count
-        gy[k:k + rows] = py @ boundary.samples / boundary.sample_count
-    return gx, gy
+def _horner(blocks: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_j blocks[j] * w^j, one row per power of w."""
+    acc = blocks[-1].copy()
+    for row in blocks[-2::-1]:
+        acc *= w
+        acc += row
+    return acc
 
 
 def poisson_values(boundary: BoundaryData, z) -> np.ndarray:
@@ -343,7 +381,7 @@ def poisson_values(boundary: BoundaryData, z) -> np.ndarray:
     _require_in_disk(flat)
     ring = _ring_layout(flat, boundary.sample_count)
     if ring is None:
-        return _direct_values(boundary, flat).reshape(z.shape)
+        return _laurent_sums(boundary, flat).reshape(z.shape)
     values, _, _ = _ring_multipliers(tuple(ring.radii), ring.size)
     (out,) = _ring_sums(boundary, ring, [values])
     return out.reshape(z.shape)
@@ -356,8 +394,8 @@ def poisson_gradient(boundary: BoundaryData, z) -> tuple[np.ndarray, np.ndarray]
     _require_in_disk(flat)
     ring = _ring_layout(flat, boundary.sample_count)
     if ring is None:
-        gx, gy = _direct_gradient(boundary, flat)
-        return gx.reshape(z.shape), gy.reshape(z.shape)
+        g = _laurent_sums(boundary, flat, gradient=True).reshape(z.shape)
+        return g.real, -g.imag
     _, d_phi, d_rho = _ring_multipliers(tuple(ring.radii), ring.size)
     u_phi, u_rho = _ring_sums(boundary, ring, [d_phi, d_rho])
     # polar to Cartesian: grad = u_rho e_rho + (u_phi / rho) e_phi

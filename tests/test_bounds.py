@@ -208,6 +208,26 @@ def test_distance_contraction_cosine():
     assert rep.passed
 
 
+def test_distance_contraction_makes_one_value_pass(monkeypatch):
+    import schwarzlab.harmonic as harmonic
+    metric, boundary = cosine_metric(), random_smooth_boundary(2)
+    pairs = random_disk_pairs(5, 300)
+    field = solved_field(metric, boundary)
+    fz, fw = field.value_many(pairs[:, 0]), field.value_many(pairs[:, 1])
+    sizes = []
+    original = harmonic.poisson_values
+
+    def counted(b, z):
+        sizes.append(np.size(z))
+        return original(b, z)
+
+    monkeypatch.setattr(harmonic, "poisson_values", counted)
+    rep = check_distance_contraction(metric, boundary, pairs)
+    assert sizes == [600]
+    expected = np.arctanh(np.abs(fz - fw) / np.abs(1.0 - fz * fw))
+    assert np.max(np.abs(rep.lhs - expected)) <= 1e-14
+
+
 def test_distance_contraction_identical_points():
     pairs = np.array([[0.3 + 0.2j, 0.3 + 0.2j]])
     rep = check_distance_contraction(constant_metric(), step_boundary(), pairs)

@@ -225,14 +225,43 @@ def test_unknown_tolerance_is_invalid_input():
 
 
 @pytest.mark.parametrize("argv", [["sweep", "--family", "psi", "--n-max", "20"],
-                                  ["gallery", "--name", "half-plane"]])
-@pytest.mark.parametrize("override", ["nope=1", "grid_radius=1.5"])
+                                  ["gallery", "--name", "half-plane"],
+                                  ["check-bounds", "--metric", "metric",
+                                   "--boundary", "boundary"]])
+@pytest.mark.parametrize("override", ["nope=1", "grid_radius=1.5", "grid_radii=2.7"])
 def test_bad_tolerance_exits_2_before_running(specs, capsys, argv, override):
+    # sweep and gallery take no --tolerance at all: argparse exits 2
+    argv = [specs.get(a, a) for a in argv]
     out = specs["dir"] / "o18"
-    code = main(argv + ["--out", str(out), "--tolerance", override])
+    try:
+        code = main(argv + ["--out", str(out), "--tolerance", override])
+    except SystemExit as exc:
+        code = exc.code
     assert code == 2
     assert override.split("=")[0] in capsys.readouterr().err
-    assert not (out / "summary.json").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--family", "psi", "--n-max", "20"],
+                                  ["gallery", "--name", "zero-curvature"]])
+def test_sweep_and_gallery_record_no_tolerances(specs, argv):
+    out = specs["dir"] / "o21"
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--out", str(out), "--tolerance", "slack_tol=1e-6"])
+    assert info.value.code == 2
+    assert not out.exists()
+    assert main(argv + ["--out", str(out)]) == 0
+    summary = _summary(out)
+    assert summary["subcommand"] == argv[0]
+    assert "effective_tolerances" not in summary
+
+
+def test_integer_tolerances_take_only_integral_values():
+    from schwarzlab.errors import InvalidInput
+    for name in ("grid_radii", "grid_angles", "boundary_samples", "fd_max_sweeps"):
+        assert getattr(DEFAULT.replaced(**{name: 48.0}), name) == 48
+        with pytest.raises(InvalidInput, match=f"{name}.*needs an integer"):
+            DEFAULT.replaced(**{name: 47.5})
 
 
 @pytest.mark.parametrize("argv", [["lemma"], ["lemma", "--which", "both"],

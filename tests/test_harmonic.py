@@ -112,40 +112,131 @@ def test_conjugation_symmetry():
             poisson_values(b, z), abs=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# references: the direct kernel sum in long double and in float64
+# ---------------------------------------------------------------------------
+
+_EXTENDED = pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                               reason="the reference needs an extended-precision long double")
+
+
+def _kernel_sums(boundaries, x, y):
+    """Trapezoid Poisson sums and gradients by the direct kernel sum at (x, y).
+
+    Computed in the precision of x and y; returns (quantity, boundary,
+    point), the quantities being (value, gx, gy).
+    """
+    real = x.dtype.type
+    pi = 4 * np.arctan(real(1))
+    n = boundaries[0].sample_count
+    th = 2 * pi * np.arange(n, dtype=real) / n
+    ex, ey = np.cos(th)[None, :], np.sin(th)[None, :]
+    s = np.stack([b.samples.astype(real) for b in boundaries], axis=1)
+    rows = []
+    for k in range(0, len(x), 256):       # blocks of points keep memory small
+        xb, yb = x[k:k + 256, None], y[k:k + 256, None]
+        dx, dy = ex - xb, ey - yb
+        d2 = dx * dx + dy * dy
+        one_m = 1 - xb * xb - yb * yb
+        px = -2 * xb / d2 + 2 * one_m * dx / d2 ** 2
+        py = -2 * yb / d2 + 2 * one_m * dy / d2 ** 2
+        rows.append([(kern @ s / n).T for kern in (one_m / d2, px, py)])
+    return np.concatenate(rows, axis=2)
+
+
+def _long_double_at(boundaries, z):
+    """The direct sums in long double at the float64 points z, taken exactly."""
+    ld = np.longdouble
+    return _kernel_sums(boundaries, z.real.astype(ld), z.imag.astype(ld))
+
+
+def _scattered_sums(boundary, z):
+    """(value, gx, gy) at the points z through the public functions."""
+    return np.stack([poisson_values(boundary, z), *poisson_gradient(boundary, z)])
+
+
+def _max_errors(got, ref):
+    """Max error per quantity of two (quantity, point) arrays."""
+    return np.max(np.abs(got - ref), axis=1)
+
+
+# ---------------------------------------------------------------------------
+# scattered points: the aliased Laurent polynomial
+# ---------------------------------------------------------------------------
+
+@_EXTENDED
 @pytest.mark.parametrize("samples", [2048, 1000])
 def test_poisson_blocks_match_unblocked_sums(samples):
-    # 3000 points span several blocks and a short last one
     b = random_smooth_boundary(5, sample_count=samples)
     rng = np.random.default_rng(11)
     z = np.sqrt(rng.uniform(0.0, 0.98, 3000)) * np.exp(
         2j * math.pi * rng.uniform(size=3000))
-    diff = np.exp(1j * b.thetas)[None, :] - z[:, None]
-    d2 = np.abs(diff) ** 2
-    one_m = (1.0 - np.abs(z) ** 2)[:, None]
-    kernel = one_m / d2
-    kx = -2.0 * z.real[:, None] / d2 + 2.0 * one_m * diff.real / d2 ** 2
-    ky = -2.0 * z.imag[:, None] / d2 + 2.0 * one_m * diff.imag / d2 ** 2
-    gx, gy = poisson_gradient(b, z)
-    assert np.max(np.abs(poisson_values(b, z) - kernel @ b.samples / samples)) <= 1e-13
-    assert np.max(np.abs(gx - kx @ b.samples / samples)) <= 1e-13
-    assert np.max(np.abs(gy - ky @ b.samples / samples)) <= 1e-13
+    ref = _long_double_at([b], z)[:, 0]
+    assert np.all(_max_errors(_scattered_sums(b, z), ref) <= 1e-13)
+
+
+@_EXTENDED
+@pytest.mark.parametrize("samples", [1000, 1024, 2048])
+def test_laurent_path_matches_long_double_sums(samples):
+    boundaries = [step_boundary(sample_count=samples),
+                  random_smooth_boundary(4, sample_count=samples)]
+    rng = np.random.default_rng(samples)
+    z = 0.99 * np.sqrt(rng.uniform(size=300)) * np.exp(2j * math.pi * rng.uniform(size=300))
+    z = np.concatenate([[0.0], z])
+    ref = _long_double_at(boundaries, z)
+    for i, b in enumerate(boundaries):
+        got = _scattered_sums(b, z)
+        err = _max_errors(got, ref[:, i])
+        assert err[0] <= 1e-14
+        assert err[1] <= 1e-13 and err[2] <= 1e-13
+        assert got[0, 0] == pytest.approx(b.mean(), abs=1e-15)
+
+
+@_EXTENDED
+@pytest.mark.parametrize("samples", [1000, 1024, 2048])
+def test_laurent_path_at_the_rim_beats_the_direct_sum(samples):
+    # |z| = 0.99 at every sample angle, where the kernel peaks; shuffled, so
+    # that the points do not form a ring grid
+    boundaries = [step_boundary(sample_count=samples),
+                  random_smooth_boundary(4, sample_count=samples)]
+    z = np.random.default_rng(0).permutation(0.99 * np.exp(1j * boundaries[0].thetas))
+    assert harmonic._ring_layout(z, samples) is None
+    ref = _long_double_at(boundaries, z)
+    for i, b in enumerate(boundaries):
+        laurent = _max_errors(_scattered_sums(b, z), ref[:, i])
+        direct = _max_errors(_kernel_sums([b], z.real, z.imag)[:, 0], ref[:, i])
+        assert np.all(laurent <= direct)
+
+
+@pytest.mark.parametrize("samples", [1000, 2048])
+def test_laurent_blocks_match_one_block(monkeypatch, samples):
+    b = random_smooth_boundary(7, sample_count=samples)
+    z = random_disk_pairs(4, 1500, 0.99).ravel()
+    one_block = _scattered_sums(b, z)
+    # a block of 6144 elements holds 64 points (48 with the gradient) at 2048
+    # samples and 76 (64) at 1000: the 3000 points end in a short block
+    monkeypatch.setattr(harmonic, "_BLOCK_ELEMENTS", 6144)
+    # the same arithmetic per point; vector loops may round the last bit of
+    # a product differently at another offset in the block
+    scale = np.max(np.abs(one_block), axis=1)
+    assert np.all(_max_errors(_scattered_sums(b, z), one_block)
+                  <= 8 * np.finfo(float).eps * scale)
 
 
 # ---------------------------------------------------------------------------
 # ring-grid FFT path
 # ---------------------------------------------------------------------------
 
-def _spy_direct(monkeypatch):
-    """Count calls of the direct kernels; the FFT path makes none."""
+def _spy_laurent(monkeypatch):
+    """Record the calls of the scattered-point kernel; the FFT path makes none."""
     calls = []
-    for name in ("_direct_values", "_direct_gradient"):
-        kernel = getattr(harmonic, name)
+    kernel = harmonic._laurent_sums
 
-        def spy(boundary, flat, _kernel=kernel, _name=name):
-            calls.append(_name)
-            return _kernel(boundary, flat)
+    def spy(boundary, flat, gradient=False):
+        calls.append("gradient" if gradient else "values")
+        return kernel(boundary, flat, gradient)
 
-        monkeypatch.setattr(harmonic, name, spy)
+    monkeypatch.setattr(harmonic, "_laurent_sums", spy)
     return calls
 
 
@@ -153,26 +244,13 @@ def _long_double_sums(boundaries, radii, angles):
     """Trapezoid Poisson sums and gradients in long double at the ideal ring points."""
     ld = np.longdouble
     pi = 4 * np.arctan(ld(1))
-    n = boundaries[0].sample_count
-    th = 2 * pi * np.arange(n, dtype=ld) / n
-    ex, ey = np.cos(th)[None, :], np.sin(th)[None, :]
     t = 2 * pi * np.arange(angles, dtype=ld) / angles
-    s = np.stack([b.samples.astype(ld) for b in boundaries], axis=1)
-    rows = []
-    for r in np.asarray(radii, ld):       # one ring at a time keeps memory small
-        x, y = (r * np.cos(t))[:, None], (r * np.sin(t))[:, None]
-        dx, dy = ex - x, ey - y
-        d2 = dx * dx + dy * dy
-        one_m = 1 - x * x - y * y
-        px = -2 * x / d2 + 2 * one_m * dx / d2 ** 2
-        py = -2 * y / d2 + 2 * one_m * dy / d2 ** 2
-        rows.append([(k @ s / n).T for k in (one_m / d2, px, py)])
+    r = np.asarray(radii, ld)[:, None]
     # (quantity, boundary, point) in the grid's row-major point order
-    return np.concatenate(rows, axis=2)
+    return _kernel_sums(boundaries, (r * np.cos(t)).ravel(), (r * np.sin(t)).ravel())
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
-                    reason="the reference needs an extended-precision long double")
+@_EXTENDED
 @pytest.mark.parametrize("rho", [0.95, 0.99])
 @pytest.mark.parametrize("samples", [1000, 1024, 2048])
 def test_ring_fft_matches_direct_sums(monkeypatch, rho, samples):
@@ -181,7 +259,7 @@ def test_ring_fft_matches_direct_sums(monkeypatch, rho, samples):
                   random_smooth_boundary(4, sample_count=samples)]
     ref = _long_double_sums(boundaries, np.abs(z[::96]), 96)
     direct = [(poisson_values(b, z), *poisson_gradient(b, z)) for b in boundaries]
-    calls = _spy_direct(monkeypatch)
+    calls = _spy_laurent(monkeypatch)
     for i, b in enumerate(boundaries):
         fft = (poisson_values(b, z), *poisson_gradient(b, z))
         for k in range(3):
@@ -194,7 +272,7 @@ def test_ring_fft_serves_eight_spokes(monkeypatch):
     b = random_smooth_boundary(6)
     z = ring_grid(25, 8, 0.95)
     direct = (poisson_values(b, z), *poisson_gradient(b, z))
-    calls = _spy_direct(monkeypatch)
+    calls = _spy_laurent(monkeypatch)
     fft = (poisson_values(b, z), *poisson_gradient(b, z))
     assert calls == []
     for k in range(3):
@@ -221,17 +299,17 @@ def test_non_ring_points_take_the_direct_path(monkeypatch):
     pairs = random_disk_pairs(0, 1000, 0.95).ravel()
     # (points, the FFT result at the ring points they stand for, tolerance)
     # 97 spokes share no factor with 1024 samples: L = 97 * 1024 angles
-    # would cost more than the direct sum
+    # would cost more than the Laurent path
     coprime = ring_grid(4, 97, 0.9)
     cases = [(moved, None, 0.0), (z[order], [q[order] for q in fft], 1e-12),
              (pairs, None, 0.0), (coprime, None, 0.0)]
     for points, expected, tol in cases:
-        calls = _spy_direct(monkeypatch)
+        calls = _spy_laurent(monkeypatch)
         got = (poisson_values(b, points), *poisson_gradient(b, points))
-        assert calls == ["_direct_values", "_direct_gradient"]
+        assert calls == ["values", "gradient"]
         monkeypatch.undo()
-        reference = (harmonic._direct_values(b, points),
-                     *harmonic._direct_gradient(b, points))
+        g = harmonic._laurent_sums(b, points, gradient=True)
+        reference = (harmonic._laurent_sums(b, points), g.real, -g.imag)
         for k in range(3):
             assert np.array_equal(got[k], reference[k])
             if expected is not None:
