@@ -19,7 +19,8 @@ from .harmonic import (BoundaryData, GridField, HarmonicField, analytic_field,
                        fd_solve_oracle, hopf_holomorphy_residual,
                        lift_sup_difference, oracle_sup_difference,
                        pde_residual, poisson_gradient,
-                       poisson_values, random_smooth_boundary,
+                       poisson_value_and_gradient, poisson_values,
+                       random_smooth_boundary,
                        random_symmetric_boundary, solved_field, step_boundary)
 from .lemmas import (ConcaveTentMap, LogConcaveDiffeo, SweepRecord,
                      check_unimodal, dif_diagnostics, generate_logconcave,

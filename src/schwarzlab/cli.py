@@ -251,7 +251,7 @@ def dispatch(args: argparse.Namespace) -> int:
     started = time.time()
     try:
         code, summary = args.run(args, tols, out)
-    except (InvalidInput, ValueError) as exc:
+    except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NonIntegrable, NoConvergence, NumericInversionFailure, OutOfRange) as exc:
@@ -284,6 +284,20 @@ def _parse_tolerance(value: str) -> tuple[str, float]:
         raise argparse.ArgumentTypeError(f"bad tolerance value {raw!r}") from exc
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer >= minimum (argparse exits 2 otherwise)."""
+
+    def parse(value: str) -> int:
+        number = int(value)
+        if number < minimum:
+            raise argparse.ArgumentTypeError(
+                f"needs an integer >= {minimum}, got {number}")
+        return number
+
+    parse.__name__ = "int"      # argparse names the type in its messages
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schwarzlab",
@@ -299,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--boundary", required=True, help="boundary spec JSON")
         sp.add_argument("--out", default=default_out,
                         help=f"output directory (default ${OUTPUT_ENV} or ./schwarzlab-out)")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=_int_at_least(0), default=0)
         if tolerances:
             sp.add_argument("--tolerance", action="append", default=[],
                             type=_parse_tolerance, metavar="NAME=VALUE",
@@ -311,15 +325,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("curvature", help="curvature profile of a metric")
     common(sp, _run_curvature, metric=True)
-    sp.add_argument("--grid-n", type=int, default=999)
+    sp.add_argument("--grid-n", type=_int_at_least(1), default=999)
 
     sp = sub.add_parser("transform", help="centered primitive H and round trips")
     common(sp, _run_transform, metric=True)
-    sp.add_argument("--grid-n", type=int, default=201)
+    sp.add_argument("--grid-n", type=_int_at_least(1), default=201)
 
     sp = sub.add_parser("solve", help="relaxation solve + transform comparison")
     common(sp, _run_solve, metric=True, boundary=True)
-    sp.add_argument("--grid-n", type=int, default=201)
+    sp.add_argument("--grid-n", type=_int_at_least(1), default=201)
 
     sp = sub.add_parser("check-bounds", help="gradient/distance bound reports")
     common(sp, _run_check_bounds, metric=True, boundary=True)
@@ -332,9 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="sharpness sweeps as CSV")
     common(sp, _run_sweep, tolerances=False)
     sp.add_argument("--family", required=True, choices=["psi", "r-ratio"])
-    sp.add_argument("--n-max", type=int, default=1000)
+    sp.add_argument("--n-max", type=_int_at_least(2), default=1000)
     sp.add_argument("--k-max", type=float, default=20.0)
-    sp.add_argument("--grid-n", type=int, default=200)
+    sp.add_argument("--grid-n", type=_int_at_least(1), default=200)
 
     sp = sub.add_parser("gallery", help="reproduce a worked example")
     common(sp, _run_gallery, tolerances=False)

@@ -2,11 +2,14 @@
 
 Every tolerance that a bound check or solver consults lives here so that the
 CLI can override them uniformly and reports can record the effective values.
+`spec_param` reads the numeric parameters of JSON specs the same way: a value
+that does not convert is bad input (`InvalidInput`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
+from typing import Callable
 
 from .errors import InvalidInput
 
@@ -60,3 +63,21 @@ class Tolerances:
 
 
 DEFAULT = Tolerances()
+
+
+def spec_params(spec: dict) -> dict:
+    """The "params" object of a JSON spec ({} when absent or null)."""
+    params = spec.get("params") or {}
+    if not isinstance(params, dict):
+        raise InvalidInput(f"spec params must be an object, got {params!r}")
+    return params
+
+
+def spec_param(params: dict, key: str, default=None, kind: Callable = float):
+    """params[key] (or `default` when absent) converted by `kind`."""
+    value = params.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(
+            f"spec parameter {key!r} needs a number, got {value!r}") from exc

@@ -16,7 +16,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .bounds import FOUR_OVER_PI, chen_rhs, schwarz_quotient
-from .errors import NumericInversionFailure
+from .errors import InvalidInput, NumericInversionFailure
 from .harmonic import (analytic_field, pde_residual, random_smooth_boundary,
                        solved_field)
 from .metrics import (Metric1D, curvature_at, exponential_metric,
@@ -74,7 +74,7 @@ def run_negative_curvature_example(n: int = 3) -> ExampleReport:
     negative.
     """
     if n < 1:
-        raise ValueError("n must be a positive integer")
+        raise InvalidInput("n must be a positive integer")
     metric = hyperbolic_metric()
     fld = analytic_field(
         lambda x, y: np.tanh(n * np.asarray(x, float)),
@@ -126,7 +126,7 @@ def run_zero_curvature_example(c: float = 1.0, seed: int = 0) -> ExampleReport:
     to the Euclidean-harmonic bound as c -> 0.
     """
     if c == 0.0:
-        raise ValueError("c must be nonzero")
+        raise InvalidInput("c must be nonzero")
     metric = exponential_metric(c)
     curv = curvature_at(metric, np.linspace(-0.95, 0.95, 10))
 
@@ -219,7 +219,7 @@ def run_strip_example(k: float = 1.0) -> ExampleReport:
     density-normalization comparison for the origin quotient.
     """
     if k <= 0:
-        raise ValueError("k must be positive")
+        raise InvalidInput("k must be positive")
     ys = np.linspace(-3.0, 3.0, 50)
     w_axis = _strip_phi(1j * ys)
     axis_max_imag = float(np.max(np.abs(w_axis.imag)))

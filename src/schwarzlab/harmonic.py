@@ -7,23 +7,16 @@ a sparse-direct (SuperLU) Picard oracle that discretizes the quasilinear
 equation directly by finite differences, and residual diagnostics
 (pointwise equation residual and holomorphy of the quadratic differential).
 
-The trapezoid Poisson sums take one of two paths with the same result up to
-rounding (on a ring grid the FFT sums at the ideal positions, a few ulps from
-the given points).  With c = fft(samples) / N, the N-sample sum is exactly
+A trapezoid Poisson sum means the sum at the points the caller passes, and
+one path serves every point set (ring grids, scattered pairs, the oracle's
+nodes, user points).  With c = fft(samples) / N, the N-sample sum is exactly
 
     u_N(z) = c_0 + 2 Re[p(z) / (1 - z^N)],  p(z) = sum_{j=1}^{N-1} c_j z^j + c_0 z^N,
 
-the alias sum of the kernel's series r^|k| e^(ik(phi - theta)).  Points on a
-row-major ring grid (`radii[:, None] * exp(2 pi i a / A)`, as
-`bounds.ring_grid` makes them, with A >= 8 spokes, every radius > 0 and every
-point within a few ulps of that position) are served by FFT: on such a grid
-the sum is a circular convolution in angle, evaluated with closed-form
-alias-summed kernel spectra on lcm(samples, A) angles.  The FFT path is taken
-only while its transforms are at most a quarter of the points x samples
-(gcd(A, samples) >= 4) and its spectra fit one kernel block.  All other
-points (scattered pairs, the oracle's nodes, user points) evaluate the
-Laurent form itself: p and p' by blocked Horner, one complex matrix product
-of the point powers with the coefficient matrix per block of points.
+the alias sum of the kernel's series r^|k| e^(ik(phi - theta)).  p and p'
+come from blocked Horner: per block of points, one complex matrix product
+of the point powers with the coefficient matrix of each polynomial.  A
+gradient pass returns the values with the gradient, from the same powers.
 """
 
 from __future__ import annotations
@@ -35,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT, Tolerances, spec_param, spec_params
 from .errors import (InvalidInput, NoConvergence, NonIntegrable, OutsideDisk,
                      StencilOutsideDisk)
 from .metrics import HTransform, Metric1D, transform_table
@@ -109,8 +102,11 @@ def step_boundary(amplitude: float = 1.0, **kw) -> BoundaryData:
 def boundary_from_samples(theta: Sequence[float], values: Sequence[float],
                           **kw) -> BoundaryData:
     """Periodic linear interpolation through scattered angle samples."""
-    theta = np.mod(np.asarray(theta, float), TWO_PI)
-    values = np.asarray(values, float)
+    try:
+        theta, values = np.asarray(theta, float), np.asarray(values, float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput("boundary samples need numeric theta/values arrays") from exc
+    theta = np.mod(theta, TWO_PI)
     if theta.ndim != 1 or theta.shape != values.shape or len(theta) < 3:
         raise InvalidInput("need matching 1-d theta/values arrays with >= 3 samples")
     order = np.argsort(theta)
@@ -137,17 +133,17 @@ def boundary_from_json(spec: dict, **kw) -> BoundaryData:
         return boundary_from_samples(spec["theta"], spec["values"], **kw)
     if kind == "expression-preset":
         name = spec.get("name")
-        params = spec.get("params", {}) or {}
+        params = spec_params(spec)
         if name == "step":
-            return step_boundary(float(params.get("amplitude", 1.0)), **kw)
+            return step_boundary(spec_param(params, "amplitude", 1.0), **kw)
         if name == "cosine":
-            return cosine_boundary(float(params.get("amplitude", 0.8)),
-                                   int(params.get("frequency", 1)),
-                                   float(params.get("phase", 0.0)), **kw)
+            return cosine_boundary(spec_param(params, "amplitude", 0.8),
+                                   spec_param(params, "frequency", 1, int),
+                                   spec_param(params, "phase", 0.0), **kw)
         if name == "constant":
             if "value" not in params:
                 raise InvalidInput("constant boundary needs params.value")
-            return constant_boundary(float(params["value"]), **kw)
+            return constant_boundary(spec_param(params, "value"), **kw)
         raise InvalidInput(f"unknown boundary preset {name!r}")
     raise InvalidInput(f"unknown boundary kind {kind!r}")
 
@@ -201,22 +197,11 @@ def random_symmetric_boundary(seed: int, modes: int = 5, max_abs: float = 0.85,
 # Poisson extension
 # ---------------------------------------------------------------------------
 
-# complex elements per block of kernel temporaries (points x (powers +
-# Horner columns) on scattered points); also the cap on (radii x spectrum
-# length) of the ring-grid multipliers
+# complex elements per block of kernel temporaries: points x (powers + the
+# coefficient rows of p and of p'), one row count for values and gradients
 _BLOCK_ELEMENTS = 2 ** 19
 # powers of z per Horner block in the Laurent path
 _HORNER_BLOCK = 64
-# a ring grid needs at least this many spokes for the FFT path
-_RING_MIN_SPOKES = 8
-# and each point within this many ulps (of its radius) of its ideal position
-_RING_ULPS = 4.0
-# the FFT path runs only while len(radii) * L is at most this share of
-# points * samples, i.e. gcd(spokes, samples) >= 4.  Set against the direct
-# kernel sum (points x samples kernel evaluations) for a 24-ring grid on a
-# 2-core x86-64 machine: at gcd 1 (97 spokes, 1024 samples, L = 99328) the
-# transforms cost 2.5x that sum, at gcd 8 (1000 samples, 96 spokes) a tenth
-_RING_WORK_SHARE = 4
 
 
 def _complex_points(z) -> np.ndarray:
@@ -226,111 +211,32 @@ def _complex_points(z) -> np.ndarray:
     return z
 
 
-def _require_in_disk(z: np.ndarray) -> None:
-    if np.any(np.abs(z) >= 1.0):
+def _flat_disk_points(z) -> tuple[np.ndarray, np.ndarray]:
+    """(z as a complex array, its flat view), once every point is in the disk."""
+    z = _complex_points(z)
+    flat = np.ravel(z)
+    if np.any(np.abs(flat) >= 1.0):
         raise OutsideDisk("evaluation point outside the open unit disk")
+    return z, flat
 
 
-@dataclass(frozen=True, eq=False)
-class _Ring:
-    """A row-major ring grid: z[i * spokes + a] = radii[i] * phase[a]."""
-    radii: np.ndarray           # (R,) all > 0
-    phase: np.ndarray           # (spokes,) exp(2 pi i a / spokes)
-    size: int                   # L = lcm(samples, spokes)
+def _laurent_sums(boundary: BoundaryData, flat: np.ndarray, gradient: bool = False):
+    """The trapezoid Poisson sum at the points `flat`, by its Laurent form.
 
-
-def _ring_layout(flat: np.ndarray, sample_count: int) -> Optional[_Ring]:
-    """The ring grid `flat` lies on, if the FFT path should serve it."""
-    if flat.size < _RING_MIN_SPOKES:
-        return None
-    # the second point sits one spoke on; a NaN or zero angle compares False
-    step = float(np.angle(flat[1]))
-    turns = TWO_PI / step if step > 0.0 else math.inf
-    if not _RING_MIN_SPOKES - 0.5 <= turns <= flat.size + 0.5:
-        return None
-    spokes = round(turns)
-    if flat.size % spokes:
-        return None
-    radii = np.abs(flat[::spokes])
-    size = math.lcm(sample_count, spokes)
-    if (not np.all(radii > 0.0)
-            or _RING_WORK_SHARE * len(radii) * size > flat.size * sample_count
-            or len(radii) * (size // 2 + 1) > _BLOCK_ELEMENTS):
-        return None
-    # the same arithmetic as bounds.ring_grid, so its grids match exactly
-    phase = np.exp(1j * (TWO_PI * np.arange(spokes) / spokes))
-    ideal = (radii[:, None] * phase[None, :]).ravel()
-    slack = _RING_ULPS * np.finfo(float).eps * np.repeat(radii, spokes)
-    if not np.all(np.abs(flat - ideal) <= slack):
-        return None
-    return _Ring(radii, phase, size)
-
-
-@functools.lru_cache(maxsize=4)
-def _ring_multipliers(radii: tuple, size: int) -> tuple[np.ndarray, ...]:
-    """Alias-summed Poisson kernel spectra on `size` angles, one row per radius.
-
-    The kernel is sum_k rho^|k| e^(ik t); sampled on `size` angles its DFT
-    at 0 <= q <= size/2 is size times the sum over k = q (mod size).  With
-    a = rho^q, b = rho^(size-q) and d = 1 - rho^size the geometric series
-    give, for the value, d/dphi and d/drho kernels,
-
-        sum rho^|k|              = (a + b) / d
-        sum k rho^|k|            = q (a + b) / d + size (a rho^size - b) / d^2
-        sum |k| rho^(|k|-1)      = [q (a - b) / d + size (a rho^size + b) / d^2] / rho
-
-    Closed forms, not a numeric FFT of the sampled kernel: the kernel peaks
-    near the rim, and transforming it loses digits there.  Returned as
-    (values, i * d/dphi, d/drho), read-only.
-    """
-    rho = np.array(radii)[:, None]
-    q = np.arange(size // 2 + 1, dtype=float)
-    a = rho ** q
-    b = rho ** (size - q)
-    x = rho ** size
-    d = 1.0 - x
-    xa = x * a
-    values = (a + b) / d
-    d_phi = 1j * (q * (a + b) / d + size * (xa - b) / d ** 2)
-    d_rho = (q * (a - b) / d + size * (xa + b) / d ** 2) / rho
-    for arr in (values, d_phi, d_rho):
-        arr.flags.writeable = False
-    return values, d_phi, d_rho
-
-
-def _ring_sums(boundary: BoundaryData, ring: _Ring, multipliers) -> list:
-    """Trapezoid Poisson sums on a ring grid, one (R, spokes) array per multiplier.
-
-    The sum over the boundary samples is a circular convolution in angle:
-    zero-stuff the N samples onto L = lcm(N, spokes) angles, multiply their
-    rFFT by the kernel spectrum and keep every (L / spokes)-th sample of
-    the inverse.
-    """
-    n = boundary.sample_count
-    stuffed = np.zeros(ring.size)
-    stuffed[::ring.size // n] = boundary.samples
-    spectrum = np.fft.rfft(stuffed) * (ring.size / n)
-    keep = ring.size // len(ring.phase)
-    return [np.fft.irfft(spectrum * mult, n=ring.size)[:, ::keep]
-            for mult in multipliers]
-
-
-def _laurent_sums(boundary: BoundaryData, flat: np.ndarray,
-                  gradient: bool = False) -> np.ndarray:
-    """The trapezoid Poisson sum at scattered points, by its Laurent form.
-
-    Returns u_N(z) = c_0 + 2 Re F(z), F = p / (1 - z^N), or with `gradient`
-    the complex 2 F'(z) = gx - i gy, where
+    Returns u_N(z) = c_0 + 2 Re F(z), F = p / (1 - z^N), and with `gradient`
+    also the complex 2 F'(z) = gx - i gy, where
 
         F' = (p' (1 - z^N) + N z^(N-1) p) / (1 - z^N)^2.
 
     p(z) = z q(z), with q's N coefficients roll(c, -1) zero-padded to
     `_HORNER_BLOCK` x cols.  Both q and p' = sum_m (m+1) q_m z^m share the
-    powers Z = [z^0 .. z^(B-1)]: one matrix product of Z with the (cols, B)
-    coefficient rows (and their differentiated rows) gives the block
-    polynomials, and Horner in w = z^B adds them up.  z^N and z^(N-1) come
-    from z by powers, never by dividing by z (NaN at z = 0) nor from the
-    Horner blocks (which lose digits near the rim).
+    powers Z = [z^0 .. z^(B-1)]: the matrix product of Z with the (cols, B)
+    coefficient rows (with their differentiated rows, for p') gives the
+    block polynomials, and Horner in w = z^B adds them up.  z^(N-1) comes
+    from z by a power, never by dividing by z (NaN at z = 0) nor from the
+    Horner blocks (which lose digits near the rim).  Both modes run the same
+    blocks of points through the same arithmetic for u, so the values of a
+    gradient pass equal those of a values-only pass bit for bit.
     """
     n = boundary.sample_count
     c = np.fft.fft(boundary.samples) / n
@@ -338,12 +244,10 @@ def _laurent_sums(boundary: BoundaryData, flat: np.ndarray,
     q = np.zeros(cols * _HORNER_BLOCK, complex)
     q[:n] = np.roll(c, -1)
     coef = q.reshape(cols, _HORNER_BLOCK)
-    if gradient:
-        degree = np.arange(1.0, q.size + 1).reshape(coef.shape)
-        coef = np.concatenate([coef, coef * degree])
-    out = np.empty(len(flat), complex if gradient else float)
-    # per point: the powers and one block polynomial per coefficient row
-    rows = max(1, _BLOCK_ELEMENTS // (_HORNER_BLOCK + len(coef)))
+    d_coef = coef * np.arange(1.0, q.size + 1).reshape(coef.shape)
+    u = np.empty(len(flat))
+    g = np.empty(len(flat), complex) if gradient else None
+    rows = max(1, _BLOCK_ELEMENTS // (_HORNER_BLOCK + 2 * cols))
     for k in range(0, len(flat), rows):
         z = flat[k:k + rows]
         # the running product row by row: np.cumprod over the same rows
@@ -353,16 +257,14 @@ def _laurent_sums(boundary: BoundaryData, flat: np.ndarray,
         for j in range(1, _HORNER_BLOCK):
             np.multiply(powers[j - 1], z, out=powers[j])
         w = powers[-1] * z
-        blocks = coef @ powers
-        p = z * _horner(blocks[:cols], w)
+        p = z * _horner(coef @ powers, w)
+        z_n1 = z ** (n - 1)
+        d = 1.0 - z_n1 * z
+        u[k:k + rows] = c[0].real + 2.0 * (p / d).real
         if gradient:
-            z_n1 = z ** (n - 1)
-            d = 1.0 - z_n1 * z
-            dp = _horner(blocks[cols:], w)
-            out[k:k + rows] = 2.0 * (dp * d + n * z_n1 * p) / d ** 2
-        else:
-            out[k:k + rows] = c[0].real + 2.0 * (p / (1.0 - z ** n)).real
-    return out
+            dp = _horner(d_coef @ powers, w)
+            g[k:k + rows] = 2.0 * (dp * d + n * z_n1 * p) / d ** 2
+    return (u, g) if gradient else u
 
 
 def _horner(blocks: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -376,34 +278,25 @@ def _horner(blocks: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def poisson_values(boundary: BoundaryData, z) -> np.ndarray:
     """Trapezoid Poisson integral of the boundary samples at points z."""
-    z = _complex_points(z)
-    flat = np.ravel(z)
-    _require_in_disk(flat)
-    ring = _ring_layout(flat, boundary.sample_count)
-    if ring is None:
-        return _laurent_sums(boundary, flat).reshape(z.shape)
-    values, _, _ = _ring_multipliers(tuple(ring.radii), ring.size)
-    (out,) = _ring_sums(boundary, ring, [values])
-    return out.reshape(z.shape)
+    z, flat = _flat_disk_points(z)
+    return _laurent_sums(boundary, flat).reshape(z.shape)
+
+
+def poisson_value_and_gradient(boundary: BoundaryData, z
+                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Poisson values and their gradient (u, gx, gy) at points z, in one pass.
+
+    u equals `poisson_values(boundary, z)` bit for bit.
+    """
+    z, flat = _flat_disk_points(z)
+    u, g = _laurent_sums(boundary, flat, gradient=True)
+    return u.reshape(z.shape), g.real.reshape(z.shape), -g.imag.reshape(z.shape)
 
 
 def poisson_gradient(boundary: BoundaryData, z) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of the Poisson extension via the differentiated kernel."""
-    z = _complex_points(z)
-    flat = np.ravel(z)
-    _require_in_disk(flat)
-    ring = _ring_layout(flat, boundary.sample_count)
-    if ring is None:
-        g = _laurent_sums(boundary, flat, gradient=True).reshape(z.shape)
-        return g.real, -g.imag
-    _, d_phi, d_rho = _ring_multipliers(tuple(ring.radii), ring.size)
-    u_phi, u_rho = _ring_sums(boundary, ring, [d_phi, d_rho])
-    # polar to Cartesian: grad = u_rho e_rho + (u_phi / rho) e_phi
-    u_t = u_phi / ring.radii[:, None]
-    c, s = ring.phase.real, ring.phase.imag
-    gx = u_rho * c - u_t * s
-    gy = u_rho * s + u_t * c
-    return gx.reshape(z.shape), gy.reshape(z.shape)
+    _, gx, gy = poisson_value_and_gradient(boundary, z)
+    return gx, gy
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +308,9 @@ class HarmonicField:
 
     Wraps either a Euclidean Poisson extension (metric is None) or a lifted
     metric-harmonic solution, or any closed-form field supplied directly.
-    `value_and_gradient_many` is the one gradient path; `gradient_many` is
-    that call without the values.
+    `value_and_gradient_many` is the one gradient path (one Poisson pass for
+    the Poisson-backed fields); `gradient_many` is that call without the
+    values.
     """
 
     def __init__(self, value_many: Callable, value_and_gradient_many: Callable,
@@ -439,8 +333,7 @@ class HarmonicField:
 
 def euclidean_field(boundary: BoundaryData) -> HarmonicField:
     return HarmonicField(lambda z: poisson_values(boundary, z),
-                         lambda z: (poisson_values(boundary, z),
-                                    *poisson_gradient(boundary, z)),
+                         lambda z: poisson_value_and_gradient(boundary, z),
                          metric=None, name=f"poisson[{boundary.name}]")
 
 
@@ -507,13 +400,15 @@ def solved_field(metric: Metric1D, boundary: BoundaryData,
         g_lo = max(g_lo, -1.0 + 1e-15)
         g_hi = min(g_hi, 1.0 - 1e-15)
 
+    def lift(g):
+        return table.h_inv(r * np.clip(g, g_lo, g_hi))
+
     def value_many(z):
-        g = np.clip(poisson_values(g_boundary, z), g_lo, g_hi)
-        return table.h_inv(r * g)
+        return lift(poisson_values(g_boundary, z))
 
     def value_and_gradient_many(z):
-        f = value_many(z)
-        gx, gy = poisson_gradient(g_boundary, z)
+        g, gx, gy = poisson_value_and_gradient(g_boundary, z)
+        f = lift(g)
         scale = r / np.asarray(metric.density(f), float)
         return f, gx * scale, gy * scale
 

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT, Tolerances, spec_param, spec_params
 from .errors import (DerivativeUnavailable, DomainError, InvalidInput,
                      NonIntegrable, NumericInversionFailure, OutOfRange,
                      ParameterOutOfRange)
@@ -151,8 +151,10 @@ def tent_metric(a: float, s: float) -> Metric1D:
 def tabulated_metric(u: Sequence[float], R: Sequence[float]) -> Metric1D:
     """Monotone-cubic interpolant through sampled (u, R) pairs."""
     from scipy.interpolate import PchipInterpolator
-    u = np.asarray(u, float)
-    R = np.asarray(R, float)
+    try:
+        u, R = np.asarray(u, float), np.asarray(R, float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput("tabulated metric needs numeric u/R arrays") from exc
     if u.ndim != 1 or u.shape != R.shape or len(u) < 3:
         raise InvalidInput("tabulated metric needs matching 1-d u/R arrays, >= 3 samples")
     if np.any(np.diff(u) <= 0):
@@ -169,13 +171,13 @@ def metric_from_json(spec: dict) -> Metric1D:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InvalidInput("metric spec must be an object with a 'kind' field")
     kind = spec["kind"]
-    params = spec.get("params", {}) or {}
+    params = spec_params(spec)
     if kind == "constant":
-        return constant_metric(float(params.get("value", 1.0)))
+        return constant_metric(spec_param(params, "value", 1.0))
     if kind == "exponential":
         if "c" not in params:
             raise InvalidInput("exponential metric needs params.c")
-        return exponential_metric(float(params["c"]))
+        return exponential_metric(spec_param(params, "c"))
     if kind == "cosine":
         return cosine_metric()
     if kind == "hyperbolic":
@@ -185,13 +187,12 @@ def metric_from_json(spec: dict) -> Metric1D:
     if kind == "half_plane_one_minus_exp":
         return half_plane_metric()
     if kind == "lemma_psi_family":
-        try:
-            a, s = float(params["a"]), float(params["s"])
-        except KeyError as exc:
-            raise InvalidInput("lemma_psi_family needs params.a and params.s") from exc
+        if "a" not in params or "s" not in params:
+            raise InvalidInput("lemma_psi_family needs params.a and params.s")
+        a, s = spec_param(params, "a"), spec_param(params, "s")
         if "epsilon" in params:
             from .lemmas import psi_family
-            return mollify(psi_family(a, s), float(params["epsilon"]))
+            return mollify(psi_family(a, s), spec_param(params, "epsilon"))
         return tent_metric(a, s)
     if kind == "tabulated":
         u = spec.get("u", params.get("u"))

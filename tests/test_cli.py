@@ -267,11 +267,59 @@ def test_integer_tolerances_take_only_integral_values():
 @pytest.mark.parametrize("argv", [["lemma"], ["lemma", "--which", "both"],
                                   ["sweep", "--family", "nope"],
                                   ["gallery", "--name", "nope"],
-                                  ["curvature"], ["solve", "--metric", "m.json"]])
+                                  ["curvature"], ["solve", "--metric", "m.json"],
+                                  # counts out of range
+                                  ["sweep", "--family", "psi", "--n-max", "1"],
+                                  ["curvature", "--metric", "m.json", "--grid-n", "0"],
+                                  ["check-bounds", "--metric", "m.json",
+                                   "--boundary", "b.json", "--seed", "-1"]])
 def test_argparse_rejects_missing_or_unknown_choices(argv):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("which", ["n", "c", "k"])
+def test_gallery_bad_parameter_exits_2(specs, capsys, which):
+    name = {"n": "negative-curvature", "c": "zero-curvature", "k": "strip"}[which]
+    out = specs["dir"] / "o21"
+    assert main(["gallery", "--name", name, f"--{which}", "0", "--out", str(out)]) == 2
+    assert f"{which} must be" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("kind, spec", [
+    ("metric", {"kind": "exponential", "params": {"c": "x"}}),
+    ("metric", {"kind": "exponential", "params": {"c": None}}),
+    ("metric", {"kind": "lemma_psi_family", "params": {"a": 1, "s": 0.5, "epsilon": "x"}}),
+    ("metric", {"kind": "tabulated", "u": ["a", "b", "c"], "R": [1, 1, 1]}),
+    ("metric", {"kind": "cosine", "params": 3}),
+    ("boundary", {"kind": "expression-preset", "name": "cosine",
+                  "params": {"frequency": "x"}}),
+    ("boundary", {"kind": "expression-preset", "name": "step",
+                  "params": {"amplitude": [1]}}),
+    ("boundary", {"kind": "samples", "theta": ["a", 1, 2], "values": [0, 0, 0]}),
+])
+def test_non_numeric_spec_parameter_exits_2(specs, capsys, kind, spec):
+    bad = specs["dir"] / "bad-spec.json"
+    bad.write_text(json.dumps(spec))
+    argv = {"metric": specs["metric"], "boundary": specs["boundary"], kind: str(bad)}
+    out = specs["dir"] / "o22"
+    assert main(["check-bounds", "--metric", argv["metric"], "--boundary",
+                 argv["boundary"], "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_an_input_error(specs, monkeypatch):
+    import schwarzlab.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli.bounds_mod, "check_gradient_bound", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["check-bounds", "--metric", specs["metric"], "--boundary",
+              specs["boundary"], "--out", str(specs["dir"] / "o24")])
 
 
 def test_internal_key_error_is_not_an_input_error(specs, monkeypatch):

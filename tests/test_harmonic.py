@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,8 @@ from schwarzlab.harmonic import (BoundaryData, analytic_field,
                                  constant_boundary, cosine_boundary,
                                  euclidean_field, fd_solve_oracle,
                                  hopf_holomorphy_residual, oracle_sup_difference,
-                                 pde_residual, poisson_gradient, poisson_values,
+                                 pde_residual, poisson_gradient,
+                                 poisson_value_and_gradient, poisson_values,
                                  random_smooth_boundary,
                                  random_symmetric_boundary, solved_field,
                                  step_boundary)
@@ -150,7 +152,7 @@ def _long_double_at(boundaries, z):
     return _kernel_sums(boundaries, z.real.astype(ld), z.imag.astype(ld))
 
 
-def _scattered_sums(boundary, z):
+def _point_sums(boundary, z):
     """(value, gx, gy) at the points z through the public functions."""
     return np.stack([poisson_values(boundary, z), *poisson_gradient(boundary, z)])
 
@@ -161,7 +163,7 @@ def _max_errors(got, ref):
 
 
 # ---------------------------------------------------------------------------
-# scattered points: the aliased Laurent polynomial
+# the aliased Laurent polynomial at every point set
 # ---------------------------------------------------------------------------
 
 @_EXTENDED
@@ -172,7 +174,7 @@ def test_poisson_blocks_match_unblocked_sums(samples):
     z = np.sqrt(rng.uniform(0.0, 0.98, 3000)) * np.exp(
         2j * math.pi * rng.uniform(size=3000))
     ref = _long_double_at([b], z)[:, 0]
-    assert np.all(_max_errors(_scattered_sums(b, z), ref) <= 1e-13)
+    assert np.all(_max_errors(_point_sums(b, z), ref) <= 1e-13)
 
 
 @_EXTENDED
@@ -183,27 +185,27 @@ def test_laurent_path_matches_long_double_sums(samples):
     rng = np.random.default_rng(samples)
     z = 0.99 * np.sqrt(rng.uniform(size=300)) * np.exp(2j * math.pi * rng.uniform(size=300))
     z = np.concatenate([[0.0], z])
-    ref = _long_double_at(boundaries, z)
-    for i, b in enumerate(boundaries):
-        got = _scattered_sums(b, z)
-        err = _max_errors(got, ref[:, i])
-        assert err[0] <= 1e-14
-        assert err[1] <= 1e-13 and err[2] <= 1e-13
-        assert got[0, 0] == pytest.approx(b.mean(), abs=1e-15)
+    # ring grids are ordinary inputs: the sum at the float64 points given
+    for points in (z, ring_grid(24, 96, 0.95), ring_grid(24, 96, 0.99)):
+        ref = _long_double_at(boundaries, points)
+        for i, b in enumerate(boundaries):
+            err = _max_errors(_point_sums(b, points), ref[:, i])
+            assert err[0] <= 1e-14
+            assert err[1] <= 1e-13 and err[2] <= 1e-13
+    for b in boundaries:
+        assert poisson_values(b, 0.0) == pytest.approx(b.mean(), abs=1e-15)
 
 
 @_EXTENDED
 @pytest.mark.parametrize("samples", [1000, 1024, 2048])
 def test_laurent_path_at_the_rim_beats_the_direct_sum(samples):
-    # |z| = 0.99 at every sample angle, where the kernel peaks; shuffled, so
-    # that the points do not form a ring grid
+    # |z| = 0.99 at every sample angle (in shuffled order), where the kernel peaks
     boundaries = [step_boundary(sample_count=samples),
                   random_smooth_boundary(4, sample_count=samples)]
     z = np.random.default_rng(0).permutation(0.99 * np.exp(1j * boundaries[0].thetas))
-    assert harmonic._ring_layout(z, samples) is None
     ref = _long_double_at(boundaries, z)
     for i, b in enumerate(boundaries):
-        laurent = _max_errors(_scattered_sums(b, z), ref[:, i])
+        laurent = _max_errors(_point_sums(b, z), ref[:, i])
         direct = _max_errors(_kernel_sums([b], z.real, z.imag)[:, 0], ref[:, i])
         assert np.all(laurent <= direct)
 
@@ -212,72 +214,20 @@ def test_laurent_path_at_the_rim_beats_the_direct_sum(samples):
 def test_laurent_blocks_match_one_block(monkeypatch, samples):
     b = random_smooth_boundary(7, sample_count=samples)
     z = random_disk_pairs(4, 1500, 0.99).ravel()
-    one_block = _scattered_sums(b, z)
-    # a block of 6144 elements holds 64 points (48 with the gradient) at 2048
-    # samples and 76 (64) at 1000: the 3000 points end in a short block
+    one_block = _point_sums(b, z)
+    # a block of 6144 elements holds 48 points at 2048 samples and 64 at
+    # 1000: the 3000 points end in a short block
     monkeypatch.setattr(harmonic, "_BLOCK_ELEMENTS", 6144)
     # the same arithmetic per point; vector loops may round the last bit of
     # a product differently at another offset in the block
     scale = np.max(np.abs(one_block), axis=1)
-    assert np.all(_max_errors(_scattered_sums(b, z), one_block)
+    assert np.all(_max_errors(_point_sums(b, z), one_block)
                   <= 8 * np.finfo(float).eps * scale)
 
 
 # ---------------------------------------------------------------------------
-# ring-grid FFT path
+# fused value and gradient
 # ---------------------------------------------------------------------------
-
-def _spy_laurent(monkeypatch):
-    """Record the calls of the scattered-point kernel; the FFT path makes none."""
-    calls = []
-    kernel = harmonic._laurent_sums
-
-    def spy(boundary, flat, gradient=False):
-        calls.append("gradient" if gradient else "values")
-        return kernel(boundary, flat, gradient)
-
-    monkeypatch.setattr(harmonic, "_laurent_sums", spy)
-    return calls
-
-
-def _long_double_sums(boundaries, radii, angles):
-    """Trapezoid Poisson sums and gradients in long double at the ideal ring points."""
-    ld = np.longdouble
-    pi = 4 * np.arctan(ld(1))
-    t = 2 * pi * np.arange(angles, dtype=ld) / angles
-    r = np.asarray(radii, ld)[:, None]
-    # (quantity, boundary, point) in the grid's row-major point order
-    return _kernel_sums(boundaries, (r * np.cos(t)).ravel(), (r * np.sin(t)).ravel())
-
-
-@_EXTENDED
-@pytest.mark.parametrize("rho", [0.95, 0.99])
-@pytest.mark.parametrize("samples", [1000, 1024, 2048])
-def test_ring_fft_matches_direct_sums(monkeypatch, rho, samples):
-    z = ring_grid(24, 96, rho)
-    boundaries = [step_boundary(sample_count=samples),
-                  random_smooth_boundary(4, sample_count=samples)]
-    ref = _long_double_sums(boundaries, np.abs(z[::96]), 96)
-    direct = [(poisson_values(b, z), *poisson_gradient(b, z)) for b in boundaries]
-    calls = _spy_laurent(monkeypatch)
-    for i, b in enumerate(boundaries):
-        fft = (poisson_values(b, z), *poisson_gradient(b, z))
-        for k in range(3):
-            assert np.max(np.abs(fft[k] - ref[k, i])) <= 1e-13
-            assert np.max(np.abs(fft[k] - direct[i][k])) <= 1e-11
-    assert calls == []
-
-
-def test_ring_fft_serves_eight_spokes(monkeypatch):
-    b = random_smooth_boundary(6)
-    z = ring_grid(25, 8, 0.95)
-    direct = (poisson_values(b, z), *poisson_gradient(b, z))
-    calls = _spy_laurent(monkeypatch)
-    fft = (poisson_values(b, z), *poisson_gradient(b, z))
-    assert calls == []
-    for k in range(3):
-        assert np.max(np.abs(fft[k] - direct[k])) <= 1e-13
-
 
 def test_ring_fft_keeps_the_point_shape():
     b = random_smooth_boundary(6)
@@ -287,61 +237,40 @@ def test_ring_fft_keeps_the_point_shape():
     assert np.array_equal(poisson_values(b, grid).ravel(), poisson_values(b, z))
     gx, gy = poisson_gradient(b, grid)
     assert gx.shape == gy.shape == (6, 16)
+    fused = poisson_value_and_gradient(b, grid)
+    assert [q.shape for q in fused] == [(6, 16)] * 3
+    flat = poisson_value_and_gradient(b, z)
+    assert all(np.array_equal(q.ravel(), r) for q, r in zip(fused, flat))
 
 
-def test_non_ring_points_take_the_direct_path(monkeypatch):
-    b = random_smooth_boundary(6)
-    z = ring_grid(24, 96, 0.95)
-    fft = (poisson_values(b, z), *poisson_gradient(b, z))
-    moved = z.copy()
-    moved[500] += 1e-9
-    order = np.random.default_rng(3).permutation(len(z))
-    pairs = random_disk_pairs(0, 1000, 0.95).ravel()
-    # (points, the FFT result at the ring points they stand for, tolerance)
-    # 97 spokes share no factor with 1024 samples: L = 97 * 1024 angles
-    # would cost more than the Laurent path
-    coprime = ring_grid(4, 97, 0.9)
-    cases = [(moved, None, 0.0), (z[order], [q[order] for q in fft], 1e-12),
-             (pairs, None, 0.0), (coprime, None, 0.0)]
-    for points, expected, tol in cases:
-        calls = _spy_laurent(monkeypatch)
-        got = (poisson_values(b, points), *poisson_gradient(b, points))
-        assert calls == ["values", "gradient"]
-        monkeypatch.undo()
-        g = harmonic._laurent_sums(b, points, gradient=True)
-        reference = (harmonic._laurent_sums(b, points), g.real, -g.imag)
-        for k in range(3):
-            assert np.array_equal(got[k], reference[k])
-            if expected is not None:
-                assert np.max(np.abs(got[k] - expected[k])) <= tol
-    # the moved point only shifts the values by about |grad| * 1e-9
-    got = poisson_values(b, moved)
-    assert np.max(np.abs(np.delete(got - fft[0], 500))) <= 1e-12
-    assert abs(got[500] - fft[0][500]) <= 1e-8
-
-
-# ---------------------------------------------------------------------------
-# fused value and gradient
-# ---------------------------------------------------------------------------
-
-def test_value_and_gradient_is_bit_equal_to_the_parts():
-    z = np.concatenate([ring_grid(24, 96, 0.95), random_disk_pairs(1, 200).ravel()])
-    fields = [solved_field(cosine_metric(), random_smooth_boundary(2)),
+def test_value_and_gradient_is_bit_equal_to_the_parts(monkeypatch):
+    # pairs out to 0.999, where z^N no longer vanishes against 1 in 1 - z^N
+    z = np.concatenate([ring_grid(24, 96, 0.95), random_disk_pairs(1, 200, 0.999).ravel()])
+    boundary = random_smooth_boundary(2)
+    fields = [solved_field(cosine_metric(), boundary), euclidean_field(boundary),
               analytic_field(lambda x, y: np.tanh(2 * x) * np.cos(y),
                              lambda x, y: (2 * np.cos(y) / np.cosh(2 * x) ** 2,
                                            -np.tanh(2 * x) * np.sin(y)))]
-    for fld in fields:
-        for points in (z, z[:2304], 0.3 - 0.2j):
+    # one block, then blocks of 64 points at 1024 samples: 43 for the 2704
+    # points, 36 for the ring grid alone
+    for block, points in itertools.product(
+            (harmonic._BLOCK_ELEMENTS, 6144), (z, z[:2304], 0.3 - 0.2j)):
+        monkeypatch.setattr(harmonic, "_BLOCK_ELEMENTS", block)
+        for fld in fields:
             f, gx, gy = fld.value_and_gradient_many(points)
             assert np.array_equal(f, fld.value_many(points))
             gx2, gy2 = fld.gradient_many(points)
             assert np.array_equal(gx, gx2) and np.array_equal(gy, gy2)
+        u, gx, gy = poisson_value_and_gradient(boundary, points)
+        assert np.array_equal(u, poisson_values(boundary, points))
+        gx2, gy2 = poisson_gradient(boundary, points)
+        assert np.array_equal(gx, gx2) and np.array_equal(gy, gy2)
 
 
 def test_gradient_bound_makes_one_pass_of_each_kind(monkeypatch):
     metric, boundary = cosine_metric(), random_smooth_boundary(13)
     calls = []
-    for name in ("poisson_values", "poisson_gradient"):
+    for name in ("poisson_values", "poisson_gradient", "poisson_value_and_gradient"):
         original = getattr(harmonic, name)
 
         def counted(b, z, _original=original, _name=name):
@@ -350,7 +279,10 @@ def test_gradient_bound_makes_one_pass_of_each_kind(monkeypatch):
 
         monkeypatch.setattr(harmonic, name, counted)
     check_gradient_bound(metric, boundary)
-    assert sorted(calls) == ["poisson_gradient", "poisson_values"]
+    assert calls == ["poisson_value_and_gradient"]
+    calls.clear()
+    euclidean_field(boundary).value_and_gradient_many(ring_grid())
+    assert calls == ["poisson_value_and_gradient"]
 
 
 # ---------------------------------------------------------------------------
