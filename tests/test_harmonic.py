@@ -185,15 +185,32 @@ def test_laurent_path_matches_long_double_sums(samples):
     rng = np.random.default_rng(samples)
     z = 0.99 * np.sqrt(rng.uniform(size=300)) * np.exp(2j * math.pi * rng.uniform(size=300))
     z = np.concatenate([[0.0], z])
-    # ring grids are ordinary inputs: the sum at the float64 points given
-    for points in (z, ring_grid(24, 96, 0.95), ring_grid(24, 96, 0.99)):
-        ref = _long_double_at(boundaries, points)
-        for i, b in enumerate(boundaries):
-            err = _max_errors(_point_sums(b, points), ref[:, i])
-            assert err[0] <= 1e-14
-            assert err[1] <= 1e-13 and err[2] <= 1e-13
-    for b in boundaries:
-        assert poisson_values(b, 0.0) == pytest.approx(b.mean(), abs=1e-15)
+    ref = _long_double_at(boundaries, z)
+    for i, b in enumerate(boundaries):
+        got = _point_sums(b, z)
+        err = _max_errors(got, ref[:, i])
+        assert err[0] <= 1e-14
+        assert err[1] <= 1e-13 and err[2] <= 1e-13
+        assert got[0, 0] == pytest.approx(b.mean(), abs=1e-15)
+
+
+@_EXTENDED
+@pytest.mark.parametrize("rho", [0.95, 0.99])
+@pytest.mark.parametrize("samples", [1000, 1024, 2048])
+def test_ring_fft_matches_direct_sums(rho, samples):
+    # ring grids are ordinary inputs of the Laurent path: the sum at the
+    # float64 points given, in long double and in the float64 direct sum
+    z = ring_grid(24, 96, rho)
+    boundaries = [step_boundary(sample_count=samples),
+                  random_smooth_boundary(4, sample_count=samples)]
+    ref = _long_double_at(boundaries, z)
+    for i, b in enumerate(boundaries):
+        got = _point_sums(b, z)
+        err = _max_errors(got, ref[:, i])
+        assert err[0] <= 1e-14
+        assert err[1] <= 1e-13 and err[2] <= 1e-13
+        direct = _kernel_sums([b], z.real, z.imag)[:, 0]
+        assert np.all(_max_errors(got, direct) <= 1e-11)
 
 
 @_EXTENDED
