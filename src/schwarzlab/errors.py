@@ -41,8 +41,8 @@ class PreconditionViolated(SchwarzlabError):
     """An operation's mathematical precondition failed a sampled check."""
 
 
-class ParameterOutOfRange(SchwarzlabError):
-    """Family parameter outside its admissible range."""
+class ParameterOutOfRange(InvalidInput):
+    """Family parameter outside its admissible range (bad input: exit 2)."""
 
 
 class NumericInversionFailure(SchwarzlabError):

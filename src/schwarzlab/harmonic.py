@@ -311,12 +311,19 @@ class HarmonicField:
     `value_and_gradient_many` is the one gradient path (one Poisson pass for
     the Poisson-backed fields); `gradient_many` is that call without the
     values.
+
+    `value_and_gradient_many` remembers its last call, keyed on the points'
+    shape and bytes, so checks that evaluate one grid in turn (the gradient
+    bound, then the unimodal bound, on a cached `solved_field`) pay for one
+    pass.  Its arrays are read-only, since a repeat call returns the same
+    ones.
     """
 
     def __init__(self, value_many: Callable, value_and_gradient_many: Callable,
                  metric: Optional[Metric1D] = None, name: str = "field"):
         self._value_many = value_many
         self._value_and_gradient_many = value_and_gradient_many
+        self._last = None   # ((shape, bytes) of the points, read-only results)
         self.metric = metric
         self.name = name
 
@@ -324,7 +331,14 @@ class HarmonicField:
         return self._value_many(_complex_points(z))
 
     def value_and_gradient_many(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._value_and_gradient_many(_complex_points(z))
+        z = _complex_points(z)
+        key = (z.shape, z.tobytes())
+        if self._last is None or self._last[0] != key:
+            out = tuple(np.asarray(q).view() for q in self._value_and_gradient_many(z))
+            for q in out:
+                q.flags.writeable = False
+            self._last = key, out
+        return self._last[1]
 
     def gradient_many(self, z) -> tuple[np.ndarray, np.ndarray]:
         _, gx, gy = self.value_and_gradient_many(z)
@@ -352,7 +366,7 @@ def analytic_field(value: Callable, grad: Callable,
     return HarmonicField(value_many, value_and_gradient_many, metric=metric, name=name)
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=8)
 def solved_field(metric: Metric1D, boundary: BoundaryData,
                  tols: Tolerances = DEFAULT) -> HarmonicField:
     """Lift boundary data to the metric-harmonic solution via H.

@@ -355,11 +355,31 @@ def inverse_H(metric: Metric1D, t: float, tols: Tolerances = DEFAULT) -> float:
 _TABLE_CELLS = 4096
 
 
-class HTransform:
-    """Cumulative table for H with vectorized evaluation and inversion.
+def _primitive_matrix(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(n, n + 1) map from values at the n Gauss nodes of [-1, 1] to the power
+    coefficients in s of the primitive, from s = -1, of their interpolant.
 
-    Built once per (metric, tolerances); agrees with transform_H to the
-    quadrature tolerance (tested).  h() and h_inv() accept numpy arrays.
+    Values -> Legendre coefficients (the discrete transform is exact for the
+    degree n - 1 interpolant) -> primitive from -1 -> powers of s.
+    """
+    leg = np.polynomial.legendre
+    n = len(nodes)
+    to_legendre = leg.legvander(nodes, n - 1) * (weights[:, None] * (np.arange(n) + 0.5))
+    return np.array([leg.leg2poly(leg.legint(row, lbnd=-1.0)) for row in to_legendre])
+
+
+class HTransform:
+    """Per-cell polynomial table of H with vectorized evaluation and inversion.
+
+    Built once per (metric, tolerances): R is sampled at the 12 Gauss nodes
+    of each of `_TABLE_CELLS` uniform cells.  The node values H(node) are the
+    cumulative Gauss sums; in each cell, H(u) - H(node) is the primitive of
+    the degree-11 interpolant of those 12 samples, stored as its 13 power
+    coefficients in s = (u - mid) / half.  h() is a cell lookup and a Horner
+    sum; h_inv() is bracketed Newton in the point's cell, with the residual
+    and the slope from the same polynomial, so neither calls the density
+    after the build.  Agrees with transform_H to the quadrature tolerance
+    (tested).  h() and h_inv() accept numpy arrays.
 
     For densities of infinite mass the centered H of the unit interval does
     not exist, but the primitive is still strictly increasing, so a table
@@ -368,6 +388,7 @@ class HTransform:
     """
 
     _GL_NODES, _GL_WEIGHTS = gauss_legendre(12)
+    _PRIMITIVE = _primitive_matrix(_GL_NODES, _GL_WEIGHTS)
 
     def __init__(self, metric: Metric1D, tols: Tolerances = DEFAULT,
                  lo: float = -1.0, hi: float = 1.0, normalized: bool = True):
@@ -382,11 +403,15 @@ class HTransform:
             if not (-1.0 <= lo < 0.0 < hi <= 1.0):
                 raise DomainError("range table needs lo < 0 < hi inside [-1, 1]")
             self.r = math.nan
-        nodes = np.linspace(lo, hi, _TABLE_CELLS + 1)
-        piece = segments_gauss(metric.density, nodes[:-1, None], nodes[1:, None],
-                               self._GL_NODES, self._GL_WEIGHTS)
+        self._nodes = nodes = np.linspace(lo, hi, _TABLE_CELLS + 1)
+        mid, half = self._cell_frames(np.arange(_TABLE_CELLS))
+        values = np.asarray(metric.density(mid[:, None] + half[:, None] * self._GL_NODES),
+                            float)
+        # each cell's Gauss sum, in segments_gauss's order of operations so
+        # that the node values H(node) stay bit for bit what they were
+        piece = np.sum(values * self._GL_WEIGHTS, axis=-1) * half
         cum = np.concatenate([[0.0], np.cumsum(piece)])
-        self._nodes = nodes
+        self._coef = half[:, None] * (values @ self._PRIMITIVE)
         if normalized:
             # H(u) = C(u) - r with C the cumulative integral from -1;
             # recenter at the exact H(0) = (B - A)/2 to kill cumulative drift
@@ -401,15 +426,32 @@ class HTransform:
                 tol=tols.quad_abs_tol, ceiling=tols.quad_ceiling)
             self._h_nodes = cum - offset
 
+    def _cell_frames(self, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Midpoint and half-width of the given cells."""
+        lo, hi = self._nodes[cell], self._nodes[cell + 1]
+        return 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+    def _local(self, cell: np.ndarray, u: np.ndarray, slope: bool = False):
+        """H(u) - H(node) in each point's cell, and with `slope` also H'(u)."""
+        mid, half = self._cell_frames(cell)
+        s = (u - mid) / half
+        rows = self._coef[cell]
+        acc = rows[:, -1].copy()
+        d_acc = np.zeros_like(acc) if slope else None
+        for j in range(rows.shape[1] - 2, -1, -1):
+            if slope:
+                d_acc *= s
+                d_acc += acc
+            acc *= s
+            acc += rows[:, j]
+        return (acc, d_acc / half) if slope else acc
+
     def h(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, float)
         flat = np.ravel(u)
-        idx = np.clip(np.searchsorted(self._nodes, flat, side="right") - 1,
-                      0, len(self._nodes) - 2)
-        base = self._nodes[idx]
-        local = segments_gauss(self.metric.density, base[:, None], flat[:, None],
-                               self._GL_NODES, self._GL_WEIGHTS)
-        return (self._h_nodes[idx] + local).reshape(u.shape)
+        cell = np.clip(np.searchsorted(self._nodes, flat, side="right") - 1,
+                       0, _TABLE_CELLS - 1)
+        return (self._h_nodes[cell] + self._local(cell, flat)).reshape(u.shape)
 
     def h_inv(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, float)
@@ -419,12 +461,13 @@ class HTransform:
                 raise OutOfRange("target outside (-r, r)")
         elif np.any(flat <= self._h_nodes[0]) or np.any(flat >= self._h_nodes[-1]):
             raise OutOfRange("target outside the tabulated transform range")
-        j = np.clip(np.searchsorted(self._h_nodes, flat), 1, len(self._nodes) - 1)
-        lo = self._nodes[j - 1].copy()
-        hi = self._nodes[j].copy()
+        # every Newton iterate stays in the cell of its target
+        cell = np.clip(np.searchsorted(self._h_nodes, flat), 1, _TABLE_CELLS) - 1
+        base = self._h_nodes[cell]
+        lo = self._nodes[cell]
+        hi = self._nodes[cell + 1]
         u = lo + (hi - lo) * np.clip(
-            (flat - self._h_nodes[j - 1])
-            / np.maximum(self._h_nodes[j] - self._h_nodes[j - 1], 1e-300),
+            (flat - base) / np.maximum(self._h_nodes[cell + 1] - base, 1e-300),
             0.0, 1.0)
         scale = self.r if self.normalized else float(np.max(np.abs(self._h_nodes)))
         target = self.tols.inverse_rel_tol * scale
@@ -434,16 +477,16 @@ class HTransform:
         live = np.arange(flat.size)
         for _ in range(80):
             ul = u[live]
-            res = self.h(ul) - flat[live]
+            local, dens = self._local(cell[live], ul, slope=True)
+            res = (base[live] + local) - flat[live]
             # written so that a NaN residual counts as not converged
             moving = ~(np.abs(res) <= target)
             if not np.any(moving):
                 break
-            live, ul, res = live[moving], ul[moving], res[moving]
+            live, ul, res, dens = live[moving], ul[moving], res[moving], dens[moving]
             above = res > 0
             hl = np.where(above, ul, hi[live])
             ll = np.where(above, lo[live], ul)
-            dens = np.asarray(self.metric.density(ul), float)
             with np.errstate(divide="ignore", invalid="ignore"):
                 newton = ul - res / dens
             bad = ~np.isfinite(newton) | (newton <= ll) | (newton >= hl)
@@ -456,7 +499,7 @@ class HTransform:
         return u.reshape(t.shape)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=16)
 def transform_table(metric: Metric1D, tols: Tolerances = DEFAULT) -> HTransform:
     return HTransform(metric, tols)
 

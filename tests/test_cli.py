@@ -310,6 +310,24 @@ def test_non_numeric_spec_parameter_exits_2(specs, capsys, kind, spec):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["curvature", "--metric", {"kind": "constant", "params": {"value": -1}}],
+    ["curvature", "--metric", {"kind": "lemma_psi_family", "params": {"a": 0.5, "s": 2}}],
+    ["sweep", "--family", "r-ratio", "--k-max", "0"],
+])
+def test_parameter_out_of_range_exits_2(specs, capsys, argv):
+    spec = specs["dir"] / "out-of-range.json"
+    argv = list(argv)
+    if isinstance(argv[-1], dict):
+        spec.write_text(json.dumps(argv[-1]))
+        argv[-1] = str(spec)
+    out = specs["dir"] / "o25"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (out / "summary.json").exists()
+
+
 def test_internal_value_error_is_not_an_input_error(specs, monkeypatch):
     import schwarzlab.cli as cli
 

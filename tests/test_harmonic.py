@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schwarzlab.harmonic as harmonic
-from schwarzlab.bounds import check_gradient_bound, random_disk_pairs, ring_grid
+from schwarzlab.bounds import (check_gradient_bound, check_unimodal_bounds,
+                               random_disk_pairs, ring_grid)
 from schwarzlab.errors import (InvalidInput, NoConvergence, OutsideDisk,
                                StencilOutsideDisk)
 from schwarzlab.harmonic import (BoundaryData, analytic_field,
@@ -20,8 +22,9 @@ from schwarzlab.harmonic import (BoundaryData, analytic_field,
                                  random_smooth_boundary,
                                  random_symmetric_boundary, solved_field,
                                  step_boundary)
-from schwarzlab.metrics import (Metric1D, constant_metric, cosine_metric,
-                                exponential_metric, hyperbolic_metric)
+from schwarzlab.metrics import (HTransform, Metric1D, constant_metric,
+                                cosine_metric, exponential_metric,
+                                hyperbolic_metric)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +303,48 @@ def test_gradient_bound_makes_one_pass_of_each_kind(monkeypatch):
     calls.clear()
     euclidean_field(boundary).value_and_gradient_many(ring_grid())
     assert calls == ["poisson_value_and_gradient"]
+    # the unimodal bound on the same grid reuses the gradient bound's lift;
+    # its own passes are the origin and the radial spokes
+    calls.clear()
+    other = random_smooth_boundary(14)
+    check_gradient_bound(metric, other)
+    check_unimodal_bounds(metric, other)
+    assert calls == ["poisson_value_and_gradient", "poisson_values", "poisson_values"]
+
+
+def test_value_and_gradient_remembers_its_last_points(monkeypatch):
+    field = solved_field(cosine_metric(), random_smooth_boundary(21))
+    calls = []
+    original = harmonic.poisson_value_and_gradient
+
+    def counted(b, z):
+        calls.append(np.size(z))
+        return original(b, z)
+
+    monkeypatch.setattr(harmonic, "poisson_value_and_gradient", counted)
+    z = ring_grid(6, 16, 0.9)
+    first = field.value_and_gradient_many(z)
+    again = field.value_and_gradient_many(z.copy())
+    assert calls == [96]
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    assert not any(q.flags.writeable for q in again)
+    with pytest.raises(ValueError):
+        again[0][0] = 0.0
+    # other points, or the same points in another shape, are evaluated anew
+    moved = field.value_and_gradient_many(0.5 * z)
+    assert calls == [96, 96]
+    assert not np.array_equal(moved[0], first[0])
+    assert field.value_and_gradient_many(z.reshape(6, 16))[0].shape == (6, 16)
+    assert calls == [96, 96, 96]
+
+
+def test_lift_caches_hold_a_bounded_number_of_tables():
+    # each fresh metric object keys a new table; the caches keep only their
+    # working set alive
+    for seed in range(40):
+        solved_field(cosine_metric(), random_smooth_boundary(seed))
+    gc.collect()
+    assert sum(isinstance(obj, HTransform) for obj in gc.get_objects()) <= 24
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from schwarzlab.metrics import (HTransform, Metric1D, constant_metric,
                                 mollified_density_exact, mollify, secant_metric,
                                 tabulated_metric, tent_metric, transform_H,
                                 transform_table)
+from schwarzlab.quadrature import gauss_legendre, segments_gauss
 
 INTERIOR = np.linspace(-0.97, 0.97, 99)
 
@@ -262,25 +264,125 @@ def test_table_inverse_raises_when_newton_stalls():
         tab.h_inv(np.linspace(-0.9, 0.9, 31) * tab.r)
 
 
+def _linear_start(tab, t):
+    """h_inv's first iterate: linear interpolation of H in the target's cell."""
+    j = np.clip(np.searchsorted(tab._h_nodes, t), 1, len(tab._nodes) - 1)
+    lo, hi = tab._nodes[j - 1], tab._nodes[j]
+    h_lo, h_hi = tab._h_nodes[j - 1], tab._h_nodes[j]
+    return lo, hi, lo + (hi - lo) * np.clip(
+        (t - h_lo) / np.maximum(h_hi - h_lo, 1e-300), 0.0, 1.0)
+
+
 def test_table_inverse_leaves_converged_points_alone(monkeypatch):
-    # the linear start already meets the target on this smooth table; a
-    # point within target must not be moved again (it used to be bisected
-    # half a cell away, so the loop ran ~30 rounds)
+    # a point within target must not be moved again (it used to be bisected
+    # half a cell away, so the loop ran ~30 rounds); one Newton round is one
+    # evaluation of the cell polynomials
     tab = HTransform(mollify(psi_family(0.25, 0.6), 0.05))
     us = np.random.default_rng(0).uniform(-0.99, 0.99, 5000)
     ts = tab.h(us)
-    calls = []
-    h = HTransform.h
+    rounds = []
+    local = HTransform._local
 
-    def counted(self, u):
-        calls.append(np.size(u))
-        return h(self, u)
+    def counted(self, cell, u, slope=False):
+        rounds.append(np.size(u))
+        return local(self, cell, u, slope)
 
-    monkeypatch.setattr(HTransform, "h", counted)
+    monkeypatch.setattr(HTransform, "_local", counted)
     back = tab.h_inv(ts)
     monkeypatch.undo()
-    assert len(calls) <= 4
-    assert np.max(np.abs(tab.h(back) - ts)) <= tab.tols.inverse_rel_tol * tab.r
+    assert 2 <= len(rounds) <= 4
+    target = tab.tols.inverse_rel_tol * tab.r
+    assert np.max(np.abs(tab.h(back) - ts)) <= target
+    # on the flat wings H is linear, so the linear start already meets the
+    # target there; those points come back exactly as they started
+    _, _, start = _linear_start(tab, ts)
+    met = np.abs(tab.h(start) - ts) <= 0.5 * target
+    assert np.count_nonzero(met) >= 1000
+    assert np.array_equal(back[met], start[met])
+
+
+def _gauss_h(tab, u):
+    """H by a fresh 12-point Gauss sum from the cell edge to each point.
+
+    The table's evaluation before it stored per-cell polynomials.
+    """
+    u = np.asarray(u, float)
+    cell = np.clip(np.searchsorted(tab._nodes, u, side="right") - 1,
+                   0, len(tab._nodes) - 2)
+    local = segments_gauss(tab.metric.density, tab._nodes[cell][:, None], u[:, None],
+                           *gauss_legendre(12))
+    return tab._h_nodes[cell] + local
+
+
+def _gauss_h_inv(tab, t):
+    """Bracketed Newton on `_gauss_h` with the density as the slope.
+
+    The table's inversion before it stored per-cell polynomials.
+    """
+    lo, hi, u = _linear_start(tab, t)
+    scale = tab.r if tab.normalized else np.max(np.abs(tab._h_nodes))
+    live = np.arange(t.size)
+    for _ in range(80):
+        ul = u[live]
+        res = _gauss_h(tab, ul) - t[live]
+        moving = ~(np.abs(res) <= tab.tols.inverse_rel_tol * scale)
+        if not np.any(moving):
+            return u
+        live, ul, res = live[moving], ul[moving], res[moving]
+        above = res > 0
+        hl = np.where(above, ul, hi[live])
+        ll = np.where(above, lo[live], ul)
+        newton = ul - res / tab.metric.density(ul)
+        bad = ~np.isfinite(newton) | (newton <= ll) | (newton >= hl)
+        u[live] = np.where(bad, 0.5 * (ll + hl), newton)
+        lo[live], hi[live] = ll, hl
+    raise AssertionError("reference inversion did not converge")
+
+
+# the first two smoothed tents of the acceptance suite's certified list
+TABLE_TENTS = [(0.25, 0.6), (0.5, 0.5)]
+
+
+@pytest.fixture(scope="module")
+def smooth_tables():
+    tables = {name: HTransform(m) for name, m in [
+        ("cosine", cosine_metric()), ("exponential(1)", exponential_metric(1.0)),
+        ("exponential(-2)", exponential_metric(-2.0)), ("constant", constant_metric())]}
+    for a, s in TABLE_TENTS:
+        tables[f"tent({a}, {s})"] = HTransform(mollify(psi_family(a, s), 0.05))
+    tables["hyperbolic range"] = HTransform(hyperbolic_metric(), lo=-0.9, hi=0.9,
+                                            normalized=False)
+    return tables
+
+
+def test_table_polynomials_match_the_gauss_sums(smooth_tables):
+    rng = np.random.default_rng(3)
+    for name, tab in smooth_tables.items():
+        lo, hi = tab._nodes[0], tab._nodes[-1]
+        us = rng.uniform(lo, hi, 4000)
+        assert np.max(np.abs(tab.h(us) - _gauss_h(tab, us))) <= 1e-15, name
+        ts = _gauss_h(tab, rng.uniform(0.999 * lo, 0.999 * hi, 4000))
+        assert np.max(np.abs(tab.h_inv(ts) - _gauss_h_inv(tab, ts))) <= 1e-15, name
+        # one (cells, 13) coefficient array beside the node arrays
+        assert tab._coef.shape == (len(tab._nodes) - 1, 13)
+
+
+def test_table_makes_no_density_call_after_the_build(smooth_tables):
+    for name in ("cosine", "tent(0.5, 0.5)"):
+        base = smooth_tables[name].metric
+        calls = []
+
+        def density(u, _base=base):
+            calls.append(np.size(u))
+            return _base.density(u)
+
+        tab = HTransform(dataclasses.replace(base, density=density))
+        assert calls
+        calls.clear()
+        us = np.linspace(-0.99, 0.99, 301)
+        tab.h_inv(tab.h(us))
+        tab.h(us.reshape(7, 43))
+        assert calls == [], name
 
 
 def test_range_table_for_infinite_mass():
