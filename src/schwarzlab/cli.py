@@ -70,8 +70,12 @@ def _load_json(path: str) -> dict:
         raise InvalidInput(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _metric(args: argparse.Namespace):
-    return metrics_mod.metric_from_json(_load_json(args.metric))
+def _metric(args: argparse.Namespace, unit_domain: bool = False):
+    """The --metric spec; with `unit_domain`, only a metric on (-1, 1)."""
+    metric = metrics_mod.metric_from_json(_load_json(args.metric))
+    if unit_domain:
+        metrics_mod.require_unit_domain(metric)
+    return metric
 
 
 def _boundary(args: argparse.Namespace, tols: Tolerances):
@@ -104,24 +108,21 @@ def _run_curvature(args, tols: Tolerances, out: Path):
 
 
 def _run_transform(args, tols: Tolerances, out: Path):
-    metric = _metric(args)
+    metric = _metric(args, unit_domain=True)
     n = args.grid_n
-    r = metrics_mod.mass(metric, tols=tols)
+    table = metrics_mod.transform_table(metric, tols)
     grid = np.linspace(-1.0 + 1e-6, 1.0 - 1e-6, n)
-    hv = [metrics_mod.transform_H(metric, float(u), tols=tols) for u in grid]
-    _write_csv(out / "transform.csv", ["u", "H"], zip(grid, hv))
+    _write_csv(out / "transform.csv", ["u", "H"], zip(grid, table.h(grid)))
     rng = np.random.default_rng(args.seed)
     probes = rng.uniform(-0.99, 0.99, 32)
-    round_trip = max(abs(metrics_mod.inverse_H(
-        metric, metrics_mod.transform_H(metric, float(u), tols=tols), tols=tols) - u)
-        for u in probes)
-    summary = {"metric": metric.name, "mass": r, "grid_n": n,
+    round_trip = np.max(np.abs(table.h_inv(table.h(probes)) - probes))
+    summary = {"metric": metric.name, "mass": table.r, "grid_n": n,
                "round_trip_max_error": float(round_trip)}
     return 0, summary
 
 
 def _run_solve(args, tols: Tolerances, out: Path):
-    metric = _metric(args)
+    metric = _metric(args, unit_domain=True)
     boundary = _boundary(args, tols)
     grid = harmonic_mod.fd_solve_oracle(metric, boundary, args.grid_n, tols=tols)
     grid.to_csv(out / "solution.csv")
@@ -140,7 +141,7 @@ def _run_solve(args, tols: Tolerances, out: Path):
 
 
 def _run_check_bounds(args, tols: Tolerances, out: Path):
-    metric = _metric(args)
+    metric = _metric(args, unit_domain=True)
     boundary = _boundary(args, tols)
     grid = bounds_mod.ring_grid(tols.grid_radii, tols.grid_angles, tols.grid_radius)
     gradient = bounds_mod.check_gradient_bound(metric, boundary, grid, tols=tols)
@@ -341,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("lemma", help="randomized scalar-lemma oracles")
     common(sp, _run_lemma)
     sp.add_argument("--which", required=True, choices=["diffeo", "unimodal"])
-    sp.add_argument("--trials", type=int, default=10000)
+    sp.add_argument("--trials", type=_int_at_least(1), default=10000)
 
     sp = sub.add_parser("sweep", help="sharpness sweeps as CSV")
     common(sp, _run_sweep, tolerances=False)

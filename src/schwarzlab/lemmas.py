@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import InvalidInput, ParameterOutOfRange, PreconditionViolated
-from .metrics import Metric1D, mass, transform_H
+from .metrics import Metric1D, mass, transform_table
 
 
 @dataclass(frozen=True)
@@ -201,17 +201,16 @@ def unimodal_slack(metric: Metric1D, v, tols: Tolerances = DEFAULT):
 
     slack = (pi / 2r)(1 - |v|) R(v) - sin(pi * integral_v^1 R / (2r)).
 
-    Takes a float or an array of v and returns the same shape.  The tail
-    integral is the scalar adaptive `transform_H` at each v: the transform
-    table misses tent corners between its nodes by more than slack_tol.
+    Takes a float or an array of v and returns the same shape.  The mass and
+    the tail integral r - H(v) come from the transform table, whose cells
+    split at the metric's knots, so tent corners fall on cell edges.
     """
     if not check_unimodal(metric):
         raise PreconditionViolated("density is not unimodal (sampled R' sign check)")
     v = np.asarray(v, float)
     metric.require_inside(v)
     r = mass(metric, tols=tols)
-    h = np.array([transform_H(metric, u, tols=tols) for u in v.ravel()])
-    tail = r - h.reshape(v.shape)  # integral of R over (v, 1)
+    tail = r - transform_table(metric, tols).h(v)  # integral of R over (v, 1)
     rhs = math.pi / (2.0 * r) * (1.0 - np.abs(v)) * np.asarray(metric.density(v), float)
     slack = rhs - np.sin(math.pi * tail / (2.0 * r))
     return float(slack) if slack.ndim == 0 else slack

@@ -4,7 +4,10 @@ A metric here is a positive density on an open interval, carrying its first
 (and optionally second) derivative.  The module computes Gaussian curvature
 of the associated strip metric, the mass r = (1/2) * integral of R over
 (-1, 1), the centered primitive H and its inverse, log-concavity
-diagnostics, and mollification of piecewise densities.
+diagnostics, and mollification of piecewise densities.  The mass, H, its
+inverse and the divergence verdict all come from one table of Gauss cells
+(`HTransform`); the scalar adaptive `transform_H` and `inverse_H` are kept
+as the test oracle.
 """
 
 from __future__ import annotations
@@ -29,9 +32,11 @@ from .quadrature import (adaptive_simpson, gauss_legendre,
 class Metric1D:
     """Positive density on the open interval (domain_lo, domain_hi).
 
-    density/d_density/d2_density accept floats or numpy arrays.  Instances
-    are immutable; expensive derived quantities (mass parts, transform
-    tables) are memoized per instance in module-level caches.
+    density/d_density/d2_density accept floats or numpy arrays.  `knots`
+    lists the points where the density is not smooth (a tent's corners, a
+    spline's nodes); the transform table splits its cells there.  Instances
+    are immutable; expensive derived quantities (transform tables,
+    divergence verdicts) are memoized per instance in module-level caches.
     """
     domain_lo: float
     domain_hi: float
@@ -40,6 +45,7 @@ class Metric1D:
     d2_density: Optional[Callable] = None
     name: str = "metric"
     claims_nonneg_curvature: bool = False
+    knots: tuple = ()
 
     def require_inside(self, u) -> None:
         """Raise DomainError unless every element of u lies in the open domain."""
@@ -48,11 +54,6 @@ class Metric1D:
         if np.any(outside):
             raise DomainError(f"{float(u[outside][0])!r} outside the open interval "
                               f"({self.domain_lo}, {self.domain_hi})")
-
-
-def _require_unit_domain(metric: Metric1D) -> None:
-    if metric.domain_lo != -1.0 or metric.domain_hi != 1.0:
-        raise DomainError("operation requires the domain (-1, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +141,17 @@ def half_plane_metric() -> Metric1D:
 def tent_metric(a: float, s: float) -> Metric1D:
     """Density psi'(a, s) of the concave tent map: an even tent with flat wings.
 
-    Its derivative is continuous but has corners at |u| in {0, s}, so no
-    second derivative is attached.
+    The density has corners at |u| in {0, s}, its knots, so no second
+    derivative is attached.
     """
     from .lemmas import ConcaveTentMap   # lemmas imports this module
     psi = ConcaveTentMap(a, s)
-    return Metric1D(-1.0, 1.0, psi.deriv, psi.second_deriv, None, name=psi.label)
+    return Metric1D(-1.0, 1.0, psi.deriv, psi.second_deriv, None, name=psi.label,
+                    knots=(-psi.s, 0.0, psi.s))
 
 
 def tabulated_metric(u: Sequence[float], R: Sequence[float]) -> Metric1D:
-    """Monotone-cubic interpolant through sampled (u, R) pairs."""
+    """Monotone-cubic interpolant through sampled (u, R) pairs, knotted at u."""
     from scipy.interpolate import PchipInterpolator
     try:
         u, R = np.asarray(u, float), np.asarray(R, float)
@@ -163,7 +165,7 @@ def tabulated_metric(u: Sequence[float], R: Sequence[float]) -> Metric1D:
         raise InvalidInput("tabulated density must be positive")
     interp = PchipInterpolator(u, R)
     return Metric1D(float(u[0]), float(u[-1]), interp, interp.derivative(), None,
-                    name="tabulated")
+                    name="tabulated", knots=tuple(u[1:-1]))
 
 
 def metric_from_json(spec: dict) -> Metric1D:
@@ -275,84 +277,19 @@ def log_concavity_report(metric: Metric1D, grid: Sequence[float],
 
 
 # ---------------------------------------------------------------------------
-# mass and the centered primitive H
+# mass and the centered primitive H: one table of Gauss cells
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=256)
-def _mass_parts(metric: Metric1D, quad_tol: float, ceiling: float) -> tuple[float, float] | str:
-    """A = integral over (0, 1), B = over (-1, 0), or the divergence message.
-
-    lru_cache does not cache exceptions, so a NonIntegrable verdict is kept
-    as its message for `_half_masses` to raise anew.
-    """
-    try:
-        A = integrate_to_endpoint(lambda t: float(metric.density(t)), 0.0, 1.0,
-                                  tol=quad_tol, ceiling=ceiling)
-        B = integrate_to_endpoint(lambda t: float(metric.density(-t)), 0.0, 1.0,
-                                  tol=quad_tol, ceiling=ceiling)
-    except NonIntegrable as exc:
-        return str(exc)
-    return A, B
-
-
-def _half_masses(metric: Metric1D, tols: Tolerances) -> tuple[float, float]:
-    parts = _mass_parts(metric, tols.quad_abs_tol, tols.quad_ceiling)
-    if isinstance(parts, str):
-        # a fresh instance each time: re-raising one would grow its traceback
-        raise NonIntegrable(parts)
-    return parts
-
-
-def mass(metric: Metric1D, tols: Tolerances = DEFAULT) -> float:
-    """r = (1/2) * integral of R over (-1, 1)."""
-    _require_unit_domain(metric)
-    A, B = _half_masses(metric, tols)
-    return 0.5 * (A + B)
-
-
-def transform_H(metric: Metric1D, u: float, tols: Tolerances = DEFAULT) -> float:
-    """Centered primitive H(u) = -(A - B)/2 + integral of R from 0 to u."""
-    _require_unit_domain(metric)
-    u = float(u)
-    metric.require_inside(u)
-    A, B = _half_masses(metric, tols)
-    core = adaptive_simpson(lambda t: float(metric.density(t)), 0.0, u,
-                            tol=tols.quad_abs_tol, ceiling=tols.quad_ceiling)
-    return -0.5 * (A - B) + core
-
-
-def inverse_H(metric: Metric1D, t: float, tols: Tolerances = DEFAULT) -> float:
-    """The unique u in (-1, 1) with H(u) = t, for t strictly inside (-r, r)."""
-    r = mass(metric, tols=tols)
-    t = float(t)
-    if abs(t) >= r:
-        raise OutOfRange(f"target {t} outside (-r, r) with r = {r}")
-    lo, hi = -1.0 + 1e-14, 1.0 - 1e-14
-    u = 0.0
-    h_u = transform_H(metric, u, tols=tols)
-    target_tol = tols.inverse_rel_tol * r
-    for _ in range(120):
-        if abs(h_u - t) <= target_tol:
-            return u
-        if h_u < t:
-            lo = u
-        else:
-            hi = u
-        density = float(metric.density(u))
-        candidate = u - (h_u - t) / density if density > 0 else math.nan
-        u = candidate if (math.isfinite(candidate) and lo < candidate < hi) else 0.5 * (lo + hi)
-        h_u = transform_H(metric, u, tols=tols)
-    if abs(h_u - t) <= 10 * target_tol:
-        return u
-    raise OutOfRange(f"inversion stalled at |H(u)-t| = {abs(h_u - t):.3e}")
-
-
-# ---------------------------------------------------------------------------
-# fast vectorized H tables for the solvers
-# ---------------------------------------------------------------------------
-
-# cells of an HTransform table
+# uniform cells of an HTransform table
 _TABLE_CELLS = 4096
+# the end cells of a unit table are graded into dyadic slices [1 - 2d, 1 - d]
+# down to d = 2^-_FINEST: the Gauss nodes of the last cell [1 - d, 1] then
+# still lie below 1, and a slice still holds 2^7 doubles
+_FINEST = 46
+# the divergence verdict reads the dyadic slices from d = 2^-_COARSEST on;
+# coarse slices keep a power-law tail's ratio clear of the rounding of u
+# near the endpoint, which drifts the ratios of fine slices
+_COARSEST = 3
 
 
 def _primitive_matrix(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -368,63 +305,205 @@ def _primitive_matrix(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.array([leg.leg2poly(leg.legint(row, lbnd=-1.0)) for row in to_legendre])
 
 
+_GL_NODES, _GL_WEIGHTS = gauss_legendre(12)
+_PRIMITIVE = _primitive_matrix(_GL_NODES, _GL_WEIGHTS)
+
+
+def _gauss_cells(density: Callable, lo: np.ndarray,
+                 hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 12-point Gauss sum of R over each cell [lo, hi] and the (cells, 13)
+    power coefficients in s = (u - mid) / half of its primitive from lo.
+
+    The primitive integrates the interpolant of the 12 samples, so at s = 1
+    it is the cell's Gauss sum.
+    """
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    values = np.asarray(density(mid[:, None] + half[:, None] * _GL_NODES), float)
+    piece = np.sum(values * _GL_WEIGHTS, axis=-1) * half
+    return piece, half[:, None] * (values @ _PRIMITIVE)
+
+
+def _cumulative(piece: np.ndarray) -> np.ndarray:
+    """[0, running sums of piece], each step's rounding error added back.
+
+    Thousands of near-equal cells would otherwise drift by one rounding per
+    step (5.6e-14 in the mass of a tent with flat wings).  The error of
+    each step of the sequential sum is exact by TwoSum (Knuth).
+    """
+    cum = np.cumsum(piece)
+    prev = np.concatenate([[0.0], cum[:-1]])
+    back = cum - prev
+    err = (prev - (cum - back)) + (piece - back)
+    return np.concatenate([[0.0], cum + np.cumsum(err)])
+
+
+def _cell_edges(lo: float, hi: float, knots) -> np.ndarray:
+    """`_TABLE_CELLS` uniform cells of [lo, hi], split at 0 and at the knots."""
+    inner = [float(k) for k in knots if lo < k < hi]
+    return np.unique(np.concatenate([np.linspace(lo, hi, _TABLE_CELLS + 1), [0.0], inner]))
+
+
+def _end_verdict(slices, base: float, tol: float, ceiling: float):
+    """Where one end of a unit table stops, from its dyadic slice sums.
+
+    `slices[j]` integrates R over the slice toward the endpoint with outer
+    distance 2^-(_COARSEST + j), coarse to fine; `base` over the rest of the
+    half-interval.  The rule is that of `integrate_to_endpoint`: a slice
+    ratio q < 0.98 models the rest as a geometric tail piece * q / (1 - q).
+    Returns (j, tail, steady): the first slice past which the modelled tail
+    is below tol / 4 (steady False; tail None when the slice itself is below
+    tol / 64, so the last cell's Gauss sum stands), else the first slice
+    whose ratio is steady enough to extrapolate the tail within tol / 4 (an
+    integrable power-law blow-up; steady True), else the divergence message.
+    """
+    total = base
+    steady = None
+    for j, piece in enumerate(slices):
+        total += piece
+        if abs(total) > ceiling:
+            return f"integral estimate exceeded ceiling {ceiling:g}"
+        if abs(piece) < tol / 64.0:
+            return j, None, False
+        if j == 0 or slices[j - 1] == 0:
+            continue
+        q = abs(piece / slices[j - 1])
+        if q >= 0.98:
+            continue
+        tail = math.copysign(abs(piece) * q / (1.0 - q), piece)
+        if abs(tail) < tol / 4.0:
+            return j, tail, False
+        if steady is None and j >= 2 and slices[j - 2] != 0:
+            drift = abs(q - abs(slices[j - 1] / slices[j - 2]))
+            if drift < 1e-3 and abs(tail) * drift / max(1.0 - q, 0.02) < tol / 4.0:
+                steady = j, tail, True
+    return steady or "endpoint slices failed to decay; integral diverges"
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=16)
+def _unit_table(metric: Metric1D, quad_tol: float,
+                ceiling: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | str:
+    """Cell edges, cell polynomials, node values of H and the mass r of the
+    unit table, or the divergence message.
+
+    The uniform cells, split at the knots, have their two end cells graded
+    into dyadic slices, and `_end_verdict` reads each end's slices.  Past
+    the slice where it stops, one last cell, sampled anew, carries the
+    modelled tail: it replaces the slices beyond, or, for a steady power-law
+    tail, only the graded slices, and takes what the tail adds to the
+    uniform cells kept beyond the stop.  The cumulative sum of the cells is
+    H + r, so H(-1) = -r and H(1) = r.  lru_cache does not cache exceptions,
+    so a NonIntegrable verdict is kept as its message for the callers to
+    raise anew.
+    """
+    d = 0.5 ** np.arange(_COARSEST, _FINEST + 1)
+    graded = 1.0 - d[d < 2.0 / _TABLE_CELLS]
+    edges = np.unique(np.concatenate([_cell_edges(-1.0, 1.0, metric.knots),
+                                      graded, -graded]))
+    piece, coef = _gauss_cells(metric.density, edges[:-1], edges[1:])
+    if not np.all(np.isfinite(piece)):
+        return "non-finite quadrature values"
+    ends = []
+    # each end as the right end of the table seen from 0
+    for side, side_piece in ((edges, piece), (-edges[::-1], piece[::-1])):
+        marks = np.searchsorted(side, 1.0 - d)
+        zero = int(np.searchsorted(side, 0.0))
+        verdict = _end_verdict(np.add.reduceat(side_piece, marks)[:-1],
+                               side_piece[zero:marks[0]].sum(), quad_tol, ceiling)
+        if isinstance(verdict, str):
+            return verdict
+        j, tail, steady = verdict
+        stop = d[j + 1]
+        ends.append((stop, min(stop, 2.0 / _TABLE_CELLS) if steady else stop, tail))
+    (stop_hi, cut_hi, tail_hi), (stop_lo, cut_lo, tail_lo) = ends
+    i_lo = int(np.searchsorted(edges, -1.0 + cut_lo))
+    i_hi = int(np.searchsorted(edges, 1.0 - cut_hi))
+    edges = np.concatenate([[-1.0], edges[i_lo:i_hi + 1], [1.0]])
+    last_piece, last_coef = _gauss_cells(metric.density, edges[[0, -2]], edges[[1, -1]])
+    piece = np.concatenate([last_piece[:1], piece[i_lo:i_hi], last_piece[1:]])
+    coef = np.concatenate([last_coef[:1], coef[i_lo:i_hi], last_coef[1:]])
+    for tail, beyond, last in (
+            (tail_lo, slice(0, int(np.searchsorted(edges, -1.0 + stop_lo))), 0),
+            (tail_hi, slice(int(np.searchsorted(edges, 1.0 - stop_hi)), None), -1)):
+        if tail is not None:
+            # the last cell's polynomial keeps its shape
+            fixed = tail - (piece[beyond].sum() - piece[last])
+            coef[last] *= fixed / piece[last]
+            piece[last] = fixed
+    cum = _cumulative(piece)
+    zero = int(np.searchsorted(edges, 0.0))
+    if max(cum[zero], cum[-1] - cum[zero]) > ceiling:
+        return f"integral estimate exceeded ceiling {ceiling:g}"
+    r = 0.5 * cum[-1]
+    return _frozen(edges, coef, cum - r) + (r,)
+
+
+def require_unit_domain(metric: Metric1D) -> None:
+    """Raise InvalidInput unless the metric lives on (-1, 1), as r and H need."""
+    if metric.domain_lo != -1.0 or metric.domain_hi != 1.0:
+        raise InvalidInput(f"metric {metric.name} has the domain ({metric.domain_lo:g}, "
+                           f"{metric.domain_hi:g}); the mass and H need (-1, 1)")
+
+
+def _unit_cells(metric: Metric1D, tols: Tolerances):
+    require_unit_domain(metric)
+    built = _unit_table(metric, tols.quad_abs_tol, tols.quad_ceiling)
+    if isinstance(built, str):
+        # a fresh instance each time: re-raising one would grow its traceback
+        raise NonIntegrable(built)
+    return built
+
+
+def mass(metric: Metric1D, tols: Tolerances = DEFAULT) -> float:
+    """r = (1/2) * integral of R over (-1, 1): half the sum of the unit
+    table's cells, with any modelled endpoint tail."""
+    return _unit_cells(metric, tols)[-1]
+
+
 class HTransform:
     """Per-cell polynomial table of H with vectorized evaluation and inversion.
 
-    Built once per (metric, tolerances): R is sampled at the 12 Gauss nodes
-    of each of `_TABLE_CELLS` uniform cells.  The node values H(node) are the
-    cumulative Gauss sums; in each cell, H(u) - H(node) is the primitive of
-    the degree-11 interpolant of those 12 samples, stored as its 13 power
-    coefficients in s = (u - mid) / half.  h() is a cell lookup and a Horner
-    sum; h_inv() is bracketed Newton in the point's cell, with the residual
-    and the slope from the same polynomial, so neither calls the density
-    after the build.  Agrees with transform_H to the quadrature tolerance
-    (tested).  h() and h_inv() accept numpy arrays.
+    Built once per (metric, tolerances) from R at the 12 Gauss nodes of each
+    cell.  The unit table's cells are `_unit_table`'s: the uniform cells
+    split at the metric's knots, graded toward +-1 as far as the divergence
+    verdict needs; their cumulative sum is the mass r and the node values
+    H(node).  In each cell, H(u) - H(node) is the primitive of the degree-11
+    interpolant of the 12 samples, stored as its 13 power coefficients in
+    s = (u - mid) / half.  h() is a cell lookup and a Horner sum; h_inv() is
+    bracketed Newton in the point's cell, with the residual and the slope
+    from the same polynomial, so neither calls the density after the build.
+    Agrees with the scalar oracle transform_H (tested).  h() and h_inv()
+    accept numpy arrays.
 
     For densities of infinite mass the centered H of the unit interval does
     not exist, but the primitive is still strictly increasing, so a table
-    restricted to a compact value range (normalized=False, H(0) = 0) still
-    lifts boundary data whose values stay inside that range.
+    restricted to a compact value range (normalized=False, uniform cells of
+    [lo, hi] split at 0 and at the knots, H(0) = 0) still lifts boundary data
+    whose values stay inside that range.
     """
-
-    _GL_NODES, _GL_WEIGHTS = gauss_legendre(12)
-    _PRIMITIVE = _primitive_matrix(_GL_NODES, _GL_WEIGHTS)
 
     def __init__(self, metric: Metric1D, tols: Tolerances = DEFAULT,
                  lo: float = -1.0, hi: float = 1.0, normalized: bool = True):
-        _require_unit_domain(metric)
+        require_unit_domain(metric)
         self.metric = metric
         self.tols = tols
         self.normalized = normalized
         if normalized:
-            lo, hi = -1.0, 1.0
-            self.r = mass(metric, tols=tols)  # raises NonIntegrable early
-        else:
-            if not (-1.0 <= lo < 0.0 < hi <= 1.0):
-                raise DomainError("range table needs lo < 0 < hi inside [-1, 1]")
-            self.r = math.nan
-        self._nodes = nodes = np.linspace(lo, hi, _TABLE_CELLS + 1)
-        mid, half = self._cell_frames(np.arange(_TABLE_CELLS))
-        values = np.asarray(metric.density(mid[:, None] + half[:, None] * self._GL_NODES),
-                            float)
-        # each cell's Gauss sum, in segments_gauss's order of operations so
-        # that the node values H(node) stay bit for bit what they were
-        piece = np.sum(values * self._GL_WEIGHTS, axis=-1) * half
-        cum = np.concatenate([[0.0], np.cumsum(piece)])
-        self._coef = half[:, None] * (values @ self._PRIMITIVE)
-        if normalized:
-            # H(u) = C(u) - r with C the cumulative integral from -1;
-            # recenter at the exact H(0) = (B - A)/2 to kill cumulative drift
-            _, B = _half_masses(metric, tols)
-            self._h_nodes = cum - self.r
-            k0 = _TABLE_CELLS // 2
-            self._h_nodes += (B - self.r) - self._h_nodes[k0]
-        else:
-            k0 = int(np.searchsorted(nodes, 0.0))
-            offset = cum[k0] + adaptive_simpson(
-                lambda t: float(metric.density(t)), float(nodes[k0]), 0.0,
-                tol=tols.quad_abs_tol, ceiling=tols.quad_ceiling)
-            self._h_nodes = cum - offset
+            self._nodes, self._coef, self._h_nodes, self.r = _unit_cells(metric, tols)
+            return
+        if not (-1.0 <= lo < 0.0 < hi <= 1.0):
+            raise DomainError("range table needs lo < 0 < hi inside [-1, 1]")
+        self.r = math.nan
+        self._nodes = _cell_edges(lo, hi, metric.knots)
+        piece, self._coef = _gauss_cells(metric.density, self._nodes[:-1], self._nodes[1:])
+        cum = _cumulative(piece)
+        self._h_nodes = cum - cum[np.searchsorted(self._nodes, 0.0)]
 
     def _cell_frames(self, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Midpoint and half-width of the given cells."""
@@ -450,7 +529,7 @@ class HTransform:
         u = np.asarray(u, float)
         flat = np.ravel(u)
         cell = np.clip(np.searchsorted(self._nodes, flat, side="right") - 1,
-                       0, _TABLE_CELLS - 1)
+                       0, len(self._nodes) - 2)
         return (self._h_nodes[cell] + self._local(cell, flat)).reshape(u.shape)
 
     def h_inv(self, t: np.ndarray) -> np.ndarray:
@@ -462,7 +541,7 @@ class HTransform:
         elif np.any(flat <= self._h_nodes[0]) or np.any(flat >= self._h_nodes[-1]):
             raise OutOfRange("target outside the tabulated transform range")
         # every Newton iterate stays in the cell of its target
-        cell = np.clip(np.searchsorted(self._h_nodes, flat), 1, _TABLE_CELLS) - 1
+        cell = np.clip(np.searchsorted(self._h_nodes, flat), 1, len(self._nodes) - 1) - 1
         base = self._h_nodes[cell]
         lo = self._nodes[cell]
         hi = self._nodes[cell + 1]
@@ -505,24 +584,84 @@ def transform_table(metric: Metric1D, tols: Tolerances = DEFAULT) -> HTransform:
 
 
 # ---------------------------------------------------------------------------
+# the scalar oracle: adaptive Simpson one point at a time, for the tests
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=256)
+def _half_masses(metric: Metric1D, quad_tol: float, ceiling: float) -> tuple[float, float]:
+    """The oracle's A = integral over (0, 1) and B = over (-1, 0)."""
+    A = integrate_to_endpoint(lambda t: float(metric.density(t)), 0.0, 1.0,
+                              tol=quad_tol, ceiling=ceiling)
+    B = integrate_to_endpoint(lambda t: float(metric.density(-t)), 0.0, 1.0,
+                              tol=quad_tol, ceiling=ceiling)
+    return A, B
+
+
+def transform_H(metric: Metric1D, u: float, tols: Tolerances = DEFAULT) -> float:
+    """Centered primitive H(u) = -(A - B)/2 + integral of R from 0 to u."""
+    require_unit_domain(metric)
+    u = float(u)
+    metric.require_inside(u)
+    A, B = _half_masses(metric, tols.quad_abs_tol, tols.quad_ceiling)
+    core = adaptive_simpson(lambda t: float(metric.density(t)), 0.0, u,
+                            tol=tols.quad_abs_tol, ceiling=tols.quad_ceiling)
+    return -0.5 * (A - B) + core
+
+
+def inverse_H(metric: Metric1D, t: float, tols: Tolerances = DEFAULT) -> float:
+    """The unique u in (-1, 1) with H(u) = t, for t strictly inside (-r, r)."""
+    r = 0.5 * sum(_half_masses(metric, tols.quad_abs_tol, tols.quad_ceiling))
+    t = float(t)
+    if abs(t) >= r:
+        raise OutOfRange(f"target {t} outside (-r, r) with r = {r}")
+    lo, hi = -1.0 + 1e-14, 1.0 - 1e-14
+    u = 0.0
+    h_u = transform_H(metric, u, tols=tols)
+    target_tol = tols.inverse_rel_tol * r
+    for _ in range(120):
+        if abs(h_u - t) <= target_tol:
+            return u
+        if h_u < t:
+            lo = u
+        else:
+            hi = u
+        density = float(metric.density(u))
+        candidate = u - (h_u - t) / density if density > 0 else math.nan
+        u = candidate if (math.isfinite(candidate) and lo < candidate < hi) else 0.5 * (lo + hi)
+        h_u = transform_H(metric, u, tols=tols)
+    if abs(h_u - t) <= 10 * target_tol:
+        return u
+    raise OutOfRange(f"inversion stalled at |H(u)-t| = {abs(h_u - t):.3e}")
+
+
+# ---------------------------------------------------------------------------
 # mollification
 # ---------------------------------------------------------------------------
 
+def _raw_bump(z: np.ndarray) -> np.ndarray:
+    z = np.asarray(z, float)
+    inside = np.abs(z) < 1.0
+    zz = np.where(inside, z, 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(inside, np.exp(-1.0 / (1.0 - zz * zz)), 0.0)
+
+
+_MOLLIFY_GL = gauss_legendre(32)
+
+
+# extra z-splits so fixed-order Gauss handles the bump's flat endpoints
+_BUMP_SPLITS = np.array([-0.9, -0.5, 0.5, 0.9])
+
+
 @functools.lru_cache(maxsize=1)
 def _bump_norm() -> float:
-    return adaptive_simpson(lambda z: math.exp(-1.0 / (1.0 - z * z)) if abs(z) < 1 else 0.0,
-                            -1.0, 1.0, tol=1e-15, ceiling=10.0)
+    edges = np.concatenate([[-1.0], _BUMP_SPLITS, [1.0]])
+    return float(segments_gauss(_raw_bump, edges[:-1], edges[1:], *_MOLLIFY_GL))
 
 
 def bump(z: np.ndarray) -> np.ndarray:
     """Smooth even bump supported in (-1, 1) with unit integral."""
-    z = np.asarray(z, float)
-    inside = np.abs(z) < 1.0
-    out = np.zeros_like(z)
-    zz = np.where(inside, z, 0.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        out = np.where(inside, np.exp(-1.0 / (1.0 - zz * zz)), 0.0)
-    return out / _bump_norm()
+    return _raw_bump(z) / _bump_norm()
 
 
 def _reflected(psi_fn: Callable, x: np.ndarray) -> np.ndarray:
@@ -543,13 +682,6 @@ def _reflected_deriv(dpsi_fn: Callable, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, float)
     folded = np.where(x > 1.0, 2.0 - x, np.where(x < -1.0, -2.0 - x, x))
     return np.asarray(dpsi_fn(np.clip(folded, -1.0, 1.0)), float)
-
-
-_MOLLIFY_GL = gauss_legendre(32)
-
-
-# extra z-splits so fixed-order Gauss handles the bump's flat endpoints
-_BUMP_SPLITS = np.array([-0.9, -0.5, 0.5, 0.9])
 
 
 def _convolve_with_bump(fn: Callable, x: np.ndarray, epsilon: float,
@@ -602,7 +734,9 @@ def mollify(psi: Callable, epsilon: float, tols: Tolerances = DEFAULT,
     normalization: the smoothed map still sends 1 to 1 and stays odd), then
     its derivative is convolved with the scaled bump.  The convolution is
     sampled densely and carried as a cubic spline so downstream solvers can
-    evaluate the density cheaply; the spline is what the returned metric *is*.
+    evaluate the density cheaply; the spline is what the returned metric *is*,
+    and its nodes are the metric's knots, so the transform table integrates
+    it exactly even where the smoothed corners are narrower than a cell.
     """
     if not (0.0 < epsilon < 1.0):
         raise InvalidInput("epsilon must lie in (0, 1)")
@@ -628,4 +762,5 @@ def mollify(psi: Callable, epsilon: float, tols: Tolerances = DEFAULT,
                     lambda u: spline(np.asarray(u, float)),
                     lambda u: d_spline(np.asarray(u, float)),
                     None,
-                    name=f"mollified({label}, eps={epsilon:g})")
+                    name=f"mollified({label}, eps={epsilon:g})",
+                    knots=tuple(xs[1:-1]))

@@ -1,10 +1,15 @@
-"""Adaptive Simpson quadrature with divergence detection.
+"""Quadrature rules: fixed-order Gauss-Legendre, and adaptive Simpson as an oracle.
 
-The integrands here are metric densities: smooth in the interior but
-possibly unbounded at the open endpoints of their interval.  Interior
-integrals use plain adaptive Simpson; integrals up to an open endpoint
-refine toward it in dyadic slices and declare divergence when the slice
-contributions stop decaying or the running estimate blows past a ceiling.
+`gauss_legendre` and `segments_gauss` serve the package: the transform
+table in `metrics` sums 12-point Gauss cells, and the mollifier convolves
+with 32-point Gauss segments.
+
+`adaptive_simpson` and `integrate_to_endpoint` are the scalar test oracle
+for that table, one point at a time.  Interior integrals use plain
+adaptive Simpson; integrals up to an open endpoint refine toward it in
+dyadic slices and declare divergence when the slice contributions stop
+decaying or the running estimate blows past a ceiling.  The table's
+divergence verdict applies the same slice rule to its own graded cells.
 """
 
 from __future__ import annotations

@@ -272,7 +272,9 @@ def test_integer_tolerances_take_only_integral_values():
                                   ["sweep", "--family", "psi", "--n-max", "1"],
                                   ["curvature", "--metric", "m.json", "--grid-n", "0"],
                                   ["check-bounds", "--metric", "m.json",
-                                   "--boundary", "b.json", "--seed", "-1"]])
+                                   "--boundary", "b.json", "--seed", "-1"],
+                                  ["lemma", "--which", "unimodal", "--trials", "0"],
+                                  ["lemma", "--which", "diffeo", "--trials", "-3"]])
 def test_argparse_rejects_missing_or_unknown_choices(argv):
     with pytest.raises(SystemExit) as info:
         main(argv)
@@ -325,6 +327,24 @@ def test_parameter_out_of_range_exits_2(specs, capsys, argv):
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["transform", "solve", "check-bounds"])
+@pytest.mark.parametrize("spec", [
+    {"kind": "half_plane_one_minus_exp"},
+    {"kind": "tabulated", "u": [-0.5, 0.0, 0.5], "R": [1.0, 1.2, 1.0]},
+], ids=["half-plane", "tabulated-half-width"])
+def test_metric_off_the_unit_interval_exits_2(specs, capsys, subcommand, spec):
+    metric = specs["dir"] / "off-unit.json"
+    metric.write_text(json.dumps(spec))
+    argv = [subcommand, "--metric", str(metric)]
+    if subcommand != "transform":
+        argv += ["--boundary", specs["boundary"]]
+    out = specs["dir"] / "o26"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "(-1, 1)" in err and "Traceback" not in err
     assert not (out / "summary.json").exists()
 
 

@@ -145,32 +145,64 @@ def test_mass_divergent():
         mass(secant_metric())
 
 
-def test_divergence_verdict_is_cached(monkeypatch):
-    import schwarzlab.metrics as metrics
-    m = hyperbolic_metric()
+def _counted_density(base):
+    """`base` with a density that records the size of each call."""
+    calls = []
+
+    def density(u):
+        calls.append(np.size(u))
+        return base.density(u)
+
+    return dataclasses.replace(base, density=density), calls
+
+
+def test_divergence_verdict_is_cached():
+    m, calls = _counted_density(hyperbolic_metric())
     with pytest.raises(NonIntegrable) as first:
         mass(m)
-    calls = []
-    real = metrics.integrate_to_endpoint
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(metrics, "integrate_to_endpoint", counted)
+    assert calls
+    calls.clear()
     raised = []
-    for call in (mass, transform_table, mass):
+    for call in (mass, transform_table, HTransform, mass):
         with pytest.raises(NonIntegrable) as info:
             call(m)
         raised.append(info.value)
+    # a repeat verdict samples no density
     assert calls == []
     # each raise is a fresh exception carrying the cached message
-    assert len({id(exc) for exc in raised + [first.value]}) == 4
+    assert len({id(exc) for exc in raised + [first.value]}) == 5
     assert {str(exc) for exc in raised} == {str(first.value)}
     # the verdict is cached per quadrature tolerance, not per metric alone
     with pytest.raises(NonIntegrable):
         mass(m, tols=DEFAULT.replaced(quad_abs_tol=1e-10))
     assert calls
+
+
+def _power_blowup(alpha):
+    """R(u) = (1 - u)^(-alpha): mass 2^(1 - alpha) / (2 (1 - alpha)) for
+    alpha < 1, and a dyadic slice ratio of exactly 2^(alpha - 1) toward 1."""
+    return Metric1D(-1.0, 1.0, lambda u: (1.0 - np.asarray(u, float)) ** -alpha,
+                    lambda u: alpha * (1.0 - np.asarray(u, float)) ** (-alpha - 1.0),
+                    name=f"(1-u)^-{alpha:g}")
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.5, 0.75, 0.9])
+def test_power_blowup_mass_matches_the_closed_form(alpha):
+    closed = 2.0 ** (1.0 - alpha) / (2.0 * (1.0 - alpha))
+    assert abs(mass(_power_blowup(alpha)) - closed) <= 1e-14 * closed
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_power_blowup_diverges_from_alpha_one(alpha):
+    with pytest.raises(NonIntegrable, match="failed to decay"):
+        mass(_power_blowup(alpha))
+
+
+def test_power_blowup_just_below_one_is_declared_divergent():
+    # the mass is finite (100), but the slice ratio 2^-0.01 = 0.993 never
+    # drops below the rule's 0.98, so the verdict goes the divergent way
+    with pytest.raises(NonIntegrable, match="failed to decay"):
+        mass(_power_blowup(0.99))
 
 
 def test_transform_table_is_keyed_on_tolerances():
@@ -242,11 +274,44 @@ def test_inverse_contract_tolerance():
 # ---------------------------------------------------------------------------
 
 def test_table_matches_op():
-    for m in (cosine_metric(), exponential_metric(-2.0), constant_metric()):
+    # the scalar oracle runs at a tighter quadrature tolerance: at the default
+    # its own adaptive Simpson error reaches 4e-12 on the smoothed tents
+    oracle = DEFAULT.replaced(quad_abs_tol=1e-14)
+    u21 = np.linspace(-1.0, 1.0, 21)
+    families = [cosine_metric(), exponential_metric(-2.0), exponential_metric(1.5),
+                constant_metric(), tent_metric(2.0, 0.3), tent_metric(356.4, 0.05),
+                tabulated_metric(u21, 1.0 + 0.5 * np.cos(u21)),
+                tabulated_metric(u21, 1.1 - u21 * u21),
+                _power_blowup(-0.5), _power_blowup(0.5)]
+    families += [mollify(psi_family(a, s), 0.05) for a, s in TABLE_TENTS]
+    us = np.linspace(-0.999, 0.999, 65)
+    for m in families:
         tab = transform_table(m)
-        us = np.linspace(-0.999, 0.999, 257)
-        exact = np.array([transform_H(m, float(u)) for u in us])
-        assert np.max(np.abs(tab.h(us) - exact)) < 5e-12
+        exact = np.array([transform_H(m, float(u), tols=oracle) for u in us])
+        assert np.max(np.abs(tab.h(us) - exact)) <= 1e-12, m.name
+
+
+def test_table_masses_of_the_closed_forms():
+    assert abs(mass(cosine_metric()) - 2.0 / math.pi) <= 1e-15
+    assert abs(mass(exponential_metric(1.0)) - math.sinh(1.0)) <= 1e-15
+    assert mass(constant_metric()) == 1.0
+    # psi maps 1 to 1, and the knots put the tent corners on cell edges
+    assert abs(mass(tent_metric(2.0, 0.3)) - 1.0) <= 1e-15
+
+
+def test_end_cells_grade_as_deep_as_the_tolerance_asks():
+    # cosine vanishes linearly at +-1, so the slices shrink fourfold; the
+    # cells stop once the modelled tail is below quad_abs_tol / 4, and one
+    # last cell carries that tail
+    deep = transform_table(cosine_metric())
+    assert 0.0 < 1.0 - deep._nodes[-2] < 1e-6
+    assert np.array_equal(deep._nodes, -deep._nodes[::-1])
+    loose = transform_table(cosine_metric(), DEFAULT.replaced(quad_abs_tol=1e-3))
+    assert 1.0 - loose._nodes[-2] == 1.0 / 64
+    assert 0.0 < abs(loose.r - 2.0 / math.pi) < 1e-3 / 4
+    assert np.all(np.diff(loose.h(np.linspace(0.9, 1.0, 10001))) > 0)
+    with pytest.raises(NonIntegrable, match="ceiling"):
+        mass(cosine_metric(), DEFAULT.replaced(quad_ceiling=0.5))
 
 
 def test_table_inverse_residual():
@@ -258,10 +323,11 @@ def test_table_inverse_residual():
 
 
 def test_table_inverse_raises_when_newton_stalls():
-    # a zero tolerance cannot be met: the residual stalls near 1e-16
+    # a zero tolerance cannot be met everywhere: at a few percent of the
+    # targets the residual stalls at one rounding, near 1e-16
     tab = HTransform(cosine_metric(), tols=DEFAULT.replaced(inverse_rel_tol=0.0))
     with pytest.raises(NumericInversionFailure):
-        tab.h_inv(np.linspace(-0.9, 0.9, 31) * tab.r)
+        tab.h_inv(np.linspace(-0.9, 0.9, 301) * tab.r)
 
 
 def _linear_start(tab, t):
