@@ -3,11 +3,12 @@
 Every tolerance that a bound check or solver consults lives here so that the
 CLI can override them uniformly and reports can record the effective values.
 `spec_param` reads the numeric parameters of JSON specs the same way: a value
-that does not convert is bad input (`InvalidInput`).
+that is not a finite number is bad input (`InvalidInput`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 from typing import Callable
 
@@ -74,10 +75,20 @@ def spec_params(spec: dict) -> dict:
 
 
 def spec_param(params: dict, key: str, default=None, kind: Callable = float):
-    """params[key] (or `default` when absent) converted by `kind`."""
+    """params[key] (or `default` when absent) converted by `kind`.
+
+    The value must be a finite number (or a string that reads as one); a
+    boolean is not a number here, and an `int` parameter takes only integral
+    values, since int() would truncate 1.7 to 1.
+    """
     value = params.get(key, default)
     try:
-        return kind(value)
+        if isinstance(value, bool):
+            raise TypeError("a boolean is not a number")
+        number = float(value)
+        if not math.isfinite(number) or (kind is int and not number.is_integer()):
+            raise ValueError("not a finite number of the kind asked for")
+        return kind(number)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(
-            f"spec parameter {key!r} needs a number, got {value!r}") from exc
+            f"spec parameter {key!r} needs a finite number, got {value!r}") from exc

@@ -684,29 +684,52 @@ def _reflected_deriv(dpsi_fn: Callable, x: np.ndarray) -> np.ndarray:
     return np.asarray(dpsi_fn(np.clip(folded, -1.0, 1.0)), float)
 
 
+# points per block of the convolution; a block's live segments and their
+# Gauss nodes stay a few MB however many points are asked for
+_MOLLIFY_BLOCK = 1024
+
+
 def _convolve_with_bump(fn: Callable, x: np.ndarray, epsilon: float,
                         cuts: np.ndarray) -> np.ndarray:
-    """integral over z in (-1,1) of fn(x - eps z) * bump(z), segment-split at cuts."""
+    """integral over z in (-1,1) of fn(x - eps z) * bump(z), segment-split at cuts.
+
+    Each point's z-range is cut where x - eps z meets a cut (clipped to
+    [-1, 1]) and at `_BUMP_SPLITS`; most cuts of a point fall outside its
+    window and leave zero-width segments.  The points go in blocks of
+    `_MOLLIFY_BLOCK`, and only the live segments (hi > lo) of a block are
+    integrated, by 32-point Gauss; each point's segment integrals are summed
+    in the order of its cuts, with +0.0 for the zero-width ones, which is the
+    sum over all segments bit for bit.
+    """
     x = np.asarray(x, float)
     flat = np.ravel(x)
-    z_cuts = (flat[:, None] - cuts[None, :]) / epsilon
-    z_cuts = np.concatenate(
-        [z_cuts, np.broadcast_to(_BUMP_SPLITS, (len(flat), len(_BUMP_SPLITS)))], axis=1)
-    z_cuts = np.clip(z_cuts, -1.0, 1.0)
-    pts = np.concatenate([np.full((len(flat), 1), -1.0), np.sort(z_cuts, axis=1),
-                          np.full((len(flat), 1), 1.0)], axis=1)
+    out = np.empty(len(flat))
     nodes, weights = _MOLLIFY_GL
-    lo, hi = pts[:, :-1], pts[:, 1:]
+    for start in range(0, len(flat), _MOLLIFY_BLOCK):
+        block = flat[start:start + _MOLLIFY_BLOCK]
+        # clipping before the division keeps a subnormal eps from overflowing
+        z_cuts = np.clip(block[:, None] - cuts[None, :], -epsilon, epsilon) / epsilon
+        z_cuts = np.concatenate(
+            [z_cuts, np.broadcast_to(_BUMP_SPLITS, (len(block), len(_BUMP_SPLITS)))], axis=1)
+        pts = np.concatenate([np.full((len(block), 1), -1.0), np.sort(z_cuts, axis=1),
+                              np.full((len(block), 1), 1.0)], axis=1)
+        lo, hi = pts[:, :-1], pts[:, 1:]
+        # not (hi <= lo): a NaN point keeps its NaN segments, as the dense sum did
+        row, seg = np.nonzero(~(hi <= lo))
+        x_live = block[row, None, None]
 
-    def integrand(z):
-        return fn(flat[:, None, None] - epsilon * z) * bump(z)
+        def integrand(z):
+            return fn(x_live - epsilon * z) * bump(z)
 
-    out = segments_gauss(integrand, lo, hi, nodes, weights)
+        pieces = np.zeros(lo.shape)
+        pieces[row, seg] = segments_gauss(integrand, lo[row, seg, None], hi[row, seg, None],
+                                          nodes, weights)
+        out[start:start + len(block)] = np.sum(pieces, axis=-1)
     return out.reshape(x.shape)
 
 
 def mollified_density_exact(psi: Callable, epsilon: float) -> Callable:
-    """Direct convolution evaluation of the smoothed derivative (slow path).
+    """Direct convolution evaluation of the smoothed derivative (what `mollify` samples).
 
     `psi` carries its derivative `deriv` and the break points `knots` of
     that derivative on [0, 1], as `ConcaveTentMap` does.
@@ -733,10 +756,13 @@ def mollify(psi: Callable, epsilon: float, tols: Tolerances = DEFAULT,
     The map is extended beyond [-1, 1] by point reflection (which pins the
     normalization: the smoothed map still sends 1 to 1 and stays odd), then
     its derivative is convolved with the scaled bump.  The convolution is
-    sampled densely and carried as a cubic spline so downstream solvers can
-    evaluate the density cheaply; the spline is what the returned metric *is*,
-    and its nodes are the metric's knots, so the transform table integrates
-    it exactly even where the smoothed corners are narrower than a cell.
+    sampled at `table_points` nodes (`_convolve_with_bump`: live segments
+    only, in fixed blocks) and carried as a cubic spline so downstream
+    solvers can evaluate the density cheaply; the spline is what the returned
+    metric *is*.  Its first and second derivatives are the metric's, so the
+    curvature is the spline's own rather than a difference quotient, and its
+    nodes are the metric's knots, so the transform table integrates it
+    exactly even where the smoothed corners are narrower than a cell.
     """
     if not (0.0 < epsilon < 1.0):
         raise InvalidInput("epsilon must lie in (0, 1)")
@@ -755,12 +781,12 @@ def mollify(psi: Callable, epsilon: float, tols: Tolerances = DEFAULT,
     exact = mollified_density_exact(psi, epsilon)
     xs = np.linspace(-1.0, 1.0, table_points)
     spline = CubicSpline(xs, exact(xs))
-    d_spline = spline.derivative()
+    d_spline, d2_spline = spline.derivative(), spline.derivative(2)
 
     label = getattr(psi, "label", "psi")
     return Metric1D(-1.0, 1.0,
                     lambda u: spline(np.asarray(u, float)),
                     lambda u: d_spline(np.asarray(u, float)),
-                    None,
+                    lambda u: d2_spline(np.asarray(u, float)),
                     name=f"mollified({label}, eps={epsilon:g})",
                     knots=tuple(xs[1:-1]))

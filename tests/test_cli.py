@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from schwarzlab.cli import main
-from schwarzlab.config import DEFAULT
+from schwarzlab.config import DEFAULT, spec_param
 from schwarzlab.metrics import cosine_metric, curvature_at
 
 
@@ -301,6 +301,13 @@ def test_gallery_bad_parameter_exits_2(specs, capsys, which):
     ("boundary", {"kind": "expression-preset", "name": "step",
                   "params": {"amplitude": [1]}}),
     ("boundary", {"kind": "samples", "theta": ["a", 1, 2], "values": [0, 0, 0]}),
+    # booleans, non-finite values and fractional counts are not the numbers asked for
+    ("metric", {"kind": "constant", "params": {"value": "nan"}}),
+    ("metric", {"kind": "constant", "params": {"value": True}}),
+    ("metric", {"kind": "exponential", "params": {"c": "inf"}}),
+    ("metric", {"kind": "exponential", "params": {"c": float("nan")}}),
+    ("boundary", {"kind": "expression-preset", "name": "cosine",
+                  "params": {"frequency": 1.7}}),
 ])
 def test_non_numeric_spec_parameter_exits_2(specs, capsys, kind, spec):
     bad = specs["dir"] / "bad-spec.json"
@@ -310,6 +317,13 @@ def test_non_numeric_spec_parameter_exits_2(specs, capsys, kind, spec):
     assert main(["check-bounds", "--metric", argv["metric"], "--boundary",
                  argv["boundary"], "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_spec_param_takes_integral_counts():
+    for value in (2, 2.0, "2"):
+        count = spec_param({"frequency": value}, "frequency", 1, int)
+        assert count == 2 and type(count) is int
+    assert spec_param({}, "frequency", 1, int) == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,11 +1,14 @@
 import dataclasses
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schwarzlab import metrics
 from schwarzlab.config import DEFAULT
 from schwarzlab.errors import (DerivativeUnavailable, DomainError, InvalidInput,
                                NonIntegrable, NumericInversionFailure,
@@ -543,6 +546,112 @@ def test_mollify_spline_matches_direct_convolution():
     exact = mollified_density_exact(psi, 0.05)
     pts = np.random.default_rng(3).uniform(-0.99, 0.99, 200)
     assert np.max(np.abs(np.asarray(m.density(pts)) - exact(pts))) < 1e-10
+
+
+def _dense_convolution(fn, x, epsilon, cuts):
+    """The convolution as one batch of every segment of every point: the reference."""
+    x = np.asarray(x, float)
+    flat = np.ravel(x)
+    z_cuts = (flat[:, None] - cuts[None, :]) / epsilon
+    z_cuts = np.concatenate(
+        [z_cuts, np.broadcast_to(metrics._BUMP_SPLITS,
+                                 (len(flat), len(metrics._BUMP_SPLITS)))], axis=1)
+    z_cuts = np.clip(z_cuts, -1.0, 1.0)
+    pts = np.concatenate([np.full((len(flat), 1), -1.0), np.sort(z_cuts, axis=1),
+                          np.full((len(flat), 1), 1.0)], axis=1)
+    nodes, weights = metrics._MOLLIFY_GL
+
+    def integrand(z):
+        return fn(flat[:, None, None] - epsilon * z) * metrics.bump(z)
+
+    out = segments_gauss(integrand, pts[:, :-1], pts[:, 1:], nodes, weights)
+    return out.reshape(x.shape)
+
+
+def _convolution_inputs(psi):
+    """The integrands and cuts `mollified_density_exact` convolves."""
+    knots = np.asarray(psi.knots, float)
+    cuts = np.unique(np.concatenate([knots, -knots, 2.0 - knots, knots - 2.0]))
+    return (lambda x: metrics._reflected_deriv(psi.deriv, x),
+            lambda x: metrics._reflected(psi, x), cuts)
+
+
+CONVOLVED_MAPS = [(psi_family(0.25, 0.6), 0.05), (psi_family(0.5, 0.5), 0.05),
+                  (psi_family(81.0, 0.1), 0.05), (psi_family(4.0, 1.0 / 3.0), 0.05),
+                  (psi_family(361.0, 0.05), 2e-4), (_IdentityMap(), 0.05)]
+
+
+@pytest.mark.parametrize("psi, eps", CONVOLVED_MAPS,
+                         ids=[f"{getattr(p, 'label', 'identity')}-{e:g}"
+                              for p, e in CONVOLVED_MAPS])
+def test_live_segment_convolution_is_the_dense_sum(psi, eps):
+    dfn, fn, cuts = _convolution_inputs(psi)
+    xs = np.linspace(-1.0, 1.0, 8193)
+    assert np.array_equal(metrics._convolve_with_bump(dfn, xs, eps, cuts),
+                          _dense_convolution(dfn, xs, eps, cuts))
+    one = np.array([1.0])
+    norm = _dense_convolution(fn, one, eps, cuts)
+    assert np.array_equal(metrics._convolve_with_bump(fn, one, eps, cuts), norm)
+    assert np.array_equal(mollified_density_exact(psi, eps)(xs),
+                          _dense_convolution(dfn, xs, eps, cuts) / float(norm[0]))
+
+
+@pytest.mark.parametrize("shape", [(1,), (metrics._MOLLIFY_BLOCK - 1,),
+                                   (metrics._MOLLIFY_BLOCK,),
+                                   (metrics._MOLLIFY_BLOCK + 1,), (8193,), (37, 61), ()])
+def test_live_segment_convolution_blocks_any_shape(shape):
+    dfn, _, cuts = _convolution_inputs(psi_family(0.5, 0.5))
+    xs = np.random.default_rng(11).uniform(-1.0, 1.0, shape)
+    got = metrics._convolve_with_bump(dfn, xs, 0.05, cuts)
+    assert got.shape == xs.shape
+    assert np.array_equal(got, _dense_convolution(dfn, xs, 0.05, cuts))
+
+
+def test_live_segment_convolution_keeps_nan_points_nan():
+    dfn, _, cuts = _convolution_inputs(psi_family(0.5, 0.5))
+    xs = np.array([-0.3, np.nan, 0.7])
+    got = metrics._convolve_with_bump(dfn, xs, 0.05, cuts)
+    assert np.array_equal(got, _dense_convolution(dfn, xs, 0.05, cuts), equal_nan=True)
+    assert np.isnan(got[1]) and np.all(np.isfinite(got[[0, 2]]))
+
+
+def test_convolution_memory_stays_bounded_by_the_block():
+    xs = np.linspace(-1.0, 1.0, 65537)
+    tracemalloc.start()
+    try:
+        mollified_density_exact(psi_family(361.0, 0.05), 2e-4)(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense all-segment sum peaked at 1624 MiB here
+    assert peak <= 32 * 2 ** 20
+
+
+def test_subnormal_epsilon_convolves_without_overflow():
+    psi = psi_family(0.5, 0.5)
+    xs = np.linspace(-1.0, 1.0, 2001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        density = mollified_density_exact(psi, 1e-320)(xs)
+    # a kernel this narrow leaves the derivative itself
+    assert np.max(np.abs(density - psi.deriv(xs))) <= 1e-15
+
+
+@pytest.mark.parametrize("a, s", [(0.25, 0.6), (0.5, 0.5), (81.0, 0.1), (4.0, 1.0 / 3.0)])
+def test_mollified_curvature_is_the_splines_own(a, s):
+    from scipy.interpolate import CubicSpline
+    psi = psi_family(a, s)
+    m = mollify(psi, 0.05)
+    nodes = np.linspace(-1.0, 1.0, 8193)
+    spline = CubicSpline(nodes, mollified_density_exact(psi, 0.05)(nodes))
+    u = np.linspace(-0.999, 0.999, 601)
+    R, R1, R2 = spline(u), spline(u, 1), spline(u, 2)
+    closed = -(R2 / R - (R1 / R) ** 2) / R ** 2
+    scale = np.max(np.abs(closed))
+    curv = curvature_at(m, u)
+    np.testing.assert_allclose(curv, closed, rtol=1e-14, atol=1e-14 * scale)
+    np.testing.assert_allclose(curvature_at(m, u, force_numeric=True), curv,
+                               rtol=1e-7, atol=1e-7 * scale)
 
 
 def test_mollify_converges_to_tent_derivative():
