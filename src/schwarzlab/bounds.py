@@ -9,7 +9,6 @@ examples sit exactly on the bound.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field as dfield
 from typing import Dict, Optional, Sequence
@@ -45,7 +44,7 @@ class BoundReport:
     tolerance: float = DEFAULT.slack_tol
     applicable: bool = True
     warnings: tuple = ()
-    extras: Dict[str, float] = dfield(default_factory=dict)
+    extras: Dict[str, object] = dfield(default_factory=dict)
 
     def __post_init__(self):
         self.z = np.ravel(np.asarray(self.z, complex))
@@ -85,17 +84,8 @@ class BoundReport:
             "points": len(self.z),
             "equality_cases": self.equality_count,
             "warnings": list(self.warnings),
-            "extras": {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
-                       for k, v in self.extras.items()},
+            "extras": dict(self.extras),
         }
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["z_re", "z_im", "lhs", "rhs", "slack"])
-            for zz, l, r, s in zip(self.z, self.lhs, self.rhs, self.slack):
-                writer.writerow([f"{zz.real:.17g}", f"{zz.imag:.17g}",
-                                 f"{l:.17g}", f"{r:.17g}", f"{s:.17g}"])
 
 
 # ---------------------------------------------------------------------------

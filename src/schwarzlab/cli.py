@@ -12,7 +12,6 @@ inversion).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -33,6 +32,7 @@ from .errors import (InvalidInput, NoConvergence, NonIntegrable,
                      NumericInversionFailure, OutOfRange)
 
 OUTPUT_ENV = "SCHWARZLAB_OUT"
+_CSV_BLOCK = 4096
 
 
 def _fmt(x) -> object:
@@ -51,13 +51,19 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, header, columns) -> None:
+    """The header line, then row i of the equal-length float columns: each
+    value `%.17g` (round-trip exact), joined by commas, LF line ends.
+
+    Rows are formatted `_CSV_BLOCK` at a time, so the text held in memory
+    does not grow with the row count."""
+    table = np.column_stack([np.ravel(np.asarray(c, float)) for c in columns])
+    row = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.17g}" if isinstance(v, (float, np.floating))
-                             else v for v in row])
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(table), _CSV_BLOCK):
+            block = table[start:start + _CSV_BLOCK]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _load_json(path: str) -> dict:
@@ -95,7 +101,7 @@ def _run_curvature(args, tols: Tolerances, out: Path):
     hi = min(metric.domain_hi - pad, metric.domain_lo + 20.0)
     grid = np.linspace(metric.domain_lo + pad, hi, n)
     report = metrics_mod.log_concavity_report(metric, grid, tols=tols)
-    _write_csv(out / "curvature.csv", ["u", "curvature"], zip(grid, report.curvature))
+    _write_csv(out / "curvature.csv", ["u", "curvature"], [grid, report.curvature])
     summary = {
         "metric": metric.name,
         "min_curvature": report.min_curvature,
@@ -112,7 +118,7 @@ def _run_transform(args, tols: Tolerances, out: Path):
     n = args.grid_n
     table = metrics_mod.transform_table(metric, tols)
     grid = np.linspace(-1.0 + 1e-6, 1.0 - 1e-6, n)
-    _write_csv(out / "transform.csv", ["u", "H"], zip(grid, table.h(grid)))
+    _write_csv(out / "transform.csv", ["u", "H"], [grid, table.h(grid)])
     rng = np.random.default_rng(args.seed)
     probes = rng.uniform(-0.99, 0.99, 32)
     round_trip = np.max(np.abs(table.h_inv(table.h(probes)) - probes))
@@ -125,7 +131,8 @@ def _run_solve(args, tols: Tolerances, out: Path):
     metric = _metric(args, unit_domain=True)
     boundary = _boundary(args, tols)
     grid = harmonic_mod.fd_solve_oracle(metric, boundary, args.grid_n, tols=tols)
-    grid.to_csv(out / "solution.csv")
+    pts, vals = grid.interior_points()
+    _write_csv(out / "solution.csv", ["x", "y", "f"], [pts.real, pts.imag, vals])
     summary = {
         "metric": metric.name,
         "boundary": boundary.name,
@@ -158,7 +165,8 @@ def _run_check_bounds(args, tols: Tolerances, out: Path):
                "radius": tols.grid_radius}
     failed = False
     for key, rep in reports.items():
-        rep.to_csv(out / f"{key}.csv")
+        _write_csv(out / f"{key}.csv", ["z_re", "z_im", "lhs", "rhs", "slack"],
+                   [rep.z.real, rep.z.imag, rep.lhs, rep.rhs, rep.slack])
         summary[key] = rep.to_json_dict()
         if rep.applicable and not rep.passed:
             failed = True
@@ -198,10 +206,10 @@ def _run_lemma(args, tols: Tolerances, out: Path):
 def _run_sweep(args, tols: Tolerances, out: Path):
     if args.family == "psi":
         records = lemmas_mod.psi_sweep(args.n_max)
-        _write_csv(out / "psi_sweep.csv", ["n", "s", "u", "ratio"],
-                   [(rec.parameters["n"], rec.parameters["s"],
-                     rec.parameters["u"], rec.ratio) for rec in records])
         ratios = [rec.ratio for rec in records]
+        _write_csv(out / "psi_sweep.csv", ["n", "s", "u", "ratio"],
+                   [[rec.parameters[key] for rec in records] for key in ("n", "s", "u")]
+                   + [ratios])
         summary = {"family": args.family, "n_max": args.n_max,
                    "max_ratio": max(ratios),
                    "monotone": bool(np.all(np.diff(ratios) > 0))}
@@ -209,9 +217,8 @@ def _run_sweep(args, tols: Tolerances, out: Path):
     ks = np.linspace(args.k_max / args.grid_n, args.k_max, args.grid_n)
     xs = np.linspace(0.0, 0.999, args.grid_n)
     vals = lemmas_mod.r_ratio(ks[:, None], xs[None, :])
-    rows = [(k, x, vals[i, j]) for i, k in enumerate(ks)
-            for j, x in enumerate(xs)]
-    _write_csv(out / "r_ratio_sweep.csv", ["k", "x", "r_ratio"], rows)
+    _write_csv(out / "r_ratio_sweep.csv", ["k", "x", "r_ratio"],
+               [*np.meshgrid(ks, xs, indexing="ij"), vals])
     summary = {"family": args.family, "k_max": args.k_max, "grid_n": args.grid_n,
                "max_ratio": float(np.max(vals))}
     return 0, summary

@@ -369,7 +369,7 @@ def run_halfplane_example() -> ExampleReport:
                            lambda u: np.exp(-np.asarray(u, float)),
                            lambda u: -np.exp(-np.asarray(u, float)),
                            lambda u: np.exp(-np.asarray(u, float)),
-                           name="exp(-u)", claims_nonneg_curvature=True)
+                           name="exp(-u)")
     h = 1e-4
 
     def residual(density: Metric1D, x: float, y: float) -> float:

@@ -100,7 +100,7 @@ def step_boundary(amplitude: float = 1.0, **kw) -> BoundaryData:
 
 
 def boundary_from_samples(theta: Sequence[float], values: Sequence[float],
-                          **kw) -> BoundaryData:
+                          name: str = "samples", **kw) -> BoundaryData:
     """Periodic linear interpolation through scattered angle samples."""
     try:
         theta, values = np.asarray(theta, float), np.asarray(values, float)
@@ -120,7 +120,7 @@ def boundary_from_samples(theta: Sequence[float], values: Sequence[float],
         th = np.mod(np.asarray(th, float) - theta[0], TWO_PI) + theta[0]
         return np.interp(th, tx, vx)
 
-    return BoundaryData(interp, name="samples", **kw)
+    return BoundaryData(interp, name=name, **kw)
 
 
 def boundary_from_json(spec: dict, **kw) -> BoundaryData:
@@ -391,20 +391,15 @@ def solved_field(metric: Metric1D, boundary: BoundaryData,
         if maxabs >= 1.0 - 1e-9:
             raise
         pad = min(0.02, 0.5 * (1.0 - maxabs))
-        table = HTransform(metric, tols, lo=min(m0, 0.0) - pad, hi=max(m1, 0.0) + pad,
-                           normalized=False)
+        table = HTransform(metric, tols, lo=min(m0, 0.0) - pad, hi=max(m1, 0.0) + pad)
         r = 1.0
     g_samples = table.h(np.clip(boundary.samples, -1.0, 1.0)) / r
-    g_boundary = BoundaryData(lambda th: np.interp(
-        np.mod(th, TWO_PI),
-        np.concatenate([boundary.thetas, [TWO_PI]]),
-        np.concatenate([g_samples, [g_samples[0]]])),
+    # the interpolant takes the exact transformed samples at its nodes
+    g_boundary = boundary_from_samples(
+        boundary.thetas, g_samples, name=f"H[{boundary.name}]",
         target_lo=float(g_samples.min()) - 1.0,
         target_hi=float(g_samples.max()) + 1.0,
-        sample_count=boundary.sample_count,
-        name=f"H[{boundary.name}]")
-    # keep the exact transformed samples (interp above only serves re-sampling)
-    object.__setattr__(g_boundary, "samples", g_samples)
+        sample_count=boundary.sample_count)
 
     # the maximum principle confines g to the sample range; clipping removes
     # the rim aliasing of the trapezoid Poisson integral before inversion
@@ -492,13 +487,6 @@ class GridField:
         ii, jj = np.nonzero(self.inside)
         pts = self.xs[ii] + 1j * self.xs[jj]
         return pts, self.values[ii, jj]
-
-    def to_csv(self, path) -> None:
-        pts, vals = self.interior_points()
-        rows = np.column_stack([pts.real, pts.imag, vals])
-        with open(path, "w") as fh:
-            fh.write("x,y,f\n")
-            fh.write(("%.17g,%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def _disk_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:

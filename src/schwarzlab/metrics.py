@@ -44,7 +44,6 @@ class Metric1D:
     d_density: Callable
     d2_density: Optional[Callable] = None
     name: str = "metric"
-    claims_nonneg_curvature: bool = False
     knots: tuple = ()
 
     def require_inside(self, u) -> None:
@@ -67,8 +66,7 @@ def constant_metric(value: float = 1.0) -> Metric1D:
                     lambda u: np.full_like(np.asarray(u, float), value),
                     lambda u: np.zeros_like(np.asarray(u, float)),
                     lambda u: np.zeros_like(np.asarray(u, float)),
-                    name=f"constant({value:g})",
-                    claims_nonneg_curvature=True)
+                    name=f"constant({value:g})")
 
 
 def exponential_metric(c: float) -> Metric1D:
@@ -76,8 +74,7 @@ def exponential_metric(c: float) -> Metric1D:
                     lambda u: np.exp(c * np.asarray(u, float)),
                     lambda u: c * np.exp(c * np.asarray(u, float)),
                     lambda u: c * c * np.exp(c * np.asarray(u, float)),
-                    name=f"exponential({c:g})",
-                    claims_nonneg_curvature=True)
+                    name=f"exponential({c:g})")
 
 
 def cosine_metric() -> Metric1D:
@@ -86,8 +83,7 @@ def cosine_metric() -> Metric1D:
                     lambda u: np.cos(h * np.asarray(u, float)),
                     lambda u: -h * np.sin(h * np.asarray(u, float)),
                     lambda u: -h * h * np.cos(h * np.asarray(u, float)),
-                    name="cosine",
-                    claims_nonneg_curvature=True)
+                    name="cosine")
 
 
 def hyperbolic_metric() -> Metric1D:
@@ -134,8 +130,7 @@ def half_plane_metric() -> Metric1D:
                     lambda u: -np.expm1(-np.asarray(u, float)),
                     lambda u: np.exp(-np.asarray(u, float)),
                     lambda u: -np.exp(-np.asarray(u, float)),
-                    name="half_plane_one_minus_exp",
-                    claims_nonneg_curvature=True)
+                    name="half_plane_one_minus_exp")
 
 
 def tent_metric(a: float, s: float) -> Metric1D:
@@ -483,21 +478,23 @@ class HTransform:
 
     For densities of infinite mass the centered H of the unit interval does
     not exist, but the primitive is still strictly increasing, so a table
-    restricted to a compact value range (normalized=False, uniform cells of
-    [lo, hi] split at 0 and at the knots, H(0) = 0) still lifts boundary data
-    whose values stay inside that range.
+    restricted to a compact value range (the range table, built when `lo`
+    and `hi` are given: uniform cells of [lo, hi] split at 0 and at the
+    knots, H(0) = 0, r = nan) still lifts boundary data whose values stay
+    inside that range.  Either table inverts targets strictly between its
+    end values, which are -r and r for the unit table.
     """
 
     def __init__(self, metric: Metric1D, tols: Tolerances = DEFAULT,
-                 lo: float = -1.0, hi: float = 1.0, normalized: bool = True):
+                 lo: Optional[float] = None, hi: Optional[float] = None):
         require_unit_domain(metric)
         self.metric = metric
         self.tols = tols
-        self.normalized = normalized
-        if normalized:
+        self.normalized = lo is None and hi is None
+        if self.normalized:
             self._nodes, self._coef, self._h_nodes, self.r = _unit_cells(metric, tols)
             return
-        if not (-1.0 <= lo < 0.0 < hi <= 1.0):
+        if lo is None or hi is None or not (-1.0 <= lo < 0.0 < hi <= 1.0):
             raise DomainError("range table needs lo < 0 < hi inside [-1, 1]")
         self.r = math.nan
         self._nodes = _cell_edges(lo, hi, metric.knots)
@@ -535,10 +532,8 @@ class HTransform:
     def h_inv(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, float)
         flat = np.ravel(t)
-        if self.normalized:
-            if np.any(np.abs(flat) >= self.r):
-                raise OutOfRange("target outside (-r, r)")
-        elif np.any(flat <= self._h_nodes[0]) or np.any(flat >= self._h_nodes[-1]):
+        h_lo, h_hi = self._h_nodes[0], self._h_nodes[-1]
+        if np.any(flat <= h_lo) or np.any(flat >= h_hi):
             raise OutOfRange("target outside the tabulated transform range")
         # every Newton iterate stays in the cell of its target
         cell = np.clip(np.searchsorted(self._h_nodes, flat), 1, len(self._nodes) - 1) - 1
@@ -548,8 +543,7 @@ class HTransform:
         u = lo + (hi - lo) * np.clip(
             (flat - base) / np.maximum(self._h_nodes[cell + 1] - base, 1e-300),
             0.0, 1.0)
-        scale = self.r if self.normalized else float(np.max(np.abs(self._h_nodes)))
-        target = self.tols.inverse_rel_tol * scale
+        target = self.tols.inverse_rel_tol * max(-h_lo, h_hi)
         # only points still above target move: a converged point's Newton
         # step rounds back onto its bracket end and would count as a
         # bisection, throwing it half a cell away

@@ -10,6 +10,7 @@ from schwarzlab.bounds import (BoundReport, check_distance_contraction,
                                chen_rhs, cos_quadratic_majorant_check,
                                hyperbolic_distance, mobius_automorphism,
                                random_disk_pairs, ring_grid, schwarz_quotient)
+from schwarzlab.cli import _write_csv
 from schwarzlab.errors import OutsideDisk
 from schwarzlab.harmonic import (BoundaryData, analytic_field,
                                  constant_boundary, euclidean_field,
@@ -282,7 +283,8 @@ def test_schwarz_quotient_mobius_invariance():
 def test_report_json_and_csv(tmp_path):
     rep = check_gradient_bound(cosine_metric(), random_smooth_boundary(0),
                                ring_grid(4, 8, 0.9))
-    rep.to_csv(tmp_path / "rep.csv")
+    _write_csv(tmp_path / "rep.csv", ["z_re", "z_im", "lhs", "rhs", "slack"],
+               [rep.z.real, rep.z.imag, rep.lhs, rep.rhs, rep.slack])
     payload = rep.to_json_dict()
     assert payload["passed"]
     rows = np.loadtxt(tmp_path / "rep.csv", delimiter=",", skiprows=1)

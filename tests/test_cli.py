@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from schwarzlab.cli import main
+from schwarzlab import bounds, harmonic, lemmas, metrics
+from schwarzlab.cli import _CSV_BLOCK, _write_csv, main
 from schwarzlab.config import DEFAULT, spec_param
 from schwarzlab.metrics import cosine_metric, curvature_at
 
@@ -455,3 +456,109 @@ def test_every_tolerance_is_applied(specs, name, argv, shared, value, codes):
     if codes[0] == codes[1]:
         assert _artifacts(runs[0][1]) != _artifacts(runs[1][1])
         assert _summary(runs[1][1])["effective_tolerances"][name] == float(value)
+
+
+@pytest.mark.parametrize("metric, chain_checked", [("cosine", True), ("secant", False)])
+def test_chain_checked_is_written_as_a_boolean(specs, metric, chain_checked):
+    spec = specs["dir"] / f"{metric}.json"
+    spec.write_text(json.dumps({"kind": metric}))
+    wave = specs["dir"] / "wave.json"
+    wave.write_text('{"kind": "expression-preset", "name": "cosine"}\n')
+    out = specs["dir"] / f"o27-{metric}"
+    assert main(["check-bounds", "--metric", str(spec), "--boundary", str(wave),
+                 "--out", str(out)]) == 0
+    raw = (out / "summary.json").read_text()
+    assert f'"chain_checked": {json.dumps(chain_checked)}' in raw
+    assert _summary(out)["gradient_bound"]["extras"]["chain_checked"] is chain_checked
+
+
+def _per_row(header, columns) -> bytes:
+    """CSV text built one row at a time: `%.17g` values, commas, LF ends."""
+    lines = [",".join(header)]
+    lines += [",".join(f"{v:.17g}" for v in row) for row in zip(*columns)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _curvature_columns():
+    grid = np.linspace(-1.0 + 2e-3, 1.0 - 2e-3, 99)
+    report = metrics.log_concavity_report(cosine_metric(), grid)
+    return {"curvature.csv": (["u", "curvature"], [grid, report.curvature])}
+
+
+def _transform_columns():
+    grid = np.linspace(-1.0 + 1e-6, 1.0 - 1e-6, 33)
+    h = metrics.transform_table(cosine_metric()).h(grid)
+    return {"transform.csv": (["u", "H"], [grid, h])}
+
+
+def _solve_columns():
+    grid = harmonic.fd_solve_oracle(cosine_metric(), harmonic.step_boundary(), 65)
+    pts, vals = grid.interior_points()
+    return {"solution.csv": (["x", "y", "f"], [pts.real, pts.imag, vals])}
+
+
+def _check_bounds_columns():
+    m, b = cosine_metric(), harmonic.step_boundary()
+    grid = bounds.ring_grid()
+    reports = {"gradient_bound": bounds.check_gradient_bound(m, b, grid)}
+    reports["unimodal_gradient_bound"], reports["arctan_radial_bound"] = (
+        bounds.check_unimodal_bounds(m, b, grid))
+    reports["distance_contraction"] = bounds.check_distance_contraction(
+        m, b, bounds.random_disk_pairs(0, 1000, DEFAULT.grid_radius))
+    return {f"{key}.csv": (["z_re", "z_im", "lhs", "rhs", "slack"],
+                           [rep.z.real, rep.z.imag, rep.lhs, rep.rhs, rep.slack])
+            for key, rep in reports.items()}
+
+
+def _psi_columns():
+    records = lemmas.psi_sweep(50)
+    rows = [(rec.parameters["n"], rec.parameters["s"], rec.parameters["u"], rec.ratio)
+            for rec in records]
+    return {"psi_sweep.csv": (["n", "s", "u", "ratio"], list(zip(*rows)))}
+
+
+def _r_ratio_columns():
+    ks = np.linspace(20.0 / 40, 20.0, 40)
+    xs = np.linspace(0.0, 0.999, 40)
+    vals = lemmas.r_ratio(ks[:, None], xs[None, :])
+    rows = [(k, x, vals[i, j]) for i, k in enumerate(ks) for j, x in enumerate(xs)]
+    return {"r_ratio_sweep.csv": (["k", "x", "r_ratio"], list(zip(*rows)))}
+
+
+CSV_CASES = {
+    "curvature": (["curvature", "--metric", "metric", "--grid-n", "99"],
+                  _curvature_columns),
+    "transform": (["transform", "--metric", "metric", "--grid-n", "33"],
+                  _transform_columns),
+    "solve": (["solve", "--metric", "metric", "--boundary", "boundary",
+               "--grid-n", "65"], _solve_columns),
+    "check-bounds": (["check-bounds", "--metric", "metric", "--boundary", "boundary"],
+                     _check_bounds_columns),
+    "sweep-psi": (["sweep", "--family", "psi", "--n-max", "50"], _psi_columns),
+    "sweep-r-ratio": (["sweep", "--family", "r-ratio", "--grid-n", "40"],
+                      _r_ratio_columns),
+}
+
+
+@pytest.mark.parametrize("case", list(CSV_CASES))
+def test_every_csv_is_the_per_row_17g_text_of_its_columns(specs, case):
+    argv, expected = CSV_CASES[case]
+    out = specs["dir"] / f"o28-{case}"
+    assert main([specs.get(a, a) for a in argv] + ["--out", str(out)]) == 0
+    files = expected()
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(files)
+    for name, (header, columns) in files.items():
+        raw = (out / name).read_bytes()
+        assert raw.startswith((",".join(header) + "\n").encode()), name
+        assert b"\r" not in raw, name
+        assert raw == _per_row(header, columns), name
+
+
+@pytest.mark.parametrize("rows", [0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, 2 * _CSV_BLOCK + 1])
+def test_csv_blocks_join_into_the_per_row_text(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    special = np.resize([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300], rows)
+    columns = [rng.normal(size=rows), rng.uniform(-1.0, 1.0, rows) ** 7, special]
+    path = tmp_path / "blocks.csv"
+    _write_csv(path, ["a", "b", "c"], columns)
+    assert path.read_bytes() == _per_row(["a", "b", "c"], columns)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import schwarzlab.harmonic as harmonic
 from schwarzlab.bounds import (check_gradient_bound, check_unimodal_bounds,
                                random_disk_pairs, ring_grid)
+from schwarzlab.cli import _write_csv
 from schwarzlab.errors import (InvalidInput, NoConvergence, OutsideDisk,
                                StencilOutsideDisk)
 from schwarzlab.harmonic import (BoundaryData, analytic_field,
@@ -24,7 +25,7 @@ from schwarzlab.harmonic import (BoundaryData, analytic_field,
                                  step_boundary)
 from schwarzlab.metrics import (HTransform, Metric1D, constant_metric,
                                 cosine_metric, exponential_metric,
-                                hyperbolic_metric)
+                                hyperbolic_metric, transform_table)
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +441,44 @@ def test_solve_hyperbolic_metric_closed_form():
             math.tanh(3 * z.real), abs=1e-10)
 
 
+@pytest.mark.parametrize("metric", [cosine_metric(), exponential_metric(1.0),
+                                    hyperbolic_metric()],
+                         ids=["cosine", "exponential(1)", "hyperbolic-range"])
+@pytest.mark.parametrize("make_boundary", [lambda: cosine_boundary(0.8),
+                                           lambda: step_boundary(0.9),
+                                           lambda: random_smooth_boundary(4)],
+                         ids=["wave", "step", "random"])
+def test_lifted_boundary_interpolates_the_lifted_samples(monkeypatch, metric,
+                                                         make_boundary):
+    built = []
+
+    def spy(theta, values, **kw):
+        built.append((np.array(values), boundary_from_samples(theta, values, **kw)))
+        return built[-1][1]
+
+    monkeypatch.setattr(harmonic, "boundary_from_samples", spy)
+    boundary = make_boundary()
+    solved_field(metric, boundary)
+    (g, lifted), = built
+    samples = np.clip(boundary.samples, -1.0, 1.0)
+    if metric.name == "hyperbolic":
+        # the range table's H is atanh, centered at 0
+        assert np.max(np.abs(g - np.arctanh(samples))) < 1e-10
+    else:
+        table = transform_table(metric)
+        assert np.array_equal(g, table.h(samples) / table.r)
+    th = boundary.thetas
+    assert np.array_equal(lifted.thetas, th)
+    assert np.array_equal(lifted.samples, g)
+    assert lifted.name == f"H[{boundary.name}]"
+    assert (lifted.target_lo, lifted.target_hi) == (g.min() - 1.0, g.max() + 1.0)
+    off = np.concatenate([th + 0.5 * (th[1] - th[0]),
+                          np.random.default_rng(5).uniform(-10.0, 10.0, 500)])
+    periodic = np.interp(np.mod(off, 2 * math.pi), np.append(th, 2 * math.pi),
+                         np.append(g, g[0]))
+    assert np.array_equal(lifted.values(off), periodic)
+
+
 # ---------------------------------------------------------------------------
 # residual diagnostics
 # ---------------------------------------------------------------------------
@@ -530,11 +569,11 @@ def test_oracle_matches_transform_solution():
 def test_oracle_csv_roundtrip(tmp_path):
     grid = fd_solve_oracle(constant_metric(), cosine_boundary(0.8), 41)
     path = tmp_path / "grid.csv"
-    grid.to_csv(path)
+    pts, vals = grid.interior_points()
+    _write_csv(path, ["x", "y", "f"], [pts.real, pts.imag, vals])
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
     assert rows.shape[1] == 3
     assert rows.shape[0] == int(np.sum(grid.inside))
-    pts, vals = grid.interior_points()
     per_row = "x,y,f\n" + "".join(f"{p.real:.17g},{p.imag:.17g},{v:.17g}\n"
                                    for p, v in zip(pts, vals))
     assert path.read_bytes() == per_row.encode()

@@ -389,7 +389,7 @@ def _gauss_h_inv(tab, t):
     The table's inversion before it stored per-cell polynomials.
     """
     lo, hi, u = _linear_start(tab, t)
-    scale = tab.r if tab.normalized else np.max(np.abs(tab._h_nodes))
+    scale = max(-tab._h_nodes[0], tab._h_nodes[-1])
     live = np.arange(t.size)
     for _ in range(80):
         ul = u[live]
@@ -419,8 +419,7 @@ def smooth_tables():
         ("exponential(-2)", exponential_metric(-2.0)), ("constant", constant_metric())]}
     for a, s in TABLE_TENTS:
         tables[f"tent({a}, {s})"] = HTransform(mollify(psi_family(a, s), 0.05))
-    tables["hyperbolic range"] = HTransform(hyperbolic_metric(), lo=-0.9, hi=0.9,
-                                            normalized=False)
+    tables["hyperbolic range"] = HTransform(hyperbolic_metric(), lo=-0.9, hi=0.9)
     return tables
 
 
@@ -456,12 +455,29 @@ def test_table_makes_no_density_call_after_the_build(smooth_tables):
 
 def test_range_table_for_infinite_mass():
     m = hyperbolic_metric()
-    tab = HTransform(m, lo=-0.9, hi=0.9, normalized=False)
+    tab = HTransform(m, lo=-0.9, hi=0.9)
+    assert not tab.normalized and math.isnan(tab.r)
     # H restricted to (-0.9, 0.9) is atanh up to the centering at 0
     us = np.linspace(-0.85, 0.85, 101)
     assert np.max(np.abs(tab.h(us) - np.arctanh(us))) < 1e-10
     ts = np.arctanh(np.linspace(-0.8, 0.8, 51))
     assert np.max(np.abs(tab.h_inv(ts) - np.tanh(ts))) < 1e-10
+
+
+def test_both_tables_invert_strictly_inside_their_end_values():
+    unit = HTransform(cosine_metric())
+    assert unit.normalized
+    assert (unit._h_nodes[0], unit._h_nodes[-1]) == (-unit.r, unit.r)
+    for tab in (unit, HTransform(hyperbolic_metric(), lo=-0.9, hi=0.9)):
+        h_lo, h_hi = tab._h_nodes[0], tab._h_nodes[-1]
+        inside = np.array([np.nextafter(h_lo, 0.0), 0.0, np.nextafter(h_hi, 0.0)])
+        assert np.all(np.isfinite(tab.h_inv(inside)))
+        for t in (h_lo, h_hi, np.inf):
+            with pytest.raises(OutOfRange):
+                tab.h_inv(np.array([t]))
+    # a range table needs both ends
+    with pytest.raises(DomainError):
+        HTransform(hyperbolic_metric(), lo=-0.9)
 
 
 # ---------------------------------------------------------------------------
