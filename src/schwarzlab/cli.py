@@ -35,11 +35,21 @@ OUTPUT_ENV = "SCHWARZLAB_OUT"
 _CSV_BLOCK = 4096
 
 
-def _fmt(x) -> object:
+def _jsonable(x) -> object:
+    """The payload tree with numpy scalars as Python ones and non-finite
+    floats as the strings "Infinity", "-Infinity" and "NaN", which float()
+    reads back; strict JSON has no token for them."""
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
     if isinstance(x, (bool, np.bool_)):
         return bool(x)
     if isinstance(x, (float, np.floating)):
-        return float(x)
+        x = float(x)
+        if math.isfinite(x):
+            return x
+        return "NaN" if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
     if isinstance(x, (int, np.integer)):
         return int(x)
     return x
@@ -47,7 +57,7 @@ def _fmt(x) -> object:
 
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_fmt)
+        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -563,7 +563,7 @@ def _disk_operator(n: int) -> _DiskOperator:
     return _DiskOperator(xs=xs, h=h, inside=inside, arms=arms, nbr=nbr,
                          angles=np.concatenate(angles),
                          coupling=coupling[:, m:].tocsr(),
-                         lu=splu(operator.tocsc()))
+                         lu=splu(operator.tocsc(), permc_spec="MMD_AT_PLUS_A"))
 
 
 def fd_solve_oracle(metric: Metric1D, boundary: BoundaryData, n: int,
@@ -572,7 +572,9 @@ def fd_solve_oracle(metric: Metric1D, boundary: BoundaryData, n: int,
 
     Shortley-Weller arms tie cut cells to exact circle crossings (boundary
     value looked up at the crossing angle).  The linear 5-point operator is
-    assembled and LU-factored once per n (SuperLU, cached); each Picard step
+    assembled and LU-factored once per n (SuperLU with a minimum-degree
+    ordering of A^T + A, which the nearly symmetric operator suits: half the
+    fill of the default column ordering; cached); each Picard step
     freezes the nonlinear term, evaluated explicitly from the previous
     iterate with under-relaxed blending, and solves the linear system by one
     back-substitution.  One "sweep" in `tols.fd_max_sweeps` and

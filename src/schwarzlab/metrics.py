@@ -56,6 +56,139 @@ class Metric1D:
 
 
 # ---------------------------------------------------------------------------
+# piecewise cubics: the smoothed tents' spline and the tabulated PCHIP
+# ---------------------------------------------------------------------------
+
+class _Cubic:
+    """Piecewise cubic through breakpoints x, evaluated bit for bit as scipy's
+    PPoly evaluates the same coefficients.
+
+    `c` is (k, n - 1): cell i's power coefficients in (u - x[i]), highest
+    power first (k = 4 for the cubic, fewer for its derivatives).  A point
+    lies in the cell [x[i], x[i + 1]) that holds it, the end cells extend
+    past x[0] and x[-1], and the sum runs c[k-1-j] * z^j in ascending j with
+    z = s, s*s, (s*s)*s: not Horner, since that order is what rounds like
+    PPoly.
+    """
+
+    def __init__(self, x: np.ndarray, c: np.ndarray):
+        self.x, self.c = _frozen(x, c)
+
+    @classmethod
+    def hermite(cls, x: np.ndarray, y: np.ndarray, slopes: np.ndarray) -> "_Cubic":
+        """The cubic Hermite interpolant of values y and slopes at x
+        (scipy's CubicHermiteSpline coefficients)."""
+        dx = np.diff(x)
+        secant = np.diff(y) / dx
+        t = (slopes[:-1] + slopes[1:] - 2 * secant) / dx
+        return cls(x, np.stack((t / dx, (secant - slopes[:-1]) / dx - t, slopes[:-1], y[:-1])))
+
+    def derivative(self, nu: int = 1) -> "_Cubic":
+        """The nu-th derivative: row i of the k - nu kept rows times the
+        rising factorial (k - nu - i)(k - nu - i + 1)...(k - i - 1)."""
+        kept = len(self.c) - nu
+        factor = [math.prod(range(k, k + nu)) for k in range(kept, 0, -1)]
+        return _Cubic(self.x, self.c[:kept] * np.array(factor, float)[:, None])
+
+    def __call__(self, u) -> np.ndarray:
+        u = np.asarray(u, float)
+        # searching the inner breakpoints extends the end cells outward
+        inner = self.x[1:-1]
+        if u.ndim == 0:
+            # one point in Python floats, which round as float64 arrays do,
+            # at a third of the array path's overhead
+            v = float(u)
+            cell = int(np.searchsorted(inner, v, side="right"))
+            return np.array(_power_sum(self.c[:, cell].tolist(), v - float(self.x[cell])))
+        flat = np.ravel(u)
+        cell = np.searchsorted(inner, flat, side="right")
+        return _power_sum(self.c[:, cell], flat - self.x[cell]).reshape(u.shape)
+
+
+def _power_sum(rows, s):
+    """rows[-1] + rows[-2] * s + rows[-3] * (s * s) + ..., summed from the
+    left, after PPoly's 0.0 + rows[-1] (which makes a -0.0 constant +0.0)."""
+    out = 0.0 + rows[-1]
+    z = s
+    for j in range(len(rows) - 2, -1, -1):
+        out = out + rows[j] * z
+        if j:
+            z = z * s
+    return out
+
+
+def _not_a_knot_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Node slopes of the C2 cubic spline through (x, y) with not-a-knot ends.
+
+    The tridiagonal rows are those scipy's CubicSpline builds, and they are
+    eliminated in the order of LAPACK's dgtsv, with the same roundings, so
+    the slopes are that spline's bit for bit.  dgtsv swaps rows where a
+    pivot is smaller than the entry below it; nodes as near uniform as
+    linspace's never need that, and other nodes raise ValueError.
+    """
+    n = len(x)
+    dx = np.diff(x)
+    secant = np.diff(y) / dx
+    diag, upper, lower, rhs = np.empty(n), np.empty(n - 1), np.empty(n - 1), np.empty(n)
+    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+    upper[1:] = dx[:-1]
+    lower[:-1] = dx[1:]
+    rhs[1:-1] = 3 * (dx[1:] * secant[:-1] + dx[:-1] * secant[1:])
+    d = x[2] - x[0]
+    diag[0], upper[0] = dx[1], d
+    rhs[0] = ((dx[0] + 2 * d) * dx[1] * secant[0] + dx[0] ** 2 * secant[1]) / d
+    d = x[-1] - x[-3]
+    diag[-1], lower[-1] = dx[-2], d
+    rhs[-1] = (dx[-1] ** 2 * secant[-2] + (2 * d + dx[-1]) * dx[-2] * secant[-1]) / d
+    # Python floats round as the Fortran does, and loop faster than numpy scalars
+    diag, upper, lower, b = diag.tolist(), upper.tolist(), lower.tolist(), rhs.tolist()
+    for i in range(n - 1):
+        if not abs(diag[i]) >= abs(lower[i]):
+            raise ValueError("spline nodes too far from uniform for elimination without pivoting")
+        fact = lower[i] / diag[i]
+        diag[i + 1] -= fact * upper[i]
+        b[i + 1] -= fact * b[i]
+    b[-1] /= diag[-1]
+    b[-2] = (b[-2] - upper[-1] * b[-1]) / diag[-2]
+    for i in range(n - 3, -1, -1):
+        # dgtsv subtracts the eliminated entry, now 0, times b[i + 2]; it can
+        # turn a -0.0 into +0.0
+        b[i] = (b[i] - upper[i] * b[i + 1] - 0.0 * b[i + 2]) / diag[i]
+    return np.array(b)
+
+
+def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Node slopes of the monotone PCHIP interpolant (scipy's
+    PchipInterpolator): the Fritsch-Butland weighted harmonic mean of the
+    neighbouring secants inside, 0 where they differ in sign or one is 0,
+    and Moler's shape-preserving three-point rule at the two ends."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    slopes = np.zeros_like(y)
+    slopes[1:-1][~flat] = 1.0 / whmean[~flat]
+    slopes[0] = _pchip_end(h[0], h[1], m[0], m[1])
+    slopes[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
+    return slopes
+
+
+def _pchip_end(h0, h1, m0, m1):
+    """PCHIP's end slope from the end cell (width h0, secant m0) and its
+    neighbour: the one-sided three-point estimate, 0 where its sign is not
+    m0's, 3 * m0 where it overshoots that at a turn of the data."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+# ---------------------------------------------------------------------------
 # metric families
 # ---------------------------------------------------------------------------
 
@@ -146,19 +279,20 @@ def tent_metric(a: float, s: float) -> Metric1D:
 
 
 def tabulated_metric(u: Sequence[float], R: Sequence[float]) -> Metric1D:
-    """Monotone-cubic interpolant through sampled (u, R) pairs, knotted at u."""
-    from scipy.interpolate import PchipInterpolator
+    """Monotone-cubic (PCHIP) interpolant through sampled (u, R) pairs, knotted at u."""
     try:
-        u, R = np.asarray(u, float), np.asarray(R, float)
+        u, R = np.array(u, float), np.array(R, float)
     except (TypeError, ValueError) as exc:
         raise InvalidInput("tabulated metric needs numeric u/R arrays") from exc
     if u.ndim != 1 or u.shape != R.shape or len(u) < 3:
         raise InvalidInput("tabulated metric needs matching 1-d u/R arrays, >= 3 samples")
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(R))):
+        raise InvalidInput("tabulated u/R values must be finite")
     if np.any(np.diff(u) <= 0):
         raise InvalidInput("tabulated abscissae must be strictly increasing")
     if np.any(R <= 0):
         raise InvalidInput("tabulated density must be positive")
-    interp = PchipInterpolator(u, R)
+    interp = _Cubic.hermite(u, R, _pchip_slopes(u, R))
     return Metric1D(float(u[0]), float(u[-1]), interp, interp.derivative(), None,
                     name="tabulated", knots=tuple(u[1:-1]))
 
@@ -751,8 +885,9 @@ def mollify(psi: Callable, epsilon: float, tols: Tolerances = DEFAULT,
     normalization: the smoothed map still sends 1 to 1 and stays odd), then
     its derivative is convolved with the scaled bump.  The convolution is
     sampled at `table_points` nodes (`_convolve_with_bump`: live segments
-    only, in fixed blocks) and carried as a cubic spline so downstream
-    solvers can evaluate the density cheaply; the spline is what the returned
+    only, in fixed blocks) and carried as a not-a-knot cubic spline (built
+    in numpy, scipy's CubicSpline bit for bit) so downstream solvers can
+    evaluate the density cheaply; the spline is what the returned
     metric *is*.  Its first and second derivatives are the metric's, so the
     curvature is the spline's own rather than a difference quotient, and its
     nodes are the metric's knots, so the transform table integrates it
@@ -760,6 +895,9 @@ def mollify(psi: Callable, epsilon: float, tols: Tolerances = DEFAULT,
     """
     if not (0.0 < epsilon < 1.0):
         raise InvalidInput("epsilon must lie in (0, 1)")
+    if isinstance(table_points, bool) or not isinstance(table_points, (int, np.integer)) \
+            or table_points < 4:
+        raise InvalidInput("table_points must be an integer >= 4")
     if not (hasattr(psi, "deriv") and hasattr(psi, "knots")):
         raise InvalidInput("psi must carry its derivative `deriv` and its `knots`")
     probe = np.linspace(-1.0, 1.0, 513)
@@ -771,16 +909,12 @@ def mollify(psi: Callable, epsilon: float, tols: Tolerances = DEFAULT,
     if np.any(np.diff(vals) < -1e-12):
         raise InvalidInput("psi must be non-decreasing")
 
-    from scipy.interpolate import CubicSpline
     exact = mollified_density_exact(psi, epsilon)
     xs = np.linspace(-1.0, 1.0, table_points)
-    spline = CubicSpline(xs, exact(xs))
-    d_spline, d2_spline = spline.derivative(), spline.derivative(2)
+    ys = exact(xs)
+    spline = _Cubic.hermite(xs, ys, _not_a_knot_slopes(xs, ys))
 
     label = getattr(psi, "label", "psi")
-    return Metric1D(-1.0, 1.0,
-                    lambda u: spline(np.asarray(u, float)),
-                    lambda u: d_spline(np.asarray(u, float)),
-                    lambda u: d2_spline(np.asarray(u, float)),
+    return Metric1D(-1.0, 1.0, spline, spline.derivative(1), spline.derivative(2),
                     name=f"mollified({label}, eps={epsilon:g})",
                     knots=tuple(xs[1:-1]))

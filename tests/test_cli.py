@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from schwarzlab import bounds, harmonic, lemmas, metrics
-from schwarzlab.cli import _CSV_BLOCK, _write_csv, main
+from schwarzlab.cli import _CSV_BLOCK, _write_csv, _write_json, main
 from schwarzlab.config import DEFAULT, spec_param
 from schwarzlab.metrics import cosine_metric, curvature_at
 
@@ -470,6 +470,34 @@ def test_chain_checked_is_written_as_a_boolean(specs, metric, chain_checked):
     raw = (out / "summary.json").read_text()
     assert f'"chain_checked": {json.dumps(chain_checked)}' in raw
     assert _summary(out)["gradient_bound"]["extras"]["chain_checked"] is chain_checked
+
+
+def test_infinite_mass_is_written_as_strict_json(specs):
+    spec = specs["dir"] / "secant.json"
+    spec.write_text('{"kind": "secant"}')
+    wave = specs["dir"] / "wave.json"
+    wave.write_text('{"kind": "expression-preset", "name": "cosine"}\n')
+    out = specs["dir"] / "o28"
+    assert main(["check-bounds", "--metric", str(spec), "--boundary", str(wave),
+                 "--out", str(out)]) == 0
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+    assert summary["gradient_bound"]["extras"]["mass"] == "Infinity"
+    assert float(summary["gradient_bound"]["extras"]["mass"]) == math.inf
+
+
+@pytest.mark.parametrize("value, text", [(math.inf, '"Infinity"'), (-math.inf, '"-Infinity"'),
+                                         (math.nan, '"NaN"'), (np.float32(-math.inf), '"-Infinity"'),
+                                         (np.float64(0.1), "0.1"), (-0.0, "-0.0"),
+                                         (np.bool_(True), "true"), (np.int64(3), "3")])
+def test_json_values_are_strict(tmp_path, value, text):
+    _write_json(tmp_path / "x.json", {"a": [value], "b": (value,), "c": {"d": value}})
+    raw = (tmp_path / "x.json").read_text()
+    assert raw.count(text) == 3
+    json.loads(raw, parse_constant=lambda token: pytest.fail(token))
 
 
 def _per_row(header, columns) -> bytes:

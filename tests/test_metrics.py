@@ -670,6 +670,74 @@ def test_mollified_curvature_is_the_splines_own(a, s):
                                rtol=1e-7, atol=1e-7 * scale)
 
 
+def _bit_equal(ours, ref):
+    """Equal values, NaN where NaN, and the same sign of each zero."""
+    return np.array_equal(ours, ref, equal_nan=True) and \
+        np.array_equal(np.signbit(ours), np.signbit(ref))
+
+
+def _oracle_points(nodes, seed):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.uniform(-1.2, 1.2, 20000), nodes, [-1.0, 1.0, np.nan]])
+
+
+@pytest.mark.parametrize("a, s, eps, nodes", [
+    (0.25, 0.6, 0.05, 8193), (0.5, 0.5, 0.05, 8193), (4.0, 1.0 / 3.0, 0.05, 8193),
+    (81.0, 0.1, 0.05, 8193), (361.0, 0.05, 2e-4, 65537)])
+def test_mollified_spline_is_scipys_not_a_knot_spline_bit_for_bit(a, s, eps, nodes):
+    from scipy.interpolate import CubicSpline
+    psi = psi_family(a, s)
+    m = mollify(psi, eps, table_points=nodes)
+    xs = np.linspace(-1.0, 1.0, nodes)
+    ref = CubicSpline(xs, mollified_density_exact(psi, eps)(xs))
+    u = _oracle_points(xs, nodes)
+    assert _bit_equal(m.density(u), ref(u))
+    assert _bit_equal(m.d_density(u), ref.derivative(1)(u))
+    assert _bit_equal(m.d2_density(u), ref.derivative(2)(u))
+    for point in (0.3, -1.0, xs[5], math.nan):   # a float gives a 0-d array
+        assert _bit_equal(m.density(point), ref(point))
+        assert _bit_equal(m.d_density(point), ref.derivative(1)(point))
+        assert _bit_equal(m.d2_density(point), ref.derivative(2)(point))
+
+
+def _pchip_cases():
+    # the left end's three-point estimate turns negative, so its slope is 0
+    yield [-1.0, 0.1, 1.0], [0.5, 0.6, 2.0]
+    # a sign change, a zero secant (flat at two nodes), and Moler's 3 * m0 end
+    yield [-1.0, -0.5, -0.4, 0.3, 1.0], [1.0, 1.2, 0.6, 0.6, 1.5]
+    u = np.sin(np.linspace(-0.5 * np.pi, 0.5 * np.pi, 21))
+    yield u, np.where(np.abs(u) < 0.3, 1.0, 1.0 + 0.5 * np.sin(6.0 * u))
+    rng = np.random.default_rng(400)
+    u = np.sort(np.concatenate([[-1.0, 1.0], rng.uniform(-1.0, 1.0, 398)]))
+    # values rounded to 0.1 repeat, so some secants are exactly 0
+    yield u, np.round(1.5 + np.cos(7.0 * u) + 0.05 * rng.standard_normal(400), 1)
+
+
+@pytest.mark.parametrize("u, R", list(_pchip_cases()), ids=["3", "5", "21", "400"])
+def test_tabulated_metric_is_scipys_pchip_bit_for_bit(u, R):
+    from scipy.interpolate import PchipInterpolator
+    m = tabulated_metric(u, R)
+    ref = PchipInterpolator(u, R)
+    x = _oracle_points(np.asarray(u), len(u))
+    assert _bit_equal(m.density(x), ref(x))
+    assert _bit_equal(m.d_density(x), ref.derivative(1)(x))
+    assert _bit_equal(m.d_density.derivative(1)(x), ref.derivative(2)(x))
+
+
+def test_tabulated_metric_copies_its_samples():
+    u, R = np.linspace(-1.0, 1.0, 5), np.full(5, 2.0)
+    m = tabulated_metric(u, R)
+    R[:] = 1.0
+    assert float(m.density(0.1)) == 2.0
+    assert u.flags.writeable
+
+
+@pytest.mark.parametrize("R", [[1.0, np.nan, 1.0], [1.0, np.inf, 1.0]])
+def test_tabulated_metric_rejects_non_finite_samples(R):
+    with pytest.raises(InvalidInput):
+        tabulated_metric([-1.0, 0.0, 1.0], R)
+
+
 def test_mollify_converges_to_tent_derivative():
     psi = psi_family(81.0, 0.1)
     grid = np.linspace(-0.9999, 0.9999, 4001)
@@ -698,6 +766,15 @@ def test_mollify_rejects_bad_input():
         mollify(lambda x: 0.5 * (np.asarray(x, float) + 1.0) ** 2 - 1.0, 0.1)
     with pytest.raises(InvalidInput):
         mollify(_IdentityMap(), 1.5)  # epsilon outside (0, 1)
+
+
+@pytest.mark.parametrize("points", [1, 2, 3, 4.0, True, "8193"])
+def test_mollify_takes_an_integer_table_of_at_least_4_points(points):
+    # 2 and 3 points would be a line or a parabola rather than a spline
+    with pytest.raises(InvalidInput):
+        mollify(psi_family(0.5, 0.5), 0.05, table_points=points)
+    m = mollify(psi_family(0.5, 0.5), 0.05, table_points=np.int64(4))
+    assert len(m.knots) == 2
 
 
 def test_tent_metric_is_the_tent_map_derivative():
