@@ -68,7 +68,8 @@ class _Cubic:
     lies in the cell [x[i], x[i + 1]) that holds it, the end cells extend
     past x[0] and x[-1], and the sum runs c[k-1-j] * z^j in ascending j with
     z = s, s*s, (s*s)*s: not Horner, since that order is what rounds like
-    PPoly.
+    PPoly (compiled without fused multiply-add contraction, as in the
+    x86_64 wheels).
     """
 
     def __init__(self, x: np.ndarray, c: np.ndarray):
@@ -92,16 +93,9 @@ class _Cubic:
 
     def __call__(self, u) -> np.ndarray:
         u = np.asarray(u, float)
-        # searching the inner breakpoints extends the end cells outward
-        inner = self.x[1:-1]
-        if u.ndim == 0:
-            # one point in Python floats, which round as float64 arrays do,
-            # at a third of the array path's overhead
-            v = float(u)
-            cell = int(np.searchsorted(inner, v, side="right"))
-            return np.array(_power_sum(self.c[:, cell].tolist(), v - float(self.x[cell])))
         flat = np.ravel(u)
-        cell = np.searchsorted(inner, flat, side="right")
+        # searching the inner breakpoints extends the end cells outward
+        cell = np.searchsorted(self.x[1:-1], flat, side="right")
         return _power_sum(self.c[:, cell], flat - self.x[cell]).reshape(u.shape)
 
 

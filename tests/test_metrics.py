@@ -685,6 +685,9 @@ def _oracle_points(nodes, seed):
     (0.25, 0.6, 0.05, 8193), (0.5, 0.5, 0.05, 8193), (4.0, 1.0 / 3.0, 0.05, 8193),
     (81.0, 0.1, 0.05, 8193), (361.0, 0.05, 2e-4, 65537)])
 def test_mollified_spline_is_scipys_not_a_knot_spline_bit_for_bit(a, s, eps, nodes):
+    """Bit identity is pinned against scipy and LAPACK builds that compile
+    without fused multiply-add contraction (such as the x86_64 wheels); a
+    build that contracts a*b + c into one rounding differs in the last bits."""
     from scipy.interpolate import CubicSpline
     psi = psi_family(a, s)
     m = mollify(psi, eps, table_points=nodes)
@@ -715,6 +718,8 @@ def _pchip_cases():
 
 @pytest.mark.parametrize("u, R", list(_pchip_cases()), ids=["3", "5", "21", "400"])
 def test_tabulated_metric_is_scipys_pchip_bit_for_bit(u, R):
+    """Pinned against scipy builds without fused multiply-add contraction,
+    as the spline test above is."""
     from scipy.interpolate import PchipInterpolator
     m = tabulated_metric(u, R)
     ref = PchipInterpolator(u, R)
