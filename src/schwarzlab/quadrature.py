@@ -1,8 +1,8 @@
 """Quadrature rules: fixed-order Gauss-Legendre, and adaptive Simpson as an oracle.
 
 `gauss_legendre` and `segments_gauss` serve the package: the transform
-table in `metrics` sums 12-point Gauss cells, and the mollifier convolves
-with 32-point Gauss segments.
+table in `metrics` sums 12-point Gauss cells, and the mollifier's bump
+is normalized over 32-point Gauss segments.
 
 `adaptive_simpson` and `integrate_to_endpoint` are the scalar test oracle
 for that table, one point at a time.  Interior integrals use plain

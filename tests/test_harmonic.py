@@ -231,6 +231,19 @@ def test_laurent_path_at_the_rim_beats_the_direct_sum(samples):
         assert np.all(laurent <= direct)
 
 
+@pytest.mark.parametrize("n", [1000, 1024, 2048, 4096])
+def test_int_power_matches_the_long_double_power(n):
+    # near the rim, where z^(N-1) is used; numpy's own power of a complex
+    # float64 misses this bound at every n here
+    rng = np.random.default_rng(n)
+    z = rng.uniform(0.9, 0.9999, 4000) * np.exp(2j * math.pi * rng.uniform(size=4000))
+    ref = np.asarray(z, np.clongdouble) ** (n - 1)
+    got = harmonic._int_power(z, n - 1)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= (n - 1) * np.finfo(float).eps
+    assert np.array_equal(harmonic._int_power(z[:5], 0), np.ones(5, complex))
+    assert harmonic._int_power(np.zeros(1, complex), n - 1)[0] == 0.0
+
+
 @pytest.mark.parametrize("samples", [1000, 2048])
 def test_laurent_blocks_match_one_block(monkeypatch, samples):
     b = random_smooth_boundary(7, sample_count=samples)
@@ -624,18 +637,23 @@ def test_package_import_leaves_scipy_sparse_unloaded():
                    env=dict(os.environ, PYTHONPATH=src))
 
 
-def test_metrics_and_check_bounds_leave_scipy_interpolate_unloaded(tmp_path):
+def _fresh_metrics_and_check_bounds(tmp_path, modules, metric_specs):
+    """In a fresh interpreter, build a mollified and a tabulated metric,
+    evaluate them, run check-bounds on each spec, and assert that none of
+    `modules` was imported."""
     import os
     import subprocess
     import sys
 
     import schwarzlab
     src = os.path.dirname(os.path.dirname(schwarzlab.__file__))
-    tent = tmp_path / "tent.json"
-    tent.write_text('{"kind": "lemma_psi_family", '
-                    '"params": {"a": 0.5, "s": 0.5, "epsilon": 0.05}}')
     wave = tmp_path / "wave.json"
     wave.write_text('{"kind": "expression-preset", "name": "cosine"}')
+    specs = []
+    for i, text in enumerate(metric_specs):
+        spec = tmp_path / f"metric{i}.json"
+        spec.write_text(text)
+        specs.append(str(spec))
     code = f"""
 import sys
 import numpy as np
@@ -646,13 +664,30 @@ table = metrics.tabulated_metric([-1.0, -0.2, 0.4, 1.0], [1.0, 1.5, 1.2, 0.8])
 for m in (smooth, table):
     m.density(u), m.d_density(u)
 smooth.d2_density(u)
-assert cli.main(["check-bounds", "--metric", {str(tent)!r}, "--boundary", {str(wave)!r},
-                 "--out", {str(tmp_path / "out")!r}]) == 0
-loaded = sorted(name for name in ("scipy.interpolate", "scipy.linalg") if name in sys.modules)
+for i, spec in enumerate({specs!r}):
+    assert cli.main(["check-bounds", "--metric", spec, "--boundary", {str(wave)!r},
+                     "--out", {str(tmp_path)!r} + f"/out{{i}}"]) == 0
+loaded = sorted(name for name in {tuple(modules)!r} if name in sys.modules)
 assert not loaded, loaded
 """
     subprocess.run([sys.executable, "-c", code], check=True,
                    env=dict(os.environ, PYTHONPATH=src))
+
+
+_SMOOTH_TENT_SPEC = ('{"kind": "lemma_psi_family", '
+                     '"params": {"a": 0.5, "s": 0.5, "epsilon": 0.05}}')
+_TABULATED_SPEC = '{"kind": "tabulated", "u": [-1, -0.4, 0.3, 1], "R": [0.8, 1.3, 1.1, 0.6]}'
+
+
+def test_metrics_and_check_bounds_leave_scipy_interpolate_unloaded(tmp_path):
+    _fresh_metrics_and_check_bounds(tmp_path, ("scipy.interpolate", "scipy.linalg"),
+                                    [_SMOOTH_TENT_SPEC])
+
+
+def test_metrics_and_check_bounds_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique imports numpy.ma for its masked-array check
+    _fresh_metrics_and_check_bounds(tmp_path, ("numpy.ma",),
+                                    [_SMOOTH_TENT_SPEC, _TABULATED_SPEC])
 
 
 def test_oracle_factor_fill_at_n_201():

@@ -534,8 +534,14 @@ def test_mollify_needs_the_derivative_and_knots():
         def __call__(self, x):
             return np.asarray(x, float)
 
+    class NoSecondDerivative(NoDerivative):
+        def deriv(self, x):
+            return np.ones_like(np.asarray(x, float))
+
     with pytest.raises(InvalidInput, match="deriv"):
         mollify(NoDerivative(), 0.1)
+    with pytest.raises(InvalidInput, match="second_deriv"):
+        mollify(NoSecondDerivative(), 0.1)
     with pytest.raises(InvalidInput, match="deriv"):
         mollify(lambda x: np.asarray(x, float), 0.1)
 
@@ -564,6 +570,21 @@ def test_mollify_spline_matches_direct_convolution():
     assert np.max(np.abs(np.asarray(m.density(pts)) - exact(pts))) < 1e-10
 
 
+def _reflected(psi_fn, x):
+    """Extend an odd map on [-1, 1] to [-2, 2] by point reflection at (+-1, +-1)."""
+    x = np.asarray(x, float)
+    val = np.asarray(psi_fn(np.clip(x, -1.0, 1.0)), float)
+    val = np.where(x > 1.0, 2.0 - np.asarray(psi_fn(np.clip(2.0 - x, -1.0, 1.0)), float), val)
+    return np.where(x < -1.0, -2.0 - np.asarray(psi_fn(np.clip(-2.0 - x, -1.0, 1.0)), float),
+                    val)
+
+
+def _reflected_deriv(dpsi_fn, x):
+    x = np.asarray(x, float)
+    folded = np.where(x > 1.0, 2.0 - x, np.where(x < -1.0, -2.0 - x, x))
+    return np.asarray(dpsi_fn(np.clip(folded, -1.0, 1.0)), float)
+
+
 def _dense_convolution(fn, x, epsilon, cuts):
     """The convolution as one batch of every segment of every point: the reference."""
     x = np.asarray(x, float)
@@ -584,51 +605,105 @@ def _dense_convolution(fn, x, epsilon, cuts):
     return out.reshape(x.shape)
 
 
-def _convolution_inputs(psi):
-    """The integrands and cuts `mollified_density_exact` convolves."""
+def _convolution_cuts(psi):
+    """Where the reflected derivative of psi breaks on [-2, 2]."""
     knots = np.asarray(psi.knots, float)
-    cuts = np.unique(np.concatenate([knots, -knots, 2.0 - knots, knots - 2.0]))
-    return (lambda x: metrics._reflected_deriv(psi.deriv, x),
-            lambda x: metrics._reflected(psi, x), cuts)
+    return np.unique(np.concatenate([knots, -knots, 2.0 - knots, knots - 2.0]))
+
+
+def _dense_density(psi, x, epsilon):
+    """The dense Gauss convolution of the reflected derivative of psi: the oracle."""
+    return _dense_convolution(lambda y: _reflected_deriv(psi.deriv, y), x, epsilon,
+                              _convolution_cuts(psi))
+
+
+def _ulp_of_max_R(psi, x):
+    """One ulp of the largest value of R = psi' on the points x."""
+    return np.spacing(np.max(np.abs(psi.deriv(np.asarray(x, float)))))
 
 
 CONVOLVED_MAPS = [(psi_family(0.25, 0.6), 0.05), (psi_family(0.5, 0.5), 0.05),
                   (psi_family(81.0, 0.1), 0.05), (psi_family(4.0, 1.0 / 3.0), 0.05),
                   (psi_family(361.0, 0.05), 2e-4), (_IdentityMap(), 0.05)]
+CONVOLVED_IDS = [f"{getattr(p, 'label', 'identity')}-{e:g}" for p, e in CONVOLVED_MAPS]
 
 
-@pytest.mark.parametrize("psi, eps", CONVOLVED_MAPS,
-                         ids=[f"{getattr(p, 'label', 'identity')}-{e:g}"
-                              for p, e in CONVOLVED_MAPS])
+@pytest.mark.parametrize("psi, eps", CONVOLVED_MAPS, ids=CONVOLVED_IDS)
 def test_live_segment_convolution_is_the_dense_sum(psi, eps):
-    dfn, fn, cuts = _convolution_inputs(psi)
+    """The moment sum is the dense Gauss convolution within 8 ulp of max|R|
+    (R = psi'), and needs no normalization: the dense convolution of the
+    reflected map itself sends 1 to 1 within two roundings."""
     xs = np.linspace(-1.0, 1.0, 8193)
-    assert np.array_equal(metrics._convolve_with_bump(dfn, xs, eps, cuts),
-                          _dense_convolution(dfn, xs, eps, cuts))
-    one = np.array([1.0])
-    norm = _dense_convolution(fn, one, eps, cuts)
-    assert np.array_equal(metrics._convolve_with_bump(fn, one, eps, cuts), norm)
-    assert np.array_equal(mollified_density_exact(psi, eps)(xs),
-                          _dense_convolution(dfn, xs, eps, cuts) / float(norm[0]))
+    got = mollified_density_exact(psi, eps)(xs)
+    assert np.max(np.abs(got - _dense_density(psi, xs, eps))) <= 8 * _ulp_of_max_R(psi, xs)
+    one = _dense_convolution(lambda y: _reflected(psi, y), np.array([1.0]), eps,
+                             _convolution_cuts(psi))
+    assert abs(one[0] - 1.0) <= 2 * np.finfo(float).eps
 
 
-@pytest.mark.parametrize("shape", [(1,), (metrics._MOLLIFY_BLOCK - 1,),
-                                   (metrics._MOLLIFY_BLOCK,),
-                                   (metrics._MOLLIFY_BLOCK + 1,), (8193,), (37, 61), ()])
+@pytest.mark.parametrize("psi", [p for p, _ in CONVOLVED_MAPS],
+                         ids=[getattr(p, "label", "identity") for p, _ in CONVOLVED_MAPS])
+def test_moment_sum_is_the_dense_sum_at_a_wide_kernel(psi):
+    """At eps = 0.9 a point's kernel spans several knots.  The moments are
+    differences of bump integrals of order 1, and the sum scales their
+    roundings by eps * |R'|, so the bound adds eps * max|R'| * 2^-52 to the
+    8 ulp of max|R|.  Only the sharp tents feel it: tent(361, 0.05) reads
+    10.7 ulp of max|R|, where that term allows 20 more."""
+    eps = 0.9
+    xs = np.linspace(-1.0, 1.0, 8193)
+    got = mollified_density_exact(psi, eps)(xs)
+    slope = np.max(np.abs(psi.second_deriv(xs)))
+    bound = 8 * _ulp_of_max_R(psi, xs) + eps * slope * np.finfo(float).eps
+    assert np.max(np.abs(got - _dense_density(psi, xs, eps))) <= bound
+
+
+@pytest.mark.parametrize("shape", [(1,), (1023,), (1024,), (1025,), (8193,), (37, 61), ()])
 def test_live_segment_convolution_blocks_any_shape(shape):
-    dfn, _, cuts = _convolution_inputs(psi_family(0.5, 0.5))
+    psi = psi_family(0.5, 0.5)
     xs = np.random.default_rng(11).uniform(-1.0, 1.0, shape)
-    got = metrics._convolve_with_bump(dfn, xs, 0.05, cuts)
-    assert got.shape == xs.shape
-    assert np.array_equal(got, _dense_convolution(dfn, xs, 0.05, cuts))
+    got = mollified_density_exact(psi, 0.05)(xs)
+    assert got.shape == np.shape(xs)
+    assert np.max(np.abs(got - _dense_density(psi, xs, 0.05)), initial=0.0) \
+        <= 8 * _ulp_of_max_R(psi, np.linspace(-1.0, 1.0, 101))
 
 
 def test_live_segment_convolution_keeps_nan_points_nan():
-    dfn, _, cuts = _convolution_inputs(psi_family(0.5, 0.5))
+    psi = psi_family(0.5, 0.5)
     xs = np.array([-0.3, np.nan, 0.7])
-    got = metrics._convolve_with_bump(dfn, xs, 0.05, cuts)
-    assert np.array_equal(got, _dense_convolution(dfn, xs, 0.05, cuts), equal_nan=True)
+    got = mollified_density_exact(psi, 0.05)(xs)
     assert np.isnan(got[1]) and np.all(np.isfinite(got[[0, 2]]))
+    assert np.max(np.abs(got[[0, 2]] - _dense_density(psi, xs[[0, 2]], 0.05))) \
+        <= 8 * _ulp_of_max_R(psi, xs[[0, 2]])
+
+
+def test_mollified_identity_is_exactly_one():
+    # a piece's moments telescope to the bump's unit mass, exactly where a
+    # point's kernel meets one knot at a time
+    xs = np.linspace(-1.0, 1.0, 8193)
+    for eps in (0.05, 0.1):
+        assert np.all(mollified_density_exact(_IdentityMap(), eps)(xs) == 1.0)
+    m = mollify(_IdentityMap(), 0.1)
+    assert np.all(m.density(np.linspace(-1.0, 1.0, 1001)) == 1.0)
+
+
+class _SineMap:
+    knots = (0.0, 1.0)
+
+    def __call__(self, x):
+        return np.sin(0.5 * np.pi * np.asarray(x, float))
+
+    def deriv(self, x):
+        return 0.5 * np.pi * np.cos(0.5 * np.pi * np.asarray(x, float))
+
+    def second_deriv(self, x):
+        return -0.25 * np.pi ** 2 * np.sin(0.5 * np.pi * np.asarray(x, float))
+
+
+def test_mollify_rejects_a_derivative_that_is_not_affine_between_knots():
+    with pytest.raises(InvalidInput, match="affine"):
+        mollify(_SineMap(), 0.05)
+    with pytest.raises(InvalidInput, match="affine"):
+        mollified_density_exact(_SineMap(), 0.05)
 
 
 def test_convolution_memory_stays_bounded_by_the_block():
