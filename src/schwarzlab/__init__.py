@@ -6,10 +6,10 @@ from .bounds import (BoundReport, check_distance_contraction,
                      mobius_automorphism, random_disk_pairs, ring_grid,
                      schwarz_quotient)
 from .config import DEFAULT, Tolerances
-from .errors import (DerivativeUnavailable, DomainError, InvalidInput,
-                     NoConvergence, NonIntegrable, NumericInversionFailure,
-                     OutOfRange, OutsideDisk, ParameterOutOfRange,
-                     PreconditionViolated, SchwarzlabError, StencilOutsideDisk)
+from .errors import (DomainError, InvalidInput, NoConvergence, NonIntegrable,
+                     NumericInversionFailure, OutOfRange, OutsideDisk,
+                     ParameterOutOfRange, PreconditionViolated,
+                     SchwarzlabError, StencilOutsideDisk)
 from .gallery import (ExampleReport, run_halfplane_example,
                       run_negative_curvature_example, run_strip_example,
                       run_zero_curvature_example)

@@ -19,7 +19,7 @@ from .config import DEFAULT, Tolerances
 from .errors import NonIntegrable, OutsideDisk
 from .harmonic import BoundaryData, HarmonicField, solved_field
 from .lemmas import check_unimodal
-from .metrics import (Metric1D, log_concavity_report, mass, transform_table)
+from .metrics import Metric1D, log_concavity_report, transform_table
 
 FOUR_OVER_PI = 4.0 / math.pi
 # slacks within this distance of zero are counted as equality cases
@@ -202,7 +202,8 @@ def check_gradient_bound(metric: Metric1D, boundary: BoundaryData,
             f"(min curvature {curv.min_curvature:.3g} at u={curv.worst_u:.3g}); "
             f"bound and chain are reported but the underlying result does not apply")
 
-    extras = {"chain_checked": chain_checked, "min_curvature": curv.min_curvature}
+    extras = {"chain_checked": chain_checked, "min_curvature": curv.min_curvature,
+              "negative_atoms": curv.negative_atoms}
     try:
         table = transform_table(metric, tols)
     except NonIntegrable:
@@ -308,7 +309,8 @@ def check_distance_contraction(metric: Metric1D, boundary: BoundaryData,
     warnings += _sampling_warnings(boundary, pairs, tols, gradient=False)
     return BoundReport("distance_contraction_4_over_pi", z, lhs, rhs,
                        tolerance=tols.slack_tol, warnings=warnings,
-                       extras={"min_curvature": curv.min_curvature})
+                       extras={"min_curvature": curv.min_curvature,
+                               "negative_atoms": curv.negative_atoms})
 
 
 def random_disk_pairs(seed: int, count: int, radius: float = 0.95) -> np.ndarray:

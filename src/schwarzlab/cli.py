@@ -117,6 +117,7 @@ def _run_curvature(args, tols: Tolerances, out: Path):
         "min_curvature": report.min_curvature,
         "worst_u": report.worst_u,
         "is_nonnegative": report.is_nonnegative,
+        "negative_atoms": report.negative_atoms,
         "exp_majorant_ok": report.exp_majorant_ok,
         "grid_n": n,
     }

@@ -20,8 +20,6 @@ class Tolerances:
     # quadrature
     quad_abs_tol: float = 1e-12
     quad_ceiling: float = 1e12
-    # numeric differentiation base step
-    diff_step: float = 1e-6
     # monotone transform inversion: |H(result) - t| <= inverse_rel_tol * r
     inverse_rel_tol: float = 1e-12
     # slack below which a bound check still counts as passed

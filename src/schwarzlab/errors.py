@@ -9,10 +9,6 @@ class DomainError(SchwarzlabError):
     """Evaluation point lies outside the open domain of a metric."""
 
 
-class DerivativeUnavailable(SchwarzlabError):
-    """Numeric differencing would have to step outside the domain."""
-
-
 class NonIntegrable(SchwarzlabError):
     """Adaptive quadrature detected a divergent integral."""
 

@@ -1,9 +1,9 @@
 """Metric densities R(u) on an open interval and their transforms.
 
 A metric here is a positive density on an open interval, carrying its first
-(and optionally second) derivative.  The module computes Gaussian curvature
-of the associated strip metric, the mass r = (1/2) * integral of R over
-(-1, 1), the centered primitive H and its inverse, log-concavity
+and second derivatives.  The module computes the closed-form Gaussian
+curvature of the associated strip metric, the mass r = (1/2) * integral of R
+over (-1, 1), the centered primitive H and its inverse, log-concavity
 diagnostics, and mollification of piecewise densities.  The mass, H, its
 inverse and the divergence verdict all come from one table of Gauss cells
 (`HTransform`); the scalar adaptive `transform_H` and `inverse_H` are kept
@@ -21,9 +21,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT, Tolerances, spec_param, spec_params
-from .errors import (DerivativeUnavailable, DomainError, InvalidInput,
-                     NonIntegrable, NumericInversionFailure, OutOfRange,
-                     ParameterOutOfRange)
+from .errors import (DomainError, InvalidInput, NonIntegrable,
+                     NumericInversionFailure, OutOfRange, ParameterOutOfRange)
 from .quadrature import (adaptive_simpson, gauss_legendre,
                          integrate_to_endpoint, segments_gauss)
 
@@ -34,17 +33,20 @@ class Metric1D:
 
     density/d_density/d2_density accept floats or numpy arrays.  `knots`
     lists the points where the density is not smooth (a tent's corners, a
-    spline's nodes); the transform table splits its cells there.  Instances
-    are immutable; expensive derived quantities (transform tables,
-    divergence verdicts) are memoized per instance in module-level caches.
+    spline's nodes); the transform table splits its cells there.  `atoms`
+    holds the (u, mass) point masses of the curvature at knots where R'
+    jumps (none for a C1 density).  Instances are immutable; expensive
+    derived quantities (transform tables, divergence verdicts) are memoized
+    per instance in module-level caches.
     """
     domain_lo: float
     domain_hi: float
     density: Callable
     d_density: Callable
-    d2_density: Optional[Callable] = None
+    d2_density: Callable
     name: str = "metric"
     knots: tuple = ()
+    atoms: tuple = ()
 
     def require_inside(self, u) -> None:
         """Raise DomainError unless every element of u lies in the open domain."""
@@ -186,14 +188,16 @@ def _pchip_end(h0, h1, m0, m1):
 # metric families
 # ---------------------------------------------------------------------------
 
+def _zeros(u) -> np.ndarray:
+    return np.zeros_like(np.asarray(u, float))
+
+
 def constant_metric(value: float = 1.0) -> Metric1D:
     if value <= 0:
         raise ParameterOutOfRange("constant density must be positive")
     return Metric1D(-1.0, 1.0,
                     lambda u: np.full_like(np.asarray(u, float), value),
-                    lambda u: np.zeros_like(np.asarray(u, float)),
-                    lambda u: np.zeros_like(np.asarray(u, float)),
-                    name=f"constant({value:g})")
+                    _zeros, _zeros, name=f"constant({value:g})")
 
 
 def exponential_metric(c: float) -> Metric1D:
@@ -263,13 +267,17 @@ def half_plane_metric() -> Metric1D:
 def tent_metric(a: float, s: float) -> Metric1D:
     """Density psi'(a, s) of the concave tent map: an even tent with flat wings.
 
-    The density has corners at |u| in {0, s}, its knots, so no second
-    derivative is attached.
+    R'' = 0 between its corners at |u| in {0, s}, its knots.  There K has
+    the atoms -(jump of R')/R^3: -2a/(1 - as^2)^3 at +-s and
+    4a/(1 + 2as - as^2)^3 at 0.
     """
     from .lemmas import ConcaveTentMap   # lemmas imports this module
     psi = ConcaveTentMap(a, s)
-    return Metric1D(-1.0, 1.0, psi.deriv, psi.second_deriv, None, name=psi.label,
-                    knots=(-psi.s, 0.0, psi.s))
+    wing = -2.0 * psi.a / (1.0 - psi.u) ** 3
+    peak = 4.0 * psi.a / (1.0 + 2.0 * psi.a * psi.s - psi.u) ** 3
+    return Metric1D(-1.0, 1.0, psi.deriv, psi.second_deriv, _zeros, name=psi.label,
+                    knots=(-psi.s, 0.0, psi.s),
+                    atoms=((-psi.s, wing), (0.0, peak), (psi.s, wing)))
 
 
 def tabulated_metric(u: Sequence[float], R: Sequence[float]) -> Metric1D:
@@ -287,8 +295,8 @@ def tabulated_metric(u: Sequence[float], R: Sequence[float]) -> Metric1D:
     if np.any(R <= 0):
         raise InvalidInput("tabulated density must be positive")
     interp = _Cubic.hermite(u, R, _pchip_slopes(u, R))
-    return Metric1D(float(u[0]), float(u[-1]), interp, interp.derivative(), None,
-                    name="tabulated", knots=tuple(u[1:-1]))
+    return Metric1D(float(u[0]), float(u[-1]), interp, interp.derivative(),
+                    interp.derivative(2), name="tabulated", knots=tuple(u[1:-1]))
 
 
 def metric_from_json(spec: dict) -> Metric1D:
@@ -332,45 +340,34 @@ def metric_from_json(spec: dict) -> Metric1D:
 # curvature
 # ---------------------------------------------------------------------------
 
-def curvature_at(metric: Metric1D, u, *, force_numeric: bool = False,
-                 tols: Tolerances = DEFAULT):
-    """Gaussian curvature -(1/R^2) (R'/R)' of the strip metric at u.
+def curvature_at(metric: Metric1D, u):
+    """Gaussian curvature -(1/R^2) (R'/R)' of the strip metric at u, from
+    R, R' and R'' (its point masses are `metric.atoms`).
 
     Takes a float or an array and returns the same shape (a float for a
-    float).  Every element must lie inside the domain, with room for its
-    central-difference step on the numeric path.
+    float).  Every element must lie inside the domain.
     """
     u = np.asarray(u, float)
     metric.require_inside(u)
     R = np.asarray(metric.density(u), float)
     if np.any(R <= 0):
         raise DomainError(f"density must be positive, got {float(R.min())}")
-    if metric.d2_density is not None and not force_numeric:
-        Rp, Rpp = metric.d_density(u), metric.d2_density(u)
-        w_prime = Rpp / R - (Rp / R) ** 2
-    else:
-        h = np.maximum(tols.diff_step, tols.diff_step * np.abs(u))
-        h = np.minimum(h, np.minimum(0.5 * (u - metric.domain_lo),
-                                     0.5 * (metric.domain_hi - u)))
-        cramped = h < 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(u))
-        if np.any(cramped):
-            raise DerivativeUnavailable(
-                f"cannot difference at {float(u[cramped][0])} without leaving the domain")
-        w_hi = metric.d_density(u + h) / metric.density(u + h)
-        w_lo = metric.d_density(u - h) / metric.density(u - h)
-        w_prime = (w_hi - w_lo) / (2.0 * h)
+    Rp, Rpp = metric.d_density(u), metric.d2_density(u)
+    w_prime = Rpp / R - (Rp / R) ** 2
     curv = -w_prime / (R * R)
     return float(curv) if curv.ndim == 0 else curv
 
 
 @dataclass(frozen=True)
 class LogConcavityReport:
-    """Curvature scan of a metric over a grid; `curvature` holds the scanned values."""
+    """Curvature scan of a metric over a grid; `curvature` holds the scanned
+    values and `negative_atoms` the (u, mass) point masses of K below 0."""
     min_curvature: float
     worst_u: float
     is_nonnegative: bool
     exp_majorant_ok: bool
     majorant_min_slack: float
+    negative_atoms: tuple
     curvature: np.ndarray = dataclasses.field(repr=False, compare=False)
 
 
@@ -382,19 +379,25 @@ def log_concavity_report(metric: Metric1D, grid: Sequence[float],
     case), otherwise at the grid midpoint.
     """
     grid = np.asarray(grid, float)
-    curv = curvature_at(metric, grid, tols=tols)
+    curv = curvature_at(metric, grid)
     i = int(np.argmin(curv))
+    # a negative atom is a minimum of -inf, whatever the grid: at the most
+    # negative atom, the smaller u on a tie
+    negative = tuple((u, m) for u, m in metric.atoms if m < 0.0)
+    min_curvature = -math.inf if negative else float(curv[i])
+    worst_u = min((m, u) for u, m in negative)[1] if negative else float(grid[i])
     anchor = 0.0 if metric.domain_lo < 0.0 < metric.domain_hi \
         else float(np.median(grid))
     slope = float(metric.d_density(anchor)) / float(metric.density(anchor))
     majorant = float(metric.density(anchor)) * np.exp(slope * (grid - anchor))
     slack = majorant - np.asarray(metric.density(grid), float)
     return LogConcavityReport(
-        min_curvature=float(curv[i]),
-        worst_u=float(grid[i]),
-        is_nonnegative=bool(curv[i] >= -tols.slack_tol),
+        min_curvature=min_curvature,
+        worst_u=worst_u,
+        is_nonnegative=bool(min_curvature >= -tols.slack_tol),
         exp_majorant_ok=bool(slack.min() >= -tols.slack_tol),
         majorant_min_slack=float(slack.min()),
+        negative_atoms=negative,
         curvature=curv,
     )
 
@@ -924,8 +927,8 @@ def mollify(psi: Callable, epsilon: float, table_points: int = 8193) -> Metric1D
     (built in numpy, scipy's CubicSpline bit for bit) so downstream solvers
     can evaluate the density cheaply; the spline is what the returned
     metric *is*.  Its first and second derivatives are the metric's, so the
-    curvature is the spline's own rather than a difference quotient, and its
-    nodes are the metric's knots, so the transform table integrates it
+    curvature is the spline's own (C2, so without atoms), and its nodes are
+    the metric's knots, so the transform table integrates it
     exactly even where the smoothed corners are narrower than a cell.
     """
     if not (0.0 < epsilon < 1.0):

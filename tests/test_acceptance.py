@@ -39,7 +39,7 @@ def _stamp(label, started, budget):
 
 # -- 1 ----------------------------------------------------------------------
 
-def test_c01_curvature_formulas():
+def test_c01_curvature_formulas(difference_quotient_curvature):
     started = time.perf_counter()
     grid = np.linspace(-0.99, 0.99, 99)
     cases = [
@@ -51,7 +51,7 @@ def test_c01_curvature_formulas():
     for metric, expected in cases:
         for u in grid:
             assert curvature_at(metric, u) == pytest.approx(expected(u), abs=1e-6)
-            assert curvature_at(metric, u, force_numeric=True) == pytest.approx(
+            assert difference_quotient_curvature(metric, u) == pytest.approx(
                 expected(u), abs=1e-4)
     _stamp("C1 curvature formulas", started, 1.0)
 

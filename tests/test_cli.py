@@ -416,7 +416,6 @@ def _artifacts(out):
 TOLERANCE_CASES = [
     ("quad_abs_tol", ["check-bounds"], [], "1e-3", (0, 0)),
     ("quad_ceiling", ["transform", "--grid-n", "33"], [], "0.5", (0, 3)),
-    ("diff_step", ["curvature", "--grid-n", "99", "--metric", "tent"], [], "1e-3", (0, 0)),
     ("inverse_rel_tol", ["solve", "--grid-n", "65"], [], "1e-2", (0, 0)),
     ("slack_tol", ["check-bounds"], [], "1e-13", (0, 0)),
     ("fd_update_tol", ["solve", "--grid-n", "65"], [], "1e-4", (0, 0)),
@@ -458,18 +457,51 @@ def test_every_tolerance_is_applied(specs, name, argv, shared, value, codes):
         assert _summary(runs[1][1])["effective_tolerances"][name] == float(value)
 
 
-@pytest.mark.parametrize("metric, chain_checked", [("cosine", True), ("secant", False)])
-def test_chain_checked_is_written_as_a_boolean(specs, metric, chain_checked):
-    spec = specs["dir"] / f"{metric}.json"
-    spec.write_text(json.dumps({"kind": metric}))
+def _bare_tent(a, s):
+    return {"kind": "lemma_psi_family", "params": {"a": a, "s": s}}
+
+
+@pytest.mark.parametrize("metric, chain_checked, code", [
+    pytest.param({"kind": "cosine"}, True, 0, id="cosine-True"),
+    pytest.param({"kind": "secant"}, False, 0, id="secant-False"),
+    # the 4/pi bound fails here, on a metric with negative atoms at +-0.1
+    pytest.param(_bare_tent(81, 0.1), False, 1, id="tent-False")])
+def test_chain_checked_is_written_as_a_boolean(specs, metric, chain_checked, code):
+    spec = specs["dir"] / "metric.json"
+    spec.write_text(json.dumps(metric))
     wave = specs["dir"] / "wave.json"
     wave.write_text('{"kind": "expression-preset", "name": "cosine"}\n')
-    out = specs["dir"] / f"o27-{metric}"
+    out = specs["dir"] / "o27"
     assert main(["check-bounds", "--metric", str(spec), "--boundary", str(wave),
-                 "--out", str(out)]) == 0
+                 "--out", str(out)]) == code
     raw = (out / "summary.json").read_text()
     assert f'"chain_checked": {json.dumps(chain_checked)}' in raw
-    assert _summary(out)["gradient_bound"]["extras"]["chain_checked"] is chain_checked
+    gradient = _summary(out)["gradient_bound"]
+    assert gradient["extras"]["chain_checked"] is chain_checked
+    assert any("not certified non-negative curvature" in w
+               for w in gradient["warnings"]) is not chain_checked
+
+
+@pytest.mark.parametrize("a, s", [(2.0, 0.3), (81.0, 0.1), (0.5, 0.5)])
+def test_curvature_and_check_bounds_agree_on_a_bare_tent(specs, a, s):
+    spec = specs["dir"] / "tent.json"
+    spec.write_text(json.dumps(_bare_tent(a, s)))
+    wave = specs["dir"] / "wave.json"
+    wave.write_text('{"kind": "expression-preset", "name": "cosine"}\n')
+    curv, bounds_out = specs["dir"] / "o28-curvature", specs["dir"] / "o28-bounds"
+    assert main(["curvature", "--metric", str(spec), "--out", str(curv)]) == 0
+    main(["check-bounds", "--metric", str(spec), "--boundary", str(wave),
+          "--out", str(bounds_out)])
+    wing = -2.0 * a / (1.0 - a * s * s) ** 3
+    summary = _summary(curv)
+    assert summary["is_nonnegative"] is False
+    assert (summary["min_curvature"], summary["worst_u"]) == ("-Infinity", -s)
+    assert summary["negative_atoms"] == [[-s, wing], [s, wing]]
+    checked = _summary(bounds_out)
+    for key in ("gradient_bound", "distance_contraction"):
+        assert checked[key]["extras"]["negative_atoms"] == [[-s, wing], [s, wing]]
+        assert checked[key]["extras"]["min_curvature"] == "-Infinity"
+    assert checked["gradient_bound"]["extras"]["chain_checked"] is False
 
 
 def test_infinite_mass_is_written_as_strict_json(specs):

@@ -608,6 +608,7 @@ def test_oracle_stall_raises_under_default_tolerances():
 
 def test_oracle_nan_source_raises():
     broken = Metric1D(-1.0, 1.0, lambda u: np.ones_like(u),
+                      lambda u: np.full_like(u, np.nan),
                       lambda u: np.full_like(u, np.nan), name="nan-slope")
     with pytest.raises(NoConvergence):
         fd_solve_oracle(broken, cosine_boundary(0.8), 65)
@@ -662,8 +663,7 @@ u = np.linspace(-0.9, 0.9, 7)
 smooth = metrics.mollify(lemmas.psi_family(0.5, 0.5), 0.05)
 table = metrics.tabulated_metric([-1.0, -0.2, 0.4, 1.0], [1.0, 1.5, 1.2, 0.8])
 for m in (smooth, table):
-    m.density(u), m.d_density(u)
-smooth.d2_density(u)
+    m.density(u), m.d_density(u), m.d2_density(u)
 for i, spec in enumerate({specs!r}):
     assert cli.main(["check-bounds", "--metric", spec, "--boundary", {str(wave)!r},
                      "--out", {str(tmp_path)!r} + f"/out{{i}}"]) == 0

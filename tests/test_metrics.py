@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from schwarzlab import metrics
 from schwarzlab.config import DEFAULT
-from schwarzlab.errors import (DerivativeUnavailable, DomainError, InvalidInput,
-                               NonIntegrable, NumericInversionFailure,
-                               OutOfRange, ParameterOutOfRange)
+from schwarzlab.bounds import _curvature_scan_grid
+from schwarzlab.errors import (DomainError, InvalidInput, NonIntegrable,
+                               NumericInversionFailure, OutOfRange,
+                               ParameterOutOfRange)
 from schwarzlab.lemmas import ConcaveTentMap, psi_family
 from schwarzlab.metrics import (HTransform, Metric1D, constant_metric,
                                 cosine_metric, curvature_at, exponential_metric,
@@ -53,12 +54,12 @@ def test_curvature_cosine_at_origin():
     assert curvature_at(cosine_metric(), u) == pytest.approx(expected, rel=1e-10)
 
 
-def test_curvature_numeric_path_agrees_with_analytic():
+def test_curvature_numeric_path_agrees_with_analytic(difference_quotient_curvature):
     for m in (hyperbolic_metric(), cosine_metric(), exponential_metric(1.5),
               secant_metric()):
         for u in np.linspace(-0.9, 0.9, 33):
             a = curvature_at(m, u)
-            n = curvature_at(m, u, force_numeric=True)
+            n = difference_quotient_curvature(m, u)
             assert n == pytest.approx(a, abs=1e-6, rel=1e-6)
 
 
@@ -69,21 +70,13 @@ def test_curvature_outside_domain_raises():
         curvature_at(half_plane_metric(), -0.5)
 
 
-def _pointwise_curvature(metric, grid, force_numeric=False):
+def _pointwise_curvature(metric, grid):
     """-(1/R^2)(R'/R)' one point at a time, in Python floats."""
     out = []
     for u in map(float, grid):
         R = float(metric.density(u))
-        if metric.d2_density is not None and not force_numeric:
-            Rp, Rpp = float(metric.d_density(u)), float(metric.d2_density(u))
-            w_prime = Rpp / R - (Rp / R) ** 2
-        else:
-            h = min(max(1e-6, 1e-6 * abs(u)), 0.5 * (u - metric.domain_lo),
-                    0.5 * (metric.domain_hi - u))
-            w_hi = float(metric.d_density(u + h)) / float(metric.density(u + h))
-            w_lo = float(metric.d_density(u - h)) / float(metric.density(u - h))
-            w_prime = (w_hi - w_lo) / (2.0 * h)
-        out.append(-w_prime / (R * R))
+        Rp, Rpp = float(metric.d_density(u)), float(metric.d2_density(u))
+        out.append(-(Rpp / R - (Rp / R) ** 2) / (R * R))
     return np.array(out)
 
 
@@ -106,21 +99,12 @@ def test_curvature_array_matches_pointwise_loop():
         assert curv.shape == grid.shape
         np.testing.assert_allclose(curv, _pointwise_curvature(metric, grid),
                                    rtol=1e-15, atol=0.0, err_msg=metric.name)
-        # the forced difference quotient divides last-bit differences between
-        # scalar and vectorized evaluation of the density by h ~ 1e-6
-        np.testing.assert_allclose(
-            curvature_at(metric, grid, force_numeric=True),
-            _pointwise_curvature(metric, grid, force_numeric=True),
-            rtol=1e-9, atol=1e-9, err_msg=metric.name)
     assert isinstance(curvature_at(cosine_metric(), 0.3), float)
 
 
 def test_curvature_array_checks_every_element():
     with pytest.raises(DomainError):
         curvature_at(cosine_metric(), np.array([0.0, 0.5, 1.0]))
-    with pytest.raises(DerivativeUnavailable):
-        curvature_at(cosine_metric(), np.array([0.0, -1.0 + 1e-15]),
-                     force_numeric=True)
 
 
 def test_half_plane_curvature_identity():
@@ -186,6 +170,8 @@ def _power_blowup(alpha):
     alpha < 1, and a dyadic slice ratio of exactly 2^(alpha - 1) toward 1."""
     return Metric1D(-1.0, 1.0, lambda u: (1.0 - np.asarray(u, float)) ** -alpha,
                     lambda u: alpha * (1.0 - np.asarray(u, float)) ** (-alpha - 1.0),
+                    lambda u: alpha * (alpha + 1.0) *
+                    (1.0 - np.asarray(u, float)) ** (-alpha - 2.0),
                     name=f"(1-u)^-{alpha:g}")
 
 
@@ -504,6 +490,25 @@ def test_log_concavity_constant_equality():
     assert rep.majorant_min_slack == pytest.approx(0.0, abs=1e-12)
 
 
+# the unsmoothed tents: K >= 0 between the corners, a negative atom at +-s
+BARE_TENTS = [(2.0, 0.3), (81.0, 0.1), (0.5, 0.5)]
+
+
+@pytest.mark.parametrize("a, s", BARE_TENTS)
+@pytest.mark.parametrize("grid", [_curvature_scan_grid(),
+                                  np.linspace(-1.0 + 2e-3, 1.0 - 2e-3, 999)],
+                         ids=["scan-601", "curvature-999"])
+def test_bare_tent_is_not_certified_on_any_grid(a, s, grid):
+    # the verdict reads the atoms, not whether the grid meets a corner
+    rep = log_concavity_report(tent_metric(a, s), grid)
+    wing = -2.0 * a / (1.0 - a * s * s) ** 3
+    assert not rep.is_nonnegative
+    assert rep.min_curvature == -math.inf
+    assert rep.worst_u == -s
+    assert rep.negative_atoms == ((-s, wing), (s, wing))
+    assert np.all(rep.curvature >= 0.0)
+
+
 # ---------------------------------------------------------------------------
 # mollification
 # ---------------------------------------------------------------------------
@@ -729,7 +734,7 @@ def test_subnormal_epsilon_convolves_without_overflow():
 
 
 @pytest.mark.parametrize("a, s", [(0.25, 0.6), (0.5, 0.5), (81.0, 0.1), (4.0, 1.0 / 3.0)])
-def test_mollified_curvature_is_the_splines_own(a, s):
+def test_mollified_curvature_is_the_splines_own(a, s, difference_quotient_curvature):
     from scipy.interpolate import CubicSpline
     psi = psi_family(a, s)
     m = mollify(psi, 0.05)
@@ -741,8 +746,8 @@ def test_mollified_curvature_is_the_splines_own(a, s):
     scale = np.max(np.abs(closed))
     curv = curvature_at(m, u)
     np.testing.assert_allclose(curv, closed, rtol=1e-14, atol=1e-14 * scale)
-    np.testing.assert_allclose(curvature_at(m, u, force_numeric=True), curv,
-                               rtol=1e-7, atol=1e-7 * scale)
+    numeric = [difference_quotient_curvature(m, point) for point in u]
+    np.testing.assert_allclose(numeric, curv, rtol=1e-7, atol=1e-7 * scale)
 
 
 def _bit_equal(ours, ref):
@@ -801,7 +806,7 @@ def test_tabulated_metric_is_scipys_pchip_bit_for_bit(u, R):
     x = _oracle_points(np.asarray(u), len(u))
     assert _bit_equal(m.density(x), ref(x))
     assert _bit_equal(m.d_density(x), ref.derivative(1)(x))
-    assert _bit_equal(m.d_density.derivative(1)(x), ref.derivative(2)(x))
+    assert _bit_equal(m.d2_density(x), ref.derivative(2)(x))
 
 
 def test_tabulated_metric_copies_its_samples():
@@ -868,8 +873,23 @@ def test_tent_metric_is_the_tent_map_derivative():
     assert np.array_equal(m.density(x), ConcaveTentMap(a, s).deriv(x))
     assert np.array_equal(m.d_density(x),
                           np.where(np.abs(x) < s, -2.0 * a * np.sign(x), 0.0))
-    assert m.d2_density is None
+    assert np.array_equal(m.d2_density(x), np.zeros_like(x))
+    wing = -2.0 * a / (1.0 - u0) ** 3
+    assert m.atoms == ((-s, wing), (0.0, 4.0 * a / (1.0 + 2.0 * a * s - u0) ** 3), (s, wing))
     assert m.name == "tent(a=2, s=0.3)"
+
+
+@pytest.mark.parametrize("a, s", BARE_TENTS)
+def test_tent_atoms_are_the_jumps_of_one_sided_difference_quotients(a, s):
+    # K = -(1/R^2)(R'/R)' puts -(jump of R')/R^3 on a corner
+    m = tent_metric(a, s)
+    h = 1e-6
+    assert [u for u, _ in m.atoms] == list(m.knots)
+    for u, atom in m.atoms:
+        R = float(m.density(u))
+        right = (float(m.density(u + h)) - R) / h
+        left = (R - float(m.density(u - h))) / h
+        assert atom == pytest.approx(-(right - left) / R ** 3, rel=1e-6)
 
 
 def test_tent_metric_parameter_validation():
@@ -909,13 +929,6 @@ def test_tabulated_monotone_positive():
     assert np.all(np.asarray(m.density(grid)) > 0)
     with pytest.raises(InvalidInput):
         tabulated_metric([0, 1], [1, 1])
-
-
-def test_derivative_unavailable_at_the_edge():
-    u = -1.0 + 1e-16
-    if u > -1.0:   # representable strictly inside
-        with pytest.raises(DerivativeUnavailable):
-            curvature_at(cosine_metric(), u, force_numeric=True)
 
 
 def test_nonneg_curvature_families_have_finite_mass():
