@@ -9,6 +9,7 @@ examples sit exactly on the bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dfield
 from typing import Dict, Optional, Sequence
@@ -19,7 +20,8 @@ from .config import DEFAULT, Tolerances
 from .errors import NonIntegrable, OutsideDisk
 from .harmonic import BoundaryData, HarmonicField, solved_field
 from .lemmas import check_unimodal
-from .metrics import Metric1D, log_concavity_report, transform_table
+from .metrics import (LogConcavityReport, Metric1D, log_concavity_report,
+                      transform_table)
 
 FOUR_OVER_PI = 4.0 / math.pi
 # slacks within this distance of zero are counted as equality cases
@@ -163,6 +165,16 @@ def _curvature_scan_grid() -> np.ndarray:
     return np.linspace(-0.999, 0.999, 601)
 
 
+@functools.lru_cache(maxsize=16)
+def _curvature_scan(metric: Metric1D, tols: Tolerances) -> LogConcavityReport:
+    """The curvature scan of the bound checks, once per metric and
+    tolerances; its `curvature` array is read-only, since every check
+    shares it."""
+    report = log_concavity_report(metric, _curvature_scan_grid(), tols=tols)
+    report.curvature.flags.writeable = False
+    return report
+
+
 def check_gradient_bound(metric: Metric1D, boundary: BoundaryData,
                          grid: Optional[Sequence[complex]] = None,
                          tols: Tolerances = DEFAULT) -> BoundReport:
@@ -194,7 +206,7 @@ def check_gradient_bound(metric: Metric1D, boundary: BoundaryData,
     rhs = FOUR_OVER_PI * (1.0 - f * f) / one_minus
 
     warnings = list(_sampling_warnings(boundary, z, tols, gradient=True))
-    curv = log_concavity_report(metric, _curvature_scan_grid(), tols=tols)
+    curv = _curvature_scan(metric, tols)
     chain_checked = curv.is_nonnegative
     if not curv.is_nonnegative:
         warnings.append(
@@ -303,7 +315,7 @@ def check_distance_contraction(metric: Metric1D, boundary: BoundaryData,
     fz, fw = field.value_many(pairs.ravel()).reshape(-1, 2).T
     lhs = np.arctanh(np.abs(fz - fw) / np.abs(1.0 - fz * fw))
     rhs = FOUR_OVER_PI * hyperbolic_distance(z, w)
-    curv = log_concavity_report(metric, _curvature_scan_grid(), tols=tols)
+    curv = _curvature_scan(metric, tols)
     warnings = () if curv.is_nonnegative else (
         "metric is not certified non-negative curvature",)
     warnings += _sampling_warnings(boundary, pairs, tols, gradient=False)

@@ -24,7 +24,7 @@ class Tolerances:
     inverse_rel_tol: float = 1e-12
     # slack below which a bound check still counts as passed
     slack_tol: float = 1e-9
-    # finite-difference oracle; one "sweep" is one Picard step (one sparse
+    # finite-difference oracle; one "sweep" is one Picard step (one linear
     # solve), and converging cases take 15-200 of them
     fd_update_tol: float = 1e-10
     fd_fail_tol: float = 1e-8

@@ -3,8 +3,9 @@
 Euclidean harmonic extension by the Poisson kernel (trapezoid rule over
 uniform boundary samples, spectrally accurate for smooth data), the lift of
 boundary data to metric-harmonic solutions through the centered primitive H,
-a sparse-direct (SuperLU) Picard oracle that discretizes the quasilinear
-equation directly by finite differences, and residual diagnostics
+a Picard oracle that discretizes the quasilinear equation directly by finite
+differences (solved by sine transforms with a capacitance correction at the
+cut cells, in numpy alone), and residual diagnostics
 (pointwise equation residual and holomorphy of the quadratic differential).
 
 A trapezoid Poisson sum means the sum at the points the caller passes, and
@@ -516,30 +517,109 @@ def _disk_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class _DiskOperator:
-    """Shortley-Weller discretization of -Laplacian * h^2/2 on the n x n disk grid.
+    """Shortley-Weller discretization A of -Laplacian * h^2/2 on the n x n
+    disk grid, and its exact solve.
 
     Unknowns are the interior nodes in `np.nonzero(inside)` order.  Each arm
     points either at another unknown or, at a cut cell, at the circle
     crossing; `nbr[d]` indexes the concatenation [unknowns, crossing values],
-    with the crossing values taken at `angles`.
+    with the crossing values taken at `angles`.  Crossing value c enters the
+    row of unknown `cut_rows[c]` with weight `cut_weights[c]`.
+
+    `solve` needs no factor of A.  A row with four whole arms is the row of
+    A0 = 2I - (E + W + N + S)/2 on the N^2 = (n - 2)^2 interior nodes of the
+    square (zero on its edge), which the orthogonal sine matrix
+    S[i, a] = sqrt(2/(N+1)) sin(pi (i+1)(a+1)/(N+1)) diagonalizes:
+    A0^-1 F = S ((S F S) / eig) S, eig[a, b] = mu_a + mu_b with
+    mu_a = 1 - cos(pi (a+1)/(N+1)).  The k irregular unknowns, those with a
+    cut arm, keep their own rows R of A.  The solution of A u = b is then
+    u = A0^-1 (b + q) on the disk, where q lives on the irregular cells and
+    solves the k x k capacitance system C q = b_irr - R A0^-1 b with
+    C = R A0^-1 restricted to the irregular cells (Buzbee, Dorr, George &
+    Golub 1971; Proskurowski & Widlund 1976).  C is non-singular whenever A
+    is.  Rows of C are divided by their diagonal entry of A, which reaches
+    1e6 where an arm is clipped to 1e-6.
     """
     xs: np.ndarray
     h: float
     inside: np.ndarray
     arms: dict                  # arm -> (m,) arm length in units of h
     nbr: dict                   # arm -> (m,) index into [unknowns, crossings]
-    angles: np.ndarray          # (k,) polar angles of the circle crossings
-    coupling: object            # (m, k) sparse weights of the crossing values
-    lu: object                  # SuperLU factor of the (m, m) operator
+    angles: np.ndarray          # (c,) polar angles of the circle crossings
+    cut_rows: np.ndarray = field(init=False, repr=False)     # (c,)
+    cut_weights: np.ndarray = field(init=False, repr=False)  # (c,)
+    sines: np.ndarray = field(init=False, repr=False)        # (N, N) S
+    eig: np.ndarray = field(init=False, repr=False)          # (N, N)
+    cells: tuple = field(init=False, repr=False)   # square (i, j) of the unknowns
+    irregular: np.ndarray = field(init=False, repr=False)    # (k,) unknowns
+    # (k, 5) square i, square j and weight of each entry of R: the diagonal,
+    # then one per arm (a cut arm names the node's own cell, weight 0)
+    stencil: tuple = field(init=False, repr=False)
+    capacitance_inv: np.ndarray = field(init=False, repr=False)   # (k, k)
+
+    def __post_init__(self):
+        m = int(self.inside.sum())
+        ii, jj = np.nonzero(self.inside)
+        ci, cj = ii - 1, jj - 1
+        aE, aW, aN, aS = (self.arms[d] for d in "EWNS")
+        weights = {"E": 1.0 / (aE * (aE + aW)), "W": 1.0 / (aW * (aE + aW)),
+                   "N": 1.0 / (aN * (aN + aS)), "S": 1.0 / (aS * (aN + aS))}
+        diag = 1.0 / (aE * aW) + 1.0 / (aN * aS)
+        cut = {d: self.nbr[d] >= m for d in "EWNS"}
+        cut_rows = np.concatenate([np.nonzero(cut[d])[0] for d in "EWNS"])
+        irr = np.unique(cut_rows)
+        to = np.stack([irr] + [np.where(cut[d][irr], irr, self.nbr[d][irr])
+                               for d in "EWNS"], axis=1)
+        sw = np.stack([diag[irr]] + [np.where(cut[d][irr], 0.0, -weights[d][irr])
+                                     for d in "EWNS"], axis=1)
+        si, sj = ci[to], cj[to]
+
+        big = len(self.xs) - 1                  # N + 1
+        t = np.arange(1.0, big)
+        mu = 1.0 - np.cos(math.pi * t / big)
+        eig = mu[:, None] + mu[None, :]
+        # A0^-1 between square nodes by images of its sine sums:
+        #   G((i, j), (i', j')) = K(i-i', j-j') - K(i-i', j+j'+2)
+        #                         - K(i+i'+2, j-j') + K(i+i'+2, j+j'+2),
+        #   K(d, e) = sum_ab cos(pi (a+1) d/(N+1)) cos(pi (b+1) e/(N+1)) / eig_ab,
+        # over (N+1)^2; K is even in d and e, and |d|, |e| < 2(N+1) here
+        cos_table = np.cos(math.pi * np.outer(np.arange(2 * big), t) / big)
+        K = cos_table @ (1.0 / eig) @ cos_table.T / (big * big)
+        ri, rj = ci[irr], cj[irr]
+        cap = np.zeros((len(irr), len(irr)))
+        for o in range(5):
+            dm, dp = np.abs(si[:, o, None] - ri), si[:, o, None] + ri + 2
+            em, ep = np.abs(sj[:, o, None] - rj), sj[:, o, None] + rj + 2
+            green = K[dm, em] - K[dm, ep] - K[dp, em] + K[dp, ep]
+            cap += (sw[:, o] / sw[:, 0])[:, None] * green
+
+        def put(name, value):
+            object.__setattr__(self, name, value)
+        put("cut_rows", cut_rows)
+        put("cut_weights", np.concatenate([weights[d][cut[d]] for d in "EWNS"]))
+        put("sines", math.sqrt(2.0 / big) * np.sin(math.pi * np.outer(t, t) / big))
+        put("eig", eig)
+        put("cells", (ci, cj))
+        put("irregular", irr)
+        put("stencil", (si, sj, sw))
+        put("capacitance_inv", np.linalg.inv(cap))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The solution of A u = rhs on the unknowns."""
+        S, eig = self.sines, self.eig
+        F = np.zeros(eig.shape)
+        F[self.cells] = rhs
+        Fh = S @ F @ S
+        w = S @ (Fh / eig) @ S                  # A0^-1 F
+        si, sj, sw = self.stencil
+        resid = (rhs[self.irregular] - np.sum(sw * w[si, sj], axis=1)) / sw[:, 0]
+        Q = np.zeros(eig.shape)
+        Q[si[:, 0], sj[:, 0]] = self.capacitance_inv @ resid
+        return (S @ ((Fh + S @ Q @ S) / eig) @ S)[self.cells]
 
 
 @functools.lru_cache(maxsize=2)
 def _disk_operator(n: int) -> _DiskOperator:
-    # scipy.sparse is imported here, not at module top: most runs never reach
-    # the oracle, and the import costs start-up time and memory
-    from scipy import sparse
-    from scipy.sparse.linalg import splu
-
     xs, inside = _disk_nodes(n)
     h = xs[1] - xs[0]
     m = int(inside.sum())
@@ -567,21 +647,10 @@ def _disk_operator(n: int) -> _DiskOperator:
         arms[d], nbr[d] = a, nb
         angles.append(ang)
 
-    aE, aW, aN, aS = (arms[d] for d in "EWNS")
-    weights = {"E": 1.0 / (aE * (aE + aW)), "W": 1.0 / (aW * (aE + aW)),
-               "N": 1.0 / (aN * (aN + aS)), "S": 1.0 / (aS * (aN + aS))}
-    diag = 1.0 / (aE * aW) + 1.0 / (aN * aS)
-    coupling = sparse.csr_matrix(
-        (np.concatenate([weights[d] for d in "EWNS"]),
-         (np.tile(np.arange(m), 4), np.concatenate([nbr[d] for d in "EWNS"]))),
-        shape=(m, k))
-    operator = sparse.diags(diag) - coupling[:, :m]
     # every GridField at this n shares these two arrays
     xs.flags.writeable = inside.flags.writeable = False
     return _DiskOperator(xs=xs, h=h, inside=inside, arms=arms, nbr=nbr,
-                         angles=np.concatenate(angles),
-                         coupling=coupling[:, m:].tocsr(),
-                         lu=splu(operator.tocsc(), permc_spec="MMD_AT_PLUS_A"))
+                         angles=np.concatenate(angles))
 
 
 def fd_solve_oracle(metric: Metric1D, boundary: BoundaryData, n: int,
@@ -589,15 +658,14 @@ def fd_solve_oracle(metric: Metric1D, boundary: BoundaryData, n: int,
     """Finite-difference solve of the quasilinear equation on an n x n disk grid.
 
     Shortley-Weller arms tie cut cells to exact circle crossings (boundary
-    value looked up at the crossing angle).  The linear 5-point operator is
-    assembled and LU-factored once per n (SuperLU with a minimum-degree
-    ordering of A^T + A, which the nearly symmetric operator suits: half the
-    fill of the default column ordering; cached); each Picard step
-    freezes the nonlinear term, evaluated explicitly from the previous
-    iterate with under-relaxed blending, and solves the linear system by one
-    back-substitution.  One "sweep" in `tols.fd_max_sweeps` and
-    `GridField.sweeps` is one such solve.  Entirely independent of the
-    H-transform solution path.
+    value looked up at the crossing angle).  The linear 5-point operator and
+    its capacitance matrix are built once per n (cached, `_DiskOperator`);
+    each Picard step freezes the nonlinear term, evaluated explicitly from
+    the previous iterate with under-relaxed blending, and solves the linear
+    system exactly: two sine-transform solves on the square with a
+    capacitance correction at the cut cells between them.  One "sweep" in
+    `tols.fd_max_sweeps` and `GridField.sweeps` is one such solve.  Entirely
+    independent of the H-transform solution path.
     """
     if n < 33:
         raise InvalidInput("oracle grid needs n >= 33")
@@ -614,7 +682,8 @@ def fd_solve_oracle(metric: Metric1D, boundary: BoundaryData, n: int,
 
     op = _disk_operator(n)
     crossing = np.asarray(boundary.values(op.angles), float)
-    b_cut = op.coupling @ crossing
+    b_cut = np.bincount(op.cut_rows, op.cut_weights * crossing,
+                        minlength=len(op.cells[0]))
     u = np.full(len(b_cut), boundary.mean())
     ext = np.concatenate([u, crossing])     # [unknowns, crossing values]
     aE, aW, aN, aS = (op.arms[d] for d in "EWNS")
@@ -644,7 +713,7 @@ def fd_solve_oracle(metric: Metric1D, boundary: BoundaryData, n: int,
     while sweeps < tols.fd_max_sweeps and not update < tols.fd_update_tol:
         s_new = source(u)
         S = s_new if S is None else relax * s_new + (1.0 - relax) * S
-        new = np.clip(op.lu.solve(b_cut + h2half * S), lo, hi)
+        new = np.clip(op.solve(b_cut + h2half * S), lo, hi)
         update = float(np.max(np.abs(new - u)))
         u = new
         sweeps += 1

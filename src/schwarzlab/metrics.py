@@ -381,11 +381,18 @@ def log_concavity_report(metric: Metric1D, grid: Sequence[float],
     grid = np.asarray(grid, float)
     curv = curvature_at(metric, grid)
     i = int(np.argmin(curv))
+    grid_min = float(curv[i])
+    grid_worst = float(grid[i])
+    if math.isfinite(grid_min):
+        # mirror minima can differ only by rounding: the smallest u within
+        # slack_tol (relative beyond |K| = 1) of the minimum, in any order
+        near = curv <= grid_min + tols.slack_tol * max(1.0, abs(grid_min))
+        grid_worst = float(np.min(grid[near]))
     # a negative atom is a minimum of -inf, whatever the grid: at the most
     # negative atom, the smaller u on a tie
     negative = tuple((u, m) for u, m in metric.atoms if m < 0.0)
-    min_curvature = -math.inf if negative else float(curv[i])
-    worst_u = min((m, u) for u, m in negative)[1] if negative else float(grid[i])
+    min_curvature = -math.inf if negative else grid_min
+    worst_u = min((m, u) for u, m in negative)[1] if negative else grid_worst
     anchor = 0.0 if metric.domain_lo < 0.0 < metric.domain_hi \
         else float(np.median(grid))
     slope = float(metric.d_density(anchor)) / float(metric.density(anchor))

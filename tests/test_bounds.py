@@ -11,6 +11,7 @@ from schwarzlab.bounds import (BoundReport, check_distance_contraction,
                                hyperbolic_distance, mobius_automorphism,
                                random_disk_pairs, ring_grid, schwarz_quotient)
 from schwarzlab.cli import _write_csv
+from schwarzlab.config import DEFAULT
 from schwarzlab.errors import OutsideDisk
 from schwarzlab.harmonic import (BoundaryData, analytic_field,
                                  constant_boundary, euclidean_field,
@@ -150,6 +151,25 @@ def test_gradient_bound_mollified_tent_certified_pair():
     # not log-concave: the chain is recorded but explicitly not certified
     assert not rep.extras["chain_checked"]
     assert rep.warnings
+
+
+def test_bound_checks_scan_a_metric_once(monkeypatch):
+    import schwarzlab.bounds as bounds
+    scanned = []
+    scan = bounds.log_concavity_report
+
+    def counting_scan(metric, *args, **kwargs):
+        scanned.append(metric)
+        return scan(metric, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "log_concavity_report", counting_scan)
+    m = mollify(psi_family(0.25, 0.6), 0.05)
+    b = random_smooth_boundary(12)
+    gradient = check_gradient_bound(m, b)
+    distance = check_distance_contraction(m, b, random_disk_pairs(0, 50))
+    assert scanned == [m]
+    assert gradient.extras["min_curvature"] == distance.extras["min_curvature"] < 0
+    assert not bounds._curvature_scan(m, DEFAULT).curvature.flags.writeable
 
 
 def test_gradient_bound_mollified_sharp_pair_chain_breaks():

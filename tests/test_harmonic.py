@@ -626,14 +626,28 @@ def test_oracle_never_touches_transform_path(monkeypatch):
     assert np.all(np.isfinite(grid.interior_points()[1]))
 
 
-def test_package_import_leaves_scipy_sparse_unloaded():
+def test_package_import_leaves_scipy_sparse_unloaded(tmp_path):
+    # nor does the FD oracle import scipy at all
     import os
     import subprocess
     import sys
 
     import schwarzlab
     src = os.path.dirname(os.path.dirname(schwarzlab.__file__))
-    code = "import schwarzlab, sys; assert 'scipy.sparse' not in sys.modules"
+    metric = tmp_path / "cosine.json"
+    metric.write_text('{"kind": "cosine"}')
+    wave = tmp_path / "wave.json"
+    wave.write_text('{"kind": "expression-preset", "name": "cosine"}')
+    code = f"""
+import sys
+import schwarzlab
+assert 'scipy.sparse' not in sys.modules
+from schwarzlab import cli
+assert cli.main(["solve", "--metric", {str(metric)!r}, "--boundary", {str(wave)!r},
+                 "--grid-n", "65", "--out", {str(tmp_path / "solve")!r}]) == 0
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
     subprocess.run([sys.executable, "-c", code], check=True,
                    env=dict(os.environ, PYTHONPATH=src))
 
@@ -690,8 +704,53 @@ def test_metrics_and_check_bounds_leave_numpy_ma_unloaded(tmp_path):
                                     [_SMOOTH_TENT_SPEC, _TABULATED_SPEC])
 
 
-def test_oracle_factor_fill_at_n_201():
-    # a minimum-degree ordering of A^T + A keeps the factor at 1.49M
-    # nonzeros; the default column ordering filled it to 2.88M
-    lu = harmonic._disk_operator(201).lu
-    assert lu.L.nnz + lu.U.nnz < 2_000_000
+def _dense_shortley_weller(op):
+    """The operator's matrix, assembled entry by entry from its arms."""
+    m = len(op.cells[0])
+    rows = np.arange(m)
+    aE, aW, aN, aS = (op.arms[d] for d in "EWNS")
+    weights = {"E": 1.0 / (aE * (aE + aW)), "W": 1.0 / (aW * (aE + aW)),
+               "N": 1.0 / (aN * (aN + aS)), "S": 1.0 / (aS * (aN + aS))}
+    A = np.zeros((m, m))
+    A[rows, rows] = 1.0 / (aE * aW) + 1.0 / (aN * aS)
+    for d in "EWNS":
+        inner = op.nbr[d] < m
+        A[rows[inner], op.nbr[d][inner]] -= weights[d][inner]
+    return A
+
+
+@pytest.mark.parametrize("clipped", [False, True], ids=["grid-arms", "clip-arms"])
+@pytest.mark.parametrize("n", [33, 65])
+def test_disk_operator_solve_matches_dense_solve(n, clipped):
+    op = harmonic._disk_operator(n)
+    m = len(op.cells[0])
+    if clipped:
+        # no grid node lies within 1e-6 h of the circle; shorten a third of
+        # the cut arms to the clip and another third to just above it
+        rng = np.random.default_rng(n)
+        arms = {d: a.copy() for d, a in op.arms.items()}
+        for d in "EWNS":
+            cut = np.nonzero(op.nbr[d] >= m)[0]
+            arms[d][cut[::3]] = 1e-6
+            arms[d][cut[1::3]] = 1e-6 * (1.0 + rng.uniform(size=len(cut[1::3])))
+        op = harmonic._DiskOperator(xs=op.xs, h=op.h, inside=op.inside, arms=arms,
+                                    nbr=op.nbr, angles=op.angles)
+        assert max(op.stencil[2][:, 0]) > 1e5   # diagonals near 1e6
+    rhs = np.random.default_rng(1).standard_normal(m)
+    expected = np.linalg.solve(_dense_shortley_weller(op), rhs)
+    assert np.max(np.abs(op.solve(rhs) - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+# Picard solves per case (seeds 0, 1, 2 at each n) as a sparse LU factor of
+# the same operator gave them: an exact linear solve must reproduce them
+_ORACLE_SWEEPS = {"cosine": {65: (20, 15, 15), 101: (20, 15, 15), 201: (20, 15, 15)},
+                  "exponential": {65: (20, 15, 16), 101: (20, 15, 16), 201: (20, 15, 16)}}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [65, 101, 201])
+@pytest.mark.parametrize("name", ["cosine", "exponential"])
+def test_oracle_sweeps_are_pinned(name, n, seed):
+    metric = cosine_metric() if name == "cosine" else exponential_metric(1.0)
+    grid = fd_solve_oracle(metric, random_smooth_boundary(seed, sample_count=2048), n)
+    assert grid.sweeps == _ORACLE_SWEEPS[name][n][seed]

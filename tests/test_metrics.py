@@ -509,6 +509,22 @@ def test_bare_tent_is_not_certified_on_any_grid(a, s, grid):
     assert np.all(rep.curvature >= 0.0)
 
 
+# smoothed tents whose mirror minima of K differ only by rounding: by
+# 2.9e-13, 6.6e-13, 9.9e-12 and 2.4e-9 on the 601-point scan
+SMOOTH_TENTS = [(0.25, 0.6), (0.5, 0.5), (4.0, 1.0 / 3.0), (81.0, 0.1)]
+
+
+@pytest.mark.parametrize("a, s", SMOOTH_TENTS)
+def test_worst_u_does_not_depend_on_the_grid_order(a, s):
+    m = mollify(psi_family(a, s), 0.05)
+    grid = _curvature_scan_grid()
+    forward = log_concavity_report(m, grid)
+    backward = log_concavity_report(m, grid[::-1])
+    assert forward.min_curvature == backward.min_curvature
+    # the smaller u of the two mirror minima
+    assert forward.worst_u == backward.worst_u < 0.0
+
+
 # ---------------------------------------------------------------------------
 # mollification
 # ---------------------------------------------------------------------------
