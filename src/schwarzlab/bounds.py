@@ -9,7 +9,6 @@ examples sit exactly on the bound.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field as dfield
 from typing import Dict, Optional, Sequence
@@ -20,6 +19,7 @@ from .config import DEFAULT, Tolerances
 from .errors import NonIntegrable, OutsideDisk
 from .harmonic import BoundaryData, HarmonicField, solved_field
 from .lemmas import check_unimodal
+from .lifetime import lifetime_cache
 from .metrics import (LogConcavityReport, Metric1D, log_concavity_report,
                       transform_table)
 
@@ -165,11 +165,11 @@ def _curvature_scan_grid() -> np.ndarray:
     return np.linspace(-0.999, 0.999, 601)
 
 
-@functools.lru_cache(maxsize=16)
+@lifetime_cache()
 def _curvature_scan(metric: Metric1D, tols: Tolerances) -> LogConcavityReport:
-    """The curvature scan of the bound checks, once per metric and
-    tolerances; its `curvature` array is read-only, since every check
-    shares it."""
+    """The curvature scan of the bound checks, once per tolerances for as
+    long as the metric lives; its `curvature` array is read-only, since
+    every check shares it."""
     report = log_concavity_report(metric, _curvature_scan_grid(), tols=tols)
     report.curvature.flags.writeable = False
     return report

@@ -32,7 +32,8 @@ import numpy as np
 from .config import DEFAULT, Tolerances, spec_param, spec_params
 from .errors import (InvalidInput, NoConvergence, NonIntegrable, OutsideDisk,
                      StencilOutsideDisk)
-from .metrics import HTransform, Metric1D, transform_table
+from .lifetime import lifetime_cache
+from .metrics import HTransform, Metric1D, _sorted_unique, transform_table
 
 TWO_PI = 2.0 * math.pi
 
@@ -385,10 +386,14 @@ def analytic_field(value: Callable, grad: Callable,
     return HarmonicField(value_many, value_and_gradient_many, metric=metric, name=name)
 
 
-@functools.lru_cache(maxsize=8)
+@lifetime_cache(position=1)
 def solved_field(metric: Metric1D, boundary: BoundaryData,
                  tols: Tolerances = DEFAULT) -> HarmonicField:
     """Lift boundary data to the metric-harmonic solution via H.
+
+    Cached for as long as the boundary lives, per metric and tolerances.
+    The field keeps its metric, so it works on its own, but not the
+    boundary, so it goes with the boundary.
 
     The Euclidean extension g of H(boundary)/r is computed by the Poisson
     integral and the solution is f = H^{-1}(r g); its gradient follows from
@@ -515,6 +520,10 @@ def _disk_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, X * X + Y * Y < 1.0 - 1e-14
 
 
+# irregular rows per block of the capacitance build
+_CAPACITANCE_BLOCK = 32
+
+
 @dataclass(frozen=True, eq=False)
 class _DiskOperator:
     """Shortley-Weller discretization A of -Laplacian * h^2/2 on the n x n
@@ -567,7 +576,7 @@ class _DiskOperator:
         diag = 1.0 / (aE * aW) + 1.0 / (aN * aS)
         cut = {d: self.nbr[d] >= m for d in "EWNS"}
         cut_rows = np.concatenate([np.nonzero(cut[d])[0] for d in "EWNS"])
-        irr = np.unique(cut_rows)
+        irr = _sorted_unique(cut_rows)
         to = np.stack([irr] + [np.where(cut[d][irr], irr, self.nbr[d][irr])
                                for d in "EWNS"], axis=1)
         sw = np.stack([diag[irr]] + [np.where(cut[d][irr], 0.0, -weights[d][irr])
@@ -587,11 +596,16 @@ class _DiskOperator:
         K = cos_table @ (1.0 / eig) @ cos_table.T / (big * big)
         ri, rj = ci[irr], cj[irr]
         cap = np.zeros((len(irr), len(irr)))
-        for o in range(5):
-            dm, dp = np.abs(si[:, o, None] - ri), si[:, o, None] + ri + 2
-            em, ep = np.abs(sj[:, o, None] - rj), sj[:, o, None] + rj + 2
-            green = K[dm, em] - K[dm, ep] - K[dp, em] + K[dp, ep]
-            cap += (sw[:, o] / sw[:, 0])[:, None] * green
+        # in blocks of rows, so the index and gather temporaries stay
+        # (block, k) rather than (k, k)
+        for start in range(0, len(irr), _CAPACITANCE_BLOCK):
+            rows = slice(start, start + _CAPACITANCE_BLOCK)
+            for o in range(5):
+                bi, bj = si[rows, o, None], sj[rows, o, None]
+                dm, dp = np.abs(bi - ri), bi + ri + 2
+                em, ep = np.abs(bj - rj), bj + rj + 2
+                green = K[dm, em] - K[dm, ep] - K[dp, em] + K[dp, ep]
+                cap[rows] += (sw[rows, o] / sw[rows, 0])[:, None] * green
 
         def put(name, value):
             object.__setattr__(self, name, value)

@@ -23,6 +23,7 @@ import numpy as np
 from .config import DEFAULT, Tolerances, spec_param, spec_params
 from .errors import (DomainError, InvalidInput, NonIntegrable,
                      NumericInversionFailure, OutOfRange, ParameterOutOfRange)
+from .lifetime import lifetime_cache
 from .quadrature import (adaptive_simpson, gauss_legendre,
                          integrate_to_endpoint, segments_gauss)
 
@@ -36,8 +37,9 @@ class Metric1D:
     spline's nodes); the transform table splits its cells there.  `atoms`
     holds the (u, mass) point masses of the curvature at knots where R'
     jumps (none for a C1 density).  Instances are immutable; expensive
-    derived quantities (transform tables, divergence verdicts) are memoized
-    per instance in module-level caches.
+    derived quantities (transform tables, divergence verdicts, curvature
+    scans) are memoized per instance, for as long as it lives
+    (`lifetime_cache`).
     """
     domain_lo: float
     domain_hi: float
@@ -529,7 +531,7 @@ def _frozen(*arrays):
     return arrays
 
 
-@functools.lru_cache(maxsize=16)
+@lifetime_cache()
 def _unit_table(metric: Metric1D, quad_tol: float,
                 ceiling: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | str:
     """Cell edges, cell polynomials, node values of H and the mass r of the
@@ -541,9 +543,9 @@ def _unit_table(metric: Metric1D, quad_tol: float,
     modelled tail: it replaces the slices beyond, or, for a steady power-law
     tail, only the graded slices, and takes what the tail adds to the
     uniform cells kept beyond the stop.  The cumulative sum of the cells is
-    H + r, so H(-1) = -r and H(1) = r.  lru_cache does not cache exceptions,
-    so a NonIntegrable verdict is kept as its message for the callers to
-    raise anew.
+    H + r, so H(-1) = -r and H(1) = r.  Cached for the metric's lifetime;
+    the cache keeps no exception, so a NonIntegrable verdict is kept as its
+    message for the callers to raise anew.
     """
     d = 0.5 ** np.arange(_COARSEST, _FINEST + 1)
     graded = 1.0 - d[d < 2.0 / _TABLE_CELLS]
@@ -620,9 +622,10 @@ class HTransform:
     interpolant of the 12 samples, stored as its 13 power coefficients in
     s = (u - mid) / half.  h() is a cell lookup and a Horner sum; h_inv() is
     bracketed Newton in the point's cell, with the residual and the slope
-    from the same polynomial, so neither calls the density after the build.
-    Agrees with the scalar oracle transform_H (tested).  h() and h_inv()
-    accept numpy arrays.
+    from the same polynomial, so neither calls the density after the build,
+    and the table keeps no reference to its metric (`transform_table` caches
+    it for as long as the metric lives).  Agrees with the scalar oracle
+    transform_H (tested).  h() and h_inv() accept numpy arrays.
 
     For densities of infinite mass the centered H of the unit interval does
     not exist, but the primitive is still strictly increasing, so a table
@@ -636,7 +639,6 @@ class HTransform:
     def __init__(self, metric: Metric1D, tols: Tolerances = DEFAULT,
                  lo: Optional[float] = None, hi: Optional[float] = None):
         require_unit_domain(metric)
-        self.metric = metric
         self.tols = tols
         self.normalized = lo is None and hi is None
         if self.normalized:
@@ -720,8 +722,10 @@ class HTransform:
         return u.reshape(t.shape)
 
 
-@functools.lru_cache(maxsize=16)
+@lifetime_cache()
 def transform_table(metric: Metric1D, tols: Tolerances = DEFAULT) -> HTransform:
+    """The unit table of the metric, built once per tolerances for as long
+    as the metric lives."""
     return HTransform(metric, tols)
 
 
@@ -729,7 +733,7 @@ def transform_table(metric: Metric1D, tols: Tolerances = DEFAULT) -> HTransform:
 # the scalar oracle: adaptive Simpson one point at a time, for the tests
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=256)
+@lifetime_cache()
 def _half_masses(metric: Metric1D, quad_tol: float, ceiling: float) -> tuple[float, float]:
     """The oracle's A = integral over (0, 1) and B = over (-1, 0)."""
     A = integrate_to_endpoint(lambda t: float(metric.density(t)), 0.0, 1.0,

@@ -627,7 +627,8 @@ def test_oracle_never_touches_transform_path(monkeypatch):
 
 
 def test_package_import_leaves_scipy_sparse_unloaded(tmp_path):
-    # nor does the FD oracle import scipy at all
+    # nor does the FD oracle import scipy at all, nor numpy.ma, which
+    # np.unique imports
     import os
     import subprocess
     import sys
@@ -647,6 +648,7 @@ assert cli.main(["solve", "--metric", {str(metric)!r}, "--boundary", {str(wave)!
                  "--grid-n", "65", "--out", {str(tmp_path / "solve")!r}]) == 0
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert not loaded, loaded
+assert 'numpy.ma' not in sys.modules
 """
     subprocess.run([sys.executable, "-c", code], check=True,
                    env=dict(os.environ, PYTHONPATH=src))

@@ -356,7 +356,7 @@ def test_table_inverse_leaves_converged_points_alone(monkeypatch):
     assert np.array_equal(back[met], start[met])
 
 
-def _gauss_h(tab, u):
+def _gauss_h(metric, tab, u):
     """H by a fresh 12-point Gauss sum from the cell edge to each point.
 
     The table's evaluation before it stored per-cell polynomials.
@@ -364,12 +364,12 @@ def _gauss_h(tab, u):
     u = np.asarray(u, float)
     cell = np.clip(np.searchsorted(tab._nodes, u, side="right") - 1,
                    0, len(tab._nodes) - 2)
-    local = segments_gauss(tab.metric.density, tab._nodes[cell][:, None], u[:, None],
+    local = segments_gauss(metric.density, tab._nodes[cell][:, None], u[:, None],
                            *gauss_legendre(12))
     return tab._h_nodes[cell] + local
 
 
-def _gauss_h_inv(tab, t):
+def _gauss_h_inv(metric, tab, t):
     """Bracketed Newton on `_gauss_h` with the density as the slope.
 
     The table's inversion before it stored per-cell polynomials.
@@ -379,7 +379,7 @@ def _gauss_h_inv(tab, t):
     live = np.arange(t.size)
     for _ in range(80):
         ul = u[live]
-        res = _gauss_h(tab, ul) - t[live]
+        res = _gauss_h(metric, tab, ul) - t[live]
         moving = ~(np.abs(res) <= tab.tols.inverse_rel_tol * scale)
         if not np.any(moving):
             return u
@@ -387,7 +387,7 @@ def _gauss_h_inv(tab, t):
         above = res > 0
         hl = np.where(above, ul, hi[live])
         ll = np.where(above, lo[live], ul)
-        newton = ul - res / tab.metric.density(ul)
+        newton = ul - res / metric.density(ul)
         bad = ~np.isfinite(newton) | (newton <= ll) | (newton >= hl)
         u[live] = np.where(bad, 0.5 * (ll + hl), newton)
         lo[live], hi[live] = ll, hl
@@ -400,30 +400,33 @@ TABLE_TENTS = [(0.25, 0.6), (0.5, 0.5)]
 
 @pytest.fixture(scope="module")
 def smooth_tables():
-    tables = {name: HTransform(m) for name, m in [
+    """(metric, table) by name; a table keeps no reference to its metric."""
+    tables = {name: (m, HTransform(m)) for name, m in [
         ("cosine", cosine_metric()), ("exponential(1)", exponential_metric(1.0)),
         ("exponential(-2)", exponential_metric(-2.0)), ("constant", constant_metric())]}
     for a, s in TABLE_TENTS:
-        tables[f"tent({a}, {s})"] = HTransform(mollify(psi_family(a, s), 0.05))
-    tables["hyperbolic range"] = HTransform(hyperbolic_metric(), lo=-0.9, hi=0.9)
+        m = mollify(psi_family(a, s), 0.05)
+        tables[f"tent({a}, {s})"] = m, HTransform(m)
+    m = hyperbolic_metric()
+    tables["hyperbolic range"] = m, HTransform(m, lo=-0.9, hi=0.9)
     return tables
 
 
 def test_table_polynomials_match_the_gauss_sums(smooth_tables):
     rng = np.random.default_rng(3)
-    for name, tab in smooth_tables.items():
+    for name, (metric, tab) in smooth_tables.items():
         lo, hi = tab._nodes[0], tab._nodes[-1]
         us = rng.uniform(lo, hi, 4000)
-        assert np.max(np.abs(tab.h(us) - _gauss_h(tab, us))) <= 1e-15, name
-        ts = _gauss_h(tab, rng.uniform(0.999 * lo, 0.999 * hi, 4000))
-        assert np.max(np.abs(tab.h_inv(ts) - _gauss_h_inv(tab, ts))) <= 1e-15, name
+        assert np.max(np.abs(tab.h(us) - _gauss_h(metric, tab, us))) <= 1e-15, name
+        ts = _gauss_h(metric, tab, rng.uniform(0.999 * lo, 0.999 * hi, 4000))
+        assert np.max(np.abs(tab.h_inv(ts) - _gauss_h_inv(metric, tab, ts))) <= 1e-15, name
         # one (cells, 13) coefficient array beside the node arrays
         assert tab._coef.shape == (len(tab._nodes) - 1, 13)
 
 
 def test_table_makes_no_density_call_after_the_build(smooth_tables):
     for name in ("cosine", "tent(0.5, 0.5)"):
-        base = smooth_tables[name].metric
+        base, _ = smooth_tables[name]
         calls = []
 
         def density(u, _base=base):
