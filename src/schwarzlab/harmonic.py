@@ -560,6 +560,7 @@ class _DiskOperator:
     sines: np.ndarray = field(init=False, repr=False)        # (N, N) S
     eig: np.ndarray = field(init=False, repr=False)          # (N, N)
     cells: tuple = field(init=False, repr=False)   # square (i, j) of the unknowns
+    flat_cells: np.ndarray = field(init=False, repr=False)   # (m,) cells, raveled
     irregular: np.ndarray = field(init=False, repr=False)    # (k,) unknowns
     # (k, 5) square i, square j and weight of each entry of R: the diagonal,
     # then one per arm (a cut arm names the node's own cell, weight 0)
@@ -614,6 +615,7 @@ class _DiskOperator:
         put("sines", math.sqrt(2.0 / big) * np.sin(math.pi * np.outer(t, t) / big))
         put("eig", eig)
         put("cells", (ci, cj))
+        put("flat_cells", np.ravel_multi_index((ci, cj), eig.shape))
         put("irregular", irr)
         put("stencil", (si, sj, sw))
         put("capacitance_inv", np.linalg.inv(cap))
@@ -622,14 +624,14 @@ class _DiskOperator:
         """The solution of A u = rhs on the unknowns."""
         S, eig = self.sines, self.eig
         F = np.zeros(eig.shape)
-        F[self.cells] = rhs
+        F.reshape(-1)[self.flat_cells] = rhs
         Fh = S @ F @ S
         w = S @ (Fh / eig) @ S                  # A0^-1 F
         si, sj, sw = self.stencil
         resid = (rhs[self.irregular] - np.sum(sw * w[si, sj], axis=1)) / sw[:, 0]
         Q = np.zeros(eig.shape)
         Q[si[:, 0], sj[:, 0]] = self.capacitance_inv @ resid
-        return (S @ ((Fh + S @ Q @ S) / eig) @ S)[self.cells]
+        return (S @ ((Fh + S @ Q @ S) / eig) @ S).take(self.flat_cells)
 
 
 @functools.lru_cache(maxsize=2)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from schwarzlab import bounds, harmonic, lemmas, metrics
-from schwarzlab.cli import _CSV_BLOCK, _write_csv, _write_json, main
+from schwarzlab.cli import (_CSV_BLOCK, _CSV_DEDUP_SHARE, _write_csv, _write_json,
+                            build_parser, main)
 from schwarzlab.config import DEFAULT, spec_param
 from schwarzlab.metrics import cosine_metric, curvature_at
 
@@ -211,11 +212,55 @@ def test_deterministic_summaries(specs):
 
 
 def test_output_dir_env(specs, monkeypatch):
+    build_parser()      # the environment is read per run, not when the parser is built
     target = specs["dir"] / "env-out"
     monkeypatch.setenv("SCHWARZLAB_OUT", str(target))
     code = main(["curvature", "--metric", specs["metric"], "--grid-n", "33"])
     assert code == 0
     assert (target / "summary.json").exists()
+
+
+def test_one_parser_reads_the_output_env_on_every_run(specs, monkeypatch):
+    assert build_parser() is build_parser()
+    for name in ("env-a", "env-b"):
+        target = specs["dir"] / name
+        monkeypatch.setenv("SCHWARZLAB_OUT", str(target))
+        assert main(["sweep", "--family", "psi", "--n-max", "20"]) == 0
+        assert (target / "psi_sweep.csv").exists()
+
+
+def test_out_wins_over_the_output_env(specs, monkeypatch):
+    monkeypatch.setenv("SCHWARZLAB_OUT", str(specs["dir"] / "env-unused"))
+    out = specs["dir"] / "o30"
+    assert main(["sweep", "--family", "psi", "--n-max", "20", "--out", str(out)]) == 0
+    assert (out / "psi_sweep.csv").exists()
+    assert not (specs["dir"] / "env-unused").exists()
+
+
+SOLVE_HELP = """\
+usage: schwarzlab solve [-h] --metric METRIC --boundary BOUNDARY [--out OUT]
+                        [--seed SEED] [--tolerance NAME=VALUE]
+                        [--grid-n GRID_N]
+
+options:
+  -h, --help            show this help message and exit
+  --metric METRIC       metric spec JSON
+  --boundary BOUNDARY   boundary spec JSON
+  --out OUT             output directory (default $SCHWARZLAB_OUT or
+                        ./schwarzlab-out)
+  --seed SEED
+  --tolerance NAME=VALUE
+                        override a named tolerance (repeatable)
+  --grid-n GRID_N
+"""
+
+
+def test_solve_help_names_the_output_env_default(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out == SOLVE_HELP
 
 
 def test_unknown_tolerance_is_invalid_input():
@@ -280,6 +325,21 @@ def test_argparse_rejects_missing_or_unknown_choices(argv):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--family", "r-ratio", "--k-max", "nan"],
+                                  ["sweep", "--family", "r-ratio", "--k-max", "inf"],
+                                  ["gallery", "--name", "strip", "--k", "nan"],
+                                  ["gallery", "--name", "strip", "--k", "inf"],
+                                  ["gallery", "--name", "zero-curvature", "--c", "nan"],
+                                  ["gallery", "--name", "zero-curvature", "--c", "inf"]])
+def test_non_finite_float_option_exits_2(specs, capsys, argv):
+    out = specs["dir"] / "o29"
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--out", str(out)])
+    assert info.value.code == 2
+    assert "needs a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("which", ["n", "c", "k"])
@@ -622,3 +682,34 @@ def test_csv_blocks_join_into_the_per_row_text(tmp_path, rows):
     path = tmp_path / "blocks.csv"
     _write_csv(path, ["a", "b", "c"], columns)
     assert path.read_bytes() == _per_row(["a", "b", "c"], columns)
+
+
+def _per_block_column(rows, distinct, rng):
+    """A column whose every `_CSV_BLOCK` rows cycle through `distinct(size)`
+    fresh normal draws, so the set of values changes from block to block."""
+    parts = [np.empty(0)]
+    for start in range(0, rows, _CSV_BLOCK):
+        size = min(_CSV_BLOCK, rows - start)
+        count = distinct(size)
+        parts.append(rng.normal(size=count)[np.arange(size) % count])
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("rows", [0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, 2 * _CSV_BLOCK + 1])
+def test_csv_columns_of_few_values_join_into_the_per_row_text(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    grid = np.linspace(-1.0, 1.0, 101)[1:-1]
+    # -nan: a second NaN bit pattern, formatted "nan" as well
+    special = np.resize([0.0, -0.0, np.nan, np.inf, 5e-324, 0.0, -np.nan, -0.0], rows)
+    columns = [np.resize(np.repeat(grid, 83), rows),    # x of solution.csv
+               np.resize(grid, rows),                   # its y
+               special,
+               # the largest share of distinct values that is deduplicated,
+               # and one value past it
+               _per_block_column(rows, lambda size: max(int(_CSV_DEDUP_SHARE * size), 1), rng),
+               _per_block_column(rows, lambda size: int(_CSV_DEDUP_SHARE * size) + 1, rng),
+               rng.normal(size=rows)]
+    header = ["x", "y", "special", "at", "past", "unique"]
+    path = tmp_path / "dedup.csv"
+    _write_csv(path, header, columns)
+    assert path.read_bytes() == _per_row(header, columns)
