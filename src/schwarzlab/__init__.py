@@ -22,15 +22,14 @@ from .harmonic import (BoundaryData, GridField, HarmonicField, analytic_field,
                        poisson_value_and_gradient, poisson_values,
                        random_smooth_boundary,
                        random_symmetric_boundary, solved_field, step_boundary)
-from .lemmas import (ConcaveTentMap, LogConcaveDiffeo, SweepRecord,
-                     check_unimodal, dif_diagnostics, generate_logconcave,
-                     logconcave_diffeo_slack, psi_family, psi_sweep, r_ratio,
-                     sharpness_ratio, unimodal_slack)
-from .metrics import (HTransform, LogConcavityReport, Metric1D, constant_metric,
-                      cosine_metric, curvature_at, exponential_metric,
-                      half_plane_metric, hyperbolic_metric, inverse_H,
-                      log_concavity_report, mass, metric_from_json, mollify,
-                      secant_metric, tabulated_metric, tent_metric,
+from .lemmas import (LogConcaveDiffeo, check_unimodal, dif_diagnostics,
+                     generate_logconcave, logconcave_diffeo_slack, psi_family,
+                     psi_sweep, r_ratio, sharpness_ratio, unimodal_slack)
+from .metrics import (ConcaveTentMap, HTransform, LogConcavityReport, Metric1D,
+                      constant_metric, cosine_metric, curvature_at,
+                      exponential_metric, half_plane_metric, hyperbolic_metric,
+                      inverse_H, log_concavity_report, mass, metric_from_json,
+                      mollify, secant_metric, tabulated_metric, tent_metric,
                       transform_H, transform_table)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

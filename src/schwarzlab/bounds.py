@@ -94,24 +94,41 @@ class BoundReport:
 # pointwise quantities
 # ---------------------------------------------------------------------------
 
-def schwarz_quotient(metric: Optional[Metric1D], field: HarmonicField, z) -> float:
-    """|grad f(z)| (1 - |z|^2) / (1 - f(z)^2)."""
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise OutsideDisk("Schwarz quotient needs |z| < 1")
+def _one_minus_abs_sq(z, message: str) -> np.ndarray:
+    """1 - |z|^2 at points of the open disk (`OutsideDisk(message)` otherwise),
+    rounded as the scalar `1 - abs(z) ** 2` (libm hypot and pow); numpy's
+    complex abs and array square can differ from those in the last bit."""
+    z = np.asarray(z, complex)
+    r = np.hypot(z.real, z.imag)
+    if np.any(r >= 1.0):
+        raise OutsideDisk(message)
+    return 1.0 - np.float_power(r, 2)
+
+
+def schwarz_quotient(field: HarmonicField, z):
+    """|grad f(z)| (1 - |z|^2) / (1 - f(z)^2) at a point or an array of points.
+
+    One value-and-gradient pass over the points; returns a float for a
+    scalar z.
+    """
+    one_minus = _one_minus_abs_sq(z, "Schwarz quotient needs |z| < 1")
     f, gx, gy = field.value_and_gradient_many(z)
-    f = float(f)
-    return float(np.hypot(gx, gy) * (1.0 - abs(z) ** 2) / (1.0 - f * f))
+    q = np.hypot(gx, gy) * one_minus / (1.0 - f * f)
+    return float(q) if q.ndim == 0 else q
 
 
-def chen_rhs(g_value: float, z) -> float:
-    """Euclidean-harmonic gradient bound (4/pi) cos(pi g / 2) / (1 - |z|^2)."""
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise OutsideDisk("bound evaluated outside the disk")
-    if not -1.0 <= g_value <= 1.0:
-        raise ValueError("g_value must lie in [-1, 1]")
-    return FOUR_OVER_PI * math.cos(0.5 * math.pi * g_value) / (1.0 - abs(z) ** 2)
+def chen_rhs(g, z):
+    """Euclidean-harmonic gradient bound (4/pi) cos(pi g / 2) / (1 - |z|^2).
+
+    Broadcasts over arrays of g in [-1, 1] and z in the disk; returns a
+    float for scalars.
+    """
+    one_minus = _one_minus_abs_sq(z, "bound evaluated outside the disk")
+    g = np.asarray(g, float)
+    if not np.all((g >= -1.0) & (g <= 1.0)):
+        raise ValueError("g must lie in [-1, 1]")
+    rhs = FOUR_OVER_PI * np.cos(0.5 * math.pi * g) / one_minus
+    return float(rhs) if rhs.ndim == 0 else rhs
 
 
 def hyperbolic_distance(z, w):
@@ -228,7 +245,7 @@ def check_gradient_bound(metric: Metric1D, boundary: BoundaryData,
         psi_v = table.h(f) / r
         psi_prime = np.asarray(metric.density(f), float) / r
         lhs_scaled = grad * one_minus
-        chen_scaled = FOUR_OVER_PI * np.cos(0.5 * math.pi * psi_v) / psi_prime
+        chen_scaled = chen_rhs(psi_v, 0.0) / psi_prime
         mid = FOUR_OVER_PI * (1.0 - psi_v ** 2) / psi_prime
         fin = FOUR_OVER_PI * (1.0 - f * f)
         extras.update({

@@ -239,14 +239,12 @@ def _run_lemma(args, tols: Tolerances, out: Path):
 
 def _run_sweep(args, tols: Tolerances, out: Path):
     if args.family == "psi":
-        records = lemmas_mod.psi_sweep(args.n_max)
-        ratios = [rec.ratio for rec in records]
-        _write_csv(out / "psi_sweep.csv", ["n", "s", "u", "ratio"],
-                   [[rec.parameters[key] for rec in records] for key in ("n", "s", "u")]
-                   + [ratios])
+        columns = lemmas_mod.psi_sweep(args.n_max)
+        ratio = columns[-1]
+        _write_csv(out / "psi_sweep.csv", ["n", "s", "u", "ratio"], columns)
         summary = {"family": args.family, "n_max": args.n_max,
-                   "max_ratio": max(ratios),
-                   "monotone": bool(np.all(np.diff(ratios) > 0))}
+                   "max_ratio": float(np.max(ratio)),
+                   "monotone": bool(np.all(np.diff(ratio) > 0))}
         return 0, summary
     ks = np.linspace(args.k_max / args.grid_n, args.k_max, args.grid_n)
     xs = np.linspace(0.0, 0.999, args.grid_n)

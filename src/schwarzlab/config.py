@@ -38,6 +38,9 @@ class Tolerances:
     grid_radius: float = 0.95
 
     def __post_init__(self):
+        for key, value in asdict(self).items():
+            if not math.isfinite(value):
+                raise InvalidInput(f"tolerance {key!r} must be finite, got {value!r}")
         # the check grid is input: a radius outside (0, 1) would put points
         # off the disk, and a grid needs at least one ring and one spoke
         if not 0.0 < self.grid_radius < 1.0:

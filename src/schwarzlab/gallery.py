@@ -15,10 +15,10 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .bounds import FOUR_OVER_PI, chen_rhs, schwarz_quotient
+from .bounds import FOUR_OVER_PI, chen_rhs, random_disk_pairs, schwarz_quotient
 from .errors import InvalidInput, NumericInversionFailure
-from .harmonic import (analytic_field, pde_residual, random_smooth_boundary,
-                       solved_field)
+from .harmonic import (_equation_residual, _five_point, analytic_field,
+                       pde_residual, random_smooth_boundary, solved_field)
 from .metrics import (Metric1D, curvature_at, exponential_metric,
                       half_plane_metric, hyperbolic_metric, secant_metric)
 
@@ -35,14 +35,6 @@ class ExampleReport:
     bound_violated: bool = False   # True when the example breaks a bound by design
 
     @property
-    def discrepancies(self) -> list[tuple[str, float]]:
-        out = []
-        for key, claim in self.claimed.items():
-            if key in self.computed:
-                out.append((key, abs(claim - self.computed[key])))
-        return out
-
-    @property
     def passed(self) -> bool:
         return all(abs(self.claimed[k] - self.computed[k]) <= self.tolerance
                    for k in self.gated)
@@ -52,7 +44,8 @@ class ExampleReport:
             "name": self.name,
             "claimed": self.claimed,
             "computed": self.computed,
-            "discrepancies": {k: d for k, d in self.discrepancies},
+            "discrepancies": {k: abs(c - self.computed[k])
+                              for k, c in self.claimed.items() if k in self.computed},
             "gated": list(self.gated),
             "passed": bool(self.passed),
             "bound_violated": bool(self.bound_violated),
@@ -81,10 +74,10 @@ def run_negative_curvature_example(n: int = 3) -> ExampleReport:
         lambda x, y: (n / np.cosh(n * np.asarray(x, float)) ** 2,
                       np.zeros_like(np.asarray(y, float))),
         metric=metric, name=f"tanh({n}x)")
-    s0 = schwarz_quotient(metric, fld, 0.0)
+    s0 = schwarz_quotient(fld, 0.0)
     z_probe = 0.2
     grad_probe = float(np.hypot(*fld.gradient_many(z_probe)))
-    residual = pde_residual(metric, fld, 0.1 + 0.2j, 1e-3)
+    residual = pde_residual(metric, fld, 0.1 + 0.2j)
     claimed = {
         "schwarz_quotient_origin": float(n),
         "curvature_at_0": -2.0,
@@ -139,14 +132,13 @@ def run_zero_curvature_example(c: float = 1.0, seed: int = 0) -> ExampleReport:
 
     boundary = random_smooth_boundary(seed)
     fld = solved_field(metric, boundary)
-    rng = np.random.default_rng(seed)
-    z = 0.9 * np.sqrt(rng.uniform(0, 1, 400)) * np.exp(2j * math.pi * rng.uniform(0, 1, 400))
+    z = random_disk_pairs(seed, 400, 0.9)[:, 0]
     fv, gx, gy = fld.value_and_gradient_many(z)
     a_at = _zero_curvature_majorant(c, fv, 1.0 - np.abs(z) ** 2)
     solved_slack = float(np.min(a_at - np.hypot(gx, gy)))
 
     # the majorant approaches the Euclidean bound linearly in c
-    chen_vals = np.array([chen_rhs(v, 0.0) for v in fgrid])
+    chen_vals = chen_rhs(fgrid, 0.0)
     limit_dev = float(np.max(np.abs(
         _zero_curvature_majorant(1e-5, fgrid, 1.0) - chen_vals)))
     limit_dev_coarse = float(np.max(np.abs(
@@ -244,8 +236,7 @@ def run_strip_example(k: float = 1.0) -> ExampleReport:
 
     h = 1e-4
     u, v = np.meshgrid(np.linspace(-0.7, 0.7, 5), np.linspace(-1.2, 1.2, 5))
-    lap = (log_rho(u + h, v) + log_rho(u - h, v) + log_rho(u, v + h)
-           + log_rho(u, v - h) - 4.0 * log_rho(u, v)) / h ** 2
+    _, lap, _, _ = _five_point(lambda w: log_rho(w.real, w.imag), u + 1j * v, h)
     rho2 = 2.0 / (np.cos(math.pi * u) + np.cosh(math.pi * v))
     flat_max = float(np.max(np.abs(-lap / rho2)))
 
@@ -260,11 +251,8 @@ def run_strip_example(k: float = 1.0) -> ExampleReport:
     s_origin = grad_f_origin  # f(0) = 0 and |z| = 0
 
     # pullback hyperbolic density of the strip at sampled iy, disk density 1/(1-|z|^2)
-    lam_samples = []
-    for y in np.linspace(-1.5, 1.5, 7):
-        zi = math.tanh(math.pi * y / 4.0)
-        lam_samples.append((1.0 / (1.0 - zi * zi)) / (da0 / (1.0 - zi * zi)))
-    lam0 = float(np.mean(lam_samples))
+    zi = np.tanh(math.pi * np.linspace(-1.5, 1.5, 7) / 4.0)
+    lam0 = float(np.mean((1.0 / (1.0 - zi * zi)) / (da0 / (1.0 - zi * zi))))
 
     claimed = {
         "curvature_secant": -math.pi ** 2 / 4.0,
@@ -308,6 +296,9 @@ def run_strip_example(k: float = 1.0) -> ExampleReport:
 # half-plane example
 # ---------------------------------------------------------------------------
 
+_GOLDEN_TOL = 1e-10   # bracket width at which golden_section_max stops
+
+
 def _halfplane_quotient(t):
     t = np.asarray(t, float)
     at = np.arctan(t)
@@ -315,14 +306,15 @@ def _halfplane_quotient(t):
             / np.log(2.0 * math.pi / (math.pi - 2.0 * at)))
 
 
-def golden_section_max(fn, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section refinement of a unimodal maximum on [lo, hi]."""
+def golden_section_max(fn, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section refinement of a unimodal maximum on [lo, hi], to a
+    bracket of width _GOLDEN_TOL."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > tol:
+    while b - a > _GOLDEN_TOL:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -360,10 +352,8 @@ def run_halfplane_example() -> ExampleReport:
     edge_max = float(max(qs[0], qs[-1]))
 
     # residual of the closed form under the density whose primitive is R
-    def f_closed(x, y):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        return np.log(math.pi / (0.5 * math.pi - np.arctan2(y, x)))
+    def f_closed(z):
+        return np.log(math.pi / (0.5 * math.pi - np.arctan2(z.imag, z.real)))
 
     density_exp = Metric1D(0.0, math.inf,
                            lambda u: np.exp(-np.asarray(u, float)),
@@ -372,25 +362,14 @@ def run_halfplane_example() -> ExampleReport:
                            name="exp(-u)")
     h = 1e-4
 
-    def residual(density: Metric1D, x: float, y: float) -> float:
-        """Five-point residual of the closed form under `density` at (x, y)."""
-        f0 = float(f_closed(x, y))
-        fe = float(f_closed(x + h, y))
-        fw = float(f_closed(x - h, y))
-        fn_ = float(f_closed(x, y + h))
-        fs = float(f_closed(x, y - h))
-        lap = (fe + fw + fn_ + fs - 4.0 * f0) / h ** 2
-        gx = (fe - fw) / (2.0 * h)
-        gy = (fn_ - fs) / (2.0 * h)
-        q = float(density.d_density(f0)) / float(density.density(f0))
-        return abs(lap + q * (gx * gx + gy * gy))
-
     rng = np.random.default_rng(0)   # each sample draws x, then y
-    max_res = max(residual(density_exp, rng.uniform(0.3, 2.5), rng.uniform(-2.0, 2.0))
-                  for _ in range(50))
+    x, y = rng.uniform([0.3, -2.0], [2.5, 2.0], (50, 2)).T
+    max_res = float(np.max(np.abs(
+        _equation_residual(density_exp, *_five_point(f_closed, x + 1j * y, h)))))
 
     # the same closed form does NOT satisfy the equation with density R
-    res_with_R = residual(metric_R, 1.0, 0.3)
+    res_with_R = abs(float(
+        _equation_residual(metric_R, *_five_point(f_closed, 1.0 + 0.3j, h))))
 
     claimed = {
         "argmax_t": -1.4771,

@@ -36,6 +36,10 @@ from .lifetime import lifetime_cache
 from .metrics import HTransform, Metric1D, _sorted_unique, transform_table
 
 TWO_PI = 2.0 * math.pi
+_RANDOM_MODES = 5          # harmonics of the random boundaries
+_RANDOM_MAX_ABS = 0.85     # bound on their values
+_RESIDUAL_STEP = 1e-3      # step of the residual differences
+_LIFT_RADIUS = 0.99        # the lift meets the oracle on nodes with |z| <= this
 
 
 # ---------------------------------------------------------------------------
@@ -175,23 +179,22 @@ def _random_trig_boundary(seed: int, freqs: np.ndarray, weights: np.ndarray,
     return BoundaryData(lambda th: scale * fn(th), name=name, **kw)
 
 
-def random_smooth_boundary(seed: int, modes: int = 5, max_abs: float = 0.85,
-                           **kw) -> BoundaryData:
-    """Random low-order trigonometric polynomial scaled into (-max_abs, max_abs)."""
-    freqs = np.arange(modes + 1)
-    return _random_trig_boundary(seed, freqs, (1.0 + freqs) ** 2, max_abs,
+def random_smooth_boundary(seed: int, **kw) -> BoundaryData:
+    """Random trigonometric polynomial of order 5, scaled into (-0.85, 0.85)."""
+    freqs = np.arange(_RANDOM_MODES + 1)
+    return _random_trig_boundary(seed, freqs, (1.0 + freqs) ** 2, _RANDOM_MAX_ABS,
                                  f"random(seed={seed})", **kw)
 
 
-def random_symmetric_boundary(seed: int, modes: int = 5, max_abs: float = 0.85,
-                              **kw) -> BoundaryData:
-    """Random smooth data with f(theta + pi) = -f(theta) (odd harmonics only).
+def random_symmetric_boundary(seed: int, **kw) -> BoundaryData:
+    """Random smooth data with f(theta + pi) = -f(theta): the odd harmonics
+    1 .. 9, scaled into (-0.85, 0.85).
 
     For an even metric this forces the lifted solution to vanish at the
     origin, which the origin-pinned bound checks require.
     """
-    freqs = np.arange(1, 2 * modes, 2)
-    return _random_trig_boundary(seed, freqs, freqs.astype(float) ** 2, max_abs,
+    freqs = np.arange(1, 2 * _RANDOM_MODES, 2)
+    return _random_trig_boundary(seed, freqs, freqs.astype(float) ** 2, _RANDOM_MAX_ABS,
                                  f"random-odd(seed={seed})", **kw)
 
 
@@ -453,44 +456,53 @@ def solved_field(metric: Metric1D, boundary: BoundaryData,
 # residual diagnostics
 # ---------------------------------------------------------------------------
 
-def pde_residual(metric: Metric1D, field: HarmonicField, z, h: float = 1e-3) -> float:
-    """Five-point residual of Delta f + (R'(f)/R(f)) |grad f|^2 at z."""
-    z = complex(z)
-    pts = np.array([z, z + h, z - h, z + 1j * h, z - 1j * h])
-    if np.any(np.abs(pts) >= 1.0):
-        raise StencilOutsideDisk("residual stencil leaves the disk")
-    f0, fe, fw, fn, fs = field.value_many(pts)
+def _five_point(values: Callable, z, h: float, in_disk: bool = False):
+    """f0, the five-point Laplacian, fx and fy at the points z, from one call
+    of `values` (complex points to values) on z and its E, W, N and S
+    neighbours z + h, z - h, z + ih, z - ih, stacked and summed in that order.
+    With `in_disk`, a neighbour off the open disk raises StencilOutsideDisk."""
+    z = np.asarray(z, complex)
+    pts = np.stack([z, z + h, z - h, z + 1j * h, z - 1j * h])
+    if in_disk and np.any(np.abs(pts) >= 1.0):
+        raise StencilOutsideDisk("difference stencil leaves the disk")
+    f0, fe, fw, fn, fs = values(pts)
     lap = (fe + fw + fn + fs - 4.0 * f0) / h ** 2
     fx = (fe - fw) / (2.0 * h)
     fy = (fn - fs) / (2.0 * h)
-    q = float(metric.d_density(f0)) / float(metric.density(f0))
-    return float(lap + q * (fx * fx + fy * fy))
+    return f0, lap, fx, fy
+
+
+def _equation_residual(metric: Metric1D, f0, lap, fx, fy):
+    """Delta f + (R'(f)/R(f)) |grad f|^2 from the values of `_five_point`."""
+    q = np.asarray(metric.d_density(f0), float) / np.asarray(metric.density(f0), float)
+    return lap + q * (fx * fx + fy * fy)
+
+
+def pde_residual(metric: Metric1D, field: HarmonicField, z):
+    """Five-point residual of Delta f + (R'(f)/R(f)) |grad f|^2 at a point or
+    an array of points (step 1e-3, one value pass); a float for a scalar z."""
+    res = np.asarray(_equation_residual(
+        metric, *_five_point(field.value_many, z, _RESIDUAL_STEP, in_disk=True)))
+    return float(res) if res.ndim == 0 else res
 
 
 def hopf_holomorphy_residual(metric: Metric1D, field: HarmonicField,
-                             grid: Sequence[complex], h: float = 1e-3) -> float:
+                             grid: Sequence[complex]) -> float:
     """Max Cauchy-Riemann residual of R(f)^2 f_z^2 over the grid.
 
     The quadratic differential of a genuinely metric-harmonic field is
     holomorphic; it is assembled from the field's own gradient and its
-    Cauchy-Riemann derivatives are taken by central differences of step h.
+    Cauchy-Riemann derivatives are taken by central differences of step 1e-3.
     """
-    grid = np.ravel(_complex_points(grid))
-    stencil = np.array([h, -h, 1j * h, -1j * h])
-    centers = grid[:, None] + stencil[None, :]
-    if np.any(np.abs(centers) >= 1.0):
-        raise StencilOutsideDisk("holomorphy stencil leaves the disk")
-    flat = centers.reshape(-1)
-    fmid, gx, gy = field.value_and_gradient_many(flat)
-    fmid = fmid.reshape(centers.shape)
-    fz = 0.5 * (gx - 1j * gy).reshape(centers.shape)
-    w = np.asarray(metric.density(fmid), float) ** 2 * fz ** 2
-    # stencil order: +h, -h, +ih, -ih
-    du_dx = (w[:, 0].real - w[:, 1].real) / (2.0 * h)
-    dv_dy = (w[:, 2].imag - w[:, 3].imag) / (2.0 * h)
-    du_dy = (w[:, 2].real - w[:, 3].real) / (2.0 * h)
-    dv_dx = (w[:, 0].imag - w[:, 1].imag) / (2.0 * h)
-    return float(np.max(np.abs(du_dx - dv_dy) + np.abs(du_dy + dv_dx)))
+
+    def quadratic_differential(pts):
+        f, gx, gy = field.value_and_gradient_many(pts)
+        return np.asarray(metric.density(f), float) ** 2 * (0.5 * (gx - 1j * gy)) ** 2
+
+    _, _, wx, wy = _five_point(quadratic_differential, np.ravel(_complex_points(grid)),
+                               _RESIDUAL_STEP, in_disk=True)
+    # w = u + iv is holomorphic where u_x = v_y and u_y = -v_x
+    return float(np.max(np.abs(wx.real - wy.imag) + np.abs(wy.real + wx.imag)))
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +571,7 @@ class _DiskOperator:
     cut_weights: np.ndarray = field(init=False, repr=False)  # (c,)
     sines: np.ndarray = field(init=False, repr=False)        # (N, N) S
     eig: np.ndarray = field(init=False, repr=False)          # (N, N)
-    cells: tuple = field(init=False, repr=False)   # square (i, j) of the unknowns
-    flat_cells: np.ndarray = field(init=False, repr=False)   # (m,) cells, raveled
+    flat_cells: np.ndarray = field(init=False, repr=False)   # (m,) raveled square cells
     irregular: np.ndarray = field(init=False, repr=False)    # (k,) unknowns
     # (k, 5) square i, square j and weight of each entry of R: the diagonal,
     # then one per arm (a cut arm names the node's own cell, weight 0)
@@ -614,7 +625,6 @@ class _DiskOperator:
         put("cut_weights", np.concatenate([weights[d][cut[d]] for d in "EWNS"]))
         put("sines", math.sqrt(2.0 / big) * np.sin(math.pi * np.outer(t, t) / big))
         put("eig", eig)
-        put("cells", (ci, cj))
         put("flat_cells", np.ravel_multi_index((ci, cj), eig.shape))
         put("irregular", irr)
         put("stencil", (si, sj, sw))
@@ -699,7 +709,7 @@ def fd_solve_oracle(metric: Metric1D, boundary: BoundaryData, n: int,
     op = _disk_operator(n)
     crossing = np.asarray(boundary.values(op.angles), float)
     b_cut = np.bincount(op.cut_rows, op.cut_weights * crossing,
-                        minlength=len(op.cells[0]))
+                        minlength=len(op.flat_cells))
     u = np.full(len(b_cut), boundary.mean())
     ext = np.concatenate([u, crossing])     # [unknowns, crossing values]
     aE, aW, aN, aS = (op.arms[d] for d in "EWNS")
@@ -744,22 +754,22 @@ def fd_solve_oracle(metric: Metric1D, boundary: BoundaryData, n: int,
 
 
 def lift_sup_difference(grid: GridField, metric: Metric1D, boundary: BoundaryData,
-                        tols: Tolerances = DEFAULT, radius: float = 0.99) -> float:
+                        tols: Tolerances = DEFAULT) -> float:
     """Sup difference between an oracle grid and the transform solution.
 
-    Compared on interior nodes with |z| <= radius: the trapezoid Poisson
+    Compared on interior nodes with |z| <= 0.99: the trapezoid Poisson
     integral behind the reference degrades at the very rim while the oracle
     is pinned there by construction, so rim nodes compare two different
     error sources rather than the two solution paths.
     """
     pts, vals = grid.interior_points()
-    keep = np.abs(pts) <= radius
+    keep = np.abs(pts) <= _LIFT_RADIUS
     ref = solved_field(metric, boundary, tols).value_many(pts[keep])
     return float(np.max(np.abs(vals[keep] - ref)))
 
 
 def oracle_sup_difference(metric: Metric1D, boundary: BoundaryData, n: int,
-                          tols: Tolerances = DEFAULT, radius: float = 0.99) -> float:
+                          tols: Tolerances = DEFAULT) -> float:
     """Solve the FD oracle at n and compare it with the transform solution."""
     grid = fd_solve_oracle(metric, boundary, n, tols=tols)
-    return lift_sup_difference(grid, metric, boundary, tols, radius)
+    return lift_sup_difference(grid, metric, boundary, tols)

@@ -11,19 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import InvalidInput, ParameterOutOfRange, PreconditionViolated
-from .metrics import Metric1D, mass, transform_table
+from .metrics import ConcaveTentMap, Metric1D, mass, transform_table
 
-
-@dataclass(frozen=True)
-class SweepRecord:
-    parameters: Dict[str, float]
-    ratio: float
+_UNIMODAL_SAMPLES = 401    # points per half of the sampled unimodality check
+_UNIMODAL_TOL = 1e-9       # its slope band, relative to the peak sample
+_PSI_N_MIN = 2             # the psi sweep starts at s = 1/2
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +49,8 @@ class LogConcaveDiffeo:
         slopes = np.diff(hs) / np.diff(xs)
         if len(slopes) > 1 and np.any(np.diff(slopes) >= 0):
             raise InvalidInput("log-derivative slopes must strictly decrease")
-        pieces = _exp_piece_integrals(xs, hs)
+        # integral of exp(log f') over each piece, before the normalization
+        pieces = np.exp(hs[:-1]) * _expm1_over(slopes, np.diff(xs))
         total = float(np.sum(pieces))
         object.__setattr__(self, "scale", 2.0 / total)
         cum = np.concatenate([[0.0], np.cumsum(pieces)]) * self.scale
@@ -73,11 +72,7 @@ class LogConcaveDiffeo:
 
     def f(self, x) -> np.ndarray:
         i, dx, h0, s = self._local(x)
-        small = np.abs(s) < 1e-12
-        with np.errstate(over="raise"):
-            grow = np.where(small, dx, np.expm1(np.where(small, 0.0, s) * dx)
-                            / np.where(small, 1.0, s))
-        return self.f_knots[i] + self.scale * np.exp(h0) * grow
+        return self.f_knots[i] + self.scale * np.exp(h0) * _expm1_over(s, dx)
 
     def f_prime(self, x) -> np.ndarray:
         _, dx, h0, s = self._local(x)
@@ -88,13 +83,13 @@ class LogConcaveDiffeo:
                 "knots_h": list(map(float, self.knots_h))}
 
 
-def _exp_piece_integrals(xs: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    dx = np.diff(xs)
-    s = np.diff(hs) / dx
+def _expm1_over(s: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """expm1(s dx) / s, the integral of exp(s t) over (0, dx); dx itself
+    where |s| < 1e-12, its limit as s -> 0.  An overflow raises."""
     small = np.abs(s) < 1e-12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        grow = np.where(small, dx, np.expm1(s * dx) / np.where(small, 1.0, s))
-    return np.exp(hs[:-1]) * grow
+    with np.errstate(over="raise"):
+        return np.where(small, dx, np.expm1(np.where(small, 0.0, s) * dx)
+                        / np.where(small, 1.0, s))
 
 
 def generate_logconcave(seed: int, knot_count: int = 6) -> LogConcaveDiffeo:
@@ -179,19 +174,18 @@ def dif_diagnostics(k: float, grid: Sequence[float]) -> DifDiagnostics:
 # unimodal densities
 # ---------------------------------------------------------------------------
 
-def check_unimodal(metric: Metric1D, samples: int = 401,
-                   tol: float = 1e-9) -> bool:
+def check_unimodal(metric: Metric1D) -> bool:
     """Sampled check that R is non-decreasing on (-1,0), non-increasing on (0,1).
 
     The slope sign is read off sampled density differences rather than the
     stored derivative: interpolant-backed densities carry derivative noise
     near sharp smoothed corners that value differences do not see.
     """
-    left = np.linspace(-1.0 + 1e-6, -1e-6, samples)
-    right = np.linspace(1e-6, 1.0 - 1e-6, samples)
+    left = np.linspace(-1.0 + 1e-6, -1e-6, _UNIMODAL_SAMPLES)
+    right = np.linspace(1e-6, 1.0 - 1e-6, _UNIMODAL_SAMPLES)
     r_left = np.asarray(metric.density(left), float)
     r_right = np.asarray(metric.density(right), float)
-    band = tol * max(1.0, float(np.max(r_left)), float(np.max(r_right)))
+    band = _UNIMODAL_TOL * max(1.0, float(np.max(r_left)), float(np.max(r_right)))
     return bool(np.all(np.diff(r_left) >= -band)
                 and np.all(np.diff(r_right) <= band))
 
@@ -216,66 +210,29 @@ def unimodal_slack(metric: Metric1D, v, tols: Tolerances = DEFAULT):
     return float(slack) if slack.ndim == 0 else slack
 
 
-def sharpness_ratio(a: float, s: float) -> float:
+def sharpness_ratio(a, s):
     """Closed-form sharpness quotient of the tent family at its corner.
 
     Equals 2 sin((pi/2)(1-s)(1-u)) / (pi (1-s^2)(1-u)) with u = a s^2; its
     supremum over admissible (a, s) is 1, approached as s -> 0, u -> 1.
+    Broadcasts over arrays of a and s; returns a float for scalars.
     """
+    a, s = np.asarray(a, float), np.asarray(s, float)
     u = a * s * s
-    if not (0.0 < s < 1.0) or not (0.0 < u < 1.0):
+    if not np.all((0.0 < s) & (s < 1.0) & (0.0 < u) & (u < 1.0)):
         raise ParameterOutOfRange("need s in (0,1) and a*s^2 in (0,1)")
-    return (2.0 * math.sin(0.5 * math.pi * (1.0 - s) * (1.0 - u))
-            / (math.pi * (1.0 - s * s) * (1.0 - u)))
+    ratio = (2.0 * np.sin(0.5 * math.pi * (1.0 - s) * (1.0 - u))
+             / (math.pi * (1.0 - s * s) * (1.0 - u)))
+    return float(ratio) if ratio.ndim == 0 else ratio
 
 
-class ConcaveTentMap:
-    """Odd piecewise map: concave quadratic cap on (0, s), affine tail on (s, 1).
-
-    Continuously differentiable, fixes 0 and +-1, and is the input the
-    mollifier expects (callable with deriv/second_deriv/knots attributes).
-    """
-
-    def __init__(self, a: float, s: float):
-        u = a * s * s
-        if not (0.0 < s < 1.0) or not (0.0 < u < 1.0) or a <= 0:
-            raise ParameterOutOfRange("need s in (0,1) and a*s^2 in (0,1)")
-        self.a = float(a)
-        self.s = float(s)
-        self.u = float(u)
-        self.knots = (0.0, self.s, 1.0)
-        self.label = f"tent(a={a:g}, s={s:g})"
-
-    def __call__(self, x):
-        x = np.asarray(x, float)
-        ax = np.abs(x)
-        cap = (1.0 + 2.0 * self.a * self.s - self.u) * ax - self.a * ax * ax
-        tail = 1.0 + (1.0 - self.u) * (ax - 1.0)
-        return np.sign(x) * np.where(ax < self.s, cap, tail)
-
-    def deriv(self, x):
-        ax = np.abs(np.asarray(x, float))
-        return np.where(ax < self.s,
-                        (1.0 + 2.0 * self.a * self.s - self.u) - 2.0 * self.a * ax,
-                        1.0 - self.u)
-
-    def second_deriv(self, x):
-        x = np.asarray(x, float)
-        return np.where(np.abs(x) < self.s, -2.0 * self.a * np.sign(x), 0.0)
+psi_family = ConcaveTentMap   # the odd concave tent map, input for metrics.mollify
 
 
-def psi_family(a: float, s: float) -> ConcaveTentMap:
-    """The odd concave tent map; suitable input for metrics.mollify."""
-    return ConcaveTentMap(a, s)
-
-
-def psi_sweep(n_max: int, n_min: int = 2) -> list[SweepRecord]:
-    """Sharpness quotient along s = 1/n, u = (n-1)^2/n^2."""
-    records = []
-    for n in range(n_min, n_max + 1):
-        s = 1.0 / n
-        u = (n - 1.0) ** 2 / n ** 2
-        a = u / (s * s)
-        records.append(SweepRecord({"n": float(n), "s": s, "u": u},
-                                   sharpness_ratio(a, s)))
-    return records
+def psi_sweep(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The columns n, s, u and ratio of the sharpness quotient along
+    s = 1/n, u = (n-1)^2/n^2, for n = 2 .. n_max."""
+    n = np.arange(float(_PSI_N_MIN), n_max + 1.0)
+    s = 1.0 / n
+    u = (n - 1.0) ** 2 / n ** 2
+    return n, s, u, sharpness_ratio(u / (s * s), s)

@@ -266,6 +266,41 @@ def half_plane_metric() -> Metric1D:
                     name="half_plane_one_minus_exp")
 
 
+class ConcaveTentMap:
+    """Odd piecewise map: concave quadratic cap on (0, s), affine tail on (s, 1).
+
+    Continuously differentiable, fixes 0 and +-1, and is the input the
+    mollifier expects (callable with deriv/second_deriv/knots attributes).
+    """
+
+    def __init__(self, a: float, s: float):
+        u = a * s * s
+        if not (0.0 < s < 1.0) or not (0.0 < u < 1.0) or a <= 0:
+            raise ParameterOutOfRange("need s in (0,1) and a*s^2 in (0,1)")
+        self.a = float(a)
+        self.s = float(s)
+        self.u = float(u)
+        self.knots = (0.0, self.s, 1.0)
+        self.label = f"tent(a={a:g}, s={s:g})"
+
+    def __call__(self, x):
+        x = np.asarray(x, float)
+        ax = np.abs(x)
+        cap = (1.0 + 2.0 * self.a * self.s - self.u) * ax - self.a * ax * ax
+        tail = 1.0 + (1.0 - self.u) * (ax - 1.0)
+        return np.sign(x) * np.where(ax < self.s, cap, tail)
+
+    def deriv(self, x):
+        ax = np.abs(np.asarray(x, float))
+        return np.where(ax < self.s,
+                        (1.0 + 2.0 * self.a * self.s - self.u) - 2.0 * self.a * ax,
+                        1.0 - self.u)
+
+    def second_deriv(self, x):
+        x = np.asarray(x, float)
+        return np.where(np.abs(x) < self.s, -2.0 * self.a * np.sign(x), 0.0)
+
+
 def tent_metric(a: float, s: float) -> Metric1D:
     """Density psi'(a, s) of the concave tent map: an even tent with flat wings.
 
@@ -273,7 +308,6 @@ def tent_metric(a: float, s: float) -> Metric1D:
     the atoms -(jump of R')/R^3: -2a/(1 - as^2)^3 at +-s and
     4a/(1 + 2as - as^2)^3 at 0.
     """
-    from .lemmas import ConcaveTentMap   # lemmas imports this module
     psi = ConcaveTentMap(a, s)
     wing = -2.0 * psi.a / (1.0 - psi.u) ** 3
     peak = 4.0 * psi.a / (1.0 + 2.0 * psi.a * psi.s - psi.u) ** 3
@@ -326,8 +360,7 @@ def metric_from_json(spec: dict) -> Metric1D:
             raise InvalidInput("lemma_psi_family needs params.a and params.s")
         a, s = spec_param(params, "a"), spec_param(params, "s")
         if "epsilon" in params:
-            from .lemmas import psi_family
-            return mollify(psi_family(a, s), spec_param(params, "epsilon"))
+            return mollify(ConcaveTentMap(a, s), spec_param(params, "epsilon"))
         return tent_metric(a, s)
     if kind == "tabulated":
         u = spec.get("u", params.get("u"))

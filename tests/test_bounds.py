@@ -39,18 +39,18 @@ def _tanh_field(n):
 def test_schwarz_quotient_tanh():
     m = hyperbolic_metric()
     for n in range(1, 11):
-        assert schwarz_quotient(m, _tanh_field(n), 0.0) == pytest.approx(n, abs=1e-12)
+        assert schwarz_quotient(_tanh_field(n), 0.0) == pytest.approx(n, abs=1e-12)
 
 
 def test_schwarz_quotient_constant_field_zero():
     fld = analytic_field(lambda x, y: np.full_like(np.asarray(x, float), 0.1),
                          lambda x, y: (np.zeros_like(np.asarray(x, float)),) * 2)
-    assert schwarz_quotient(None, fld, 0.3 + 0.2j) == 0.0
+    assert schwarz_quotient(fld, 0.3 + 0.2j) == 0.0
 
 
 def test_schwarz_quotient_euclidean_extremal():
     fld = euclidean_field(step_boundary())
-    assert schwarz_quotient(None, fld, 0.0) == pytest.approx(4 / math.pi, abs=1e-4)
+    assert schwarz_quotient(fld, 0.0) == pytest.approx(4 / math.pi, abs=1e-4)
 
 
 def test_chen_rhs_values():
@@ -70,6 +70,59 @@ def test_chen_dominates_step_extension():
         grad = np.hypot(*poisson_gradient(b, z))
         worst = min(worst, chen_rhs(g, z) - grad)
     assert worst >= -1e-9
+
+
+def _disk_points(seed, count, radius):
+    return random_disk_pairs(seed, count, radius)[:, 0]
+
+
+def test_chen_rhs_on_arrays_is_the_scalar_formula_bit_for_bit():
+    # the scalar chen_rhs of the previous release, one point at a time
+    def scalar(g, z):
+        return 4.0 / math.pi * math.cos(0.5 * math.pi * g) / (1.0 - abs(z) ** 2)
+
+    fgrid = np.linspace(-0.99, 0.99, 1981)    # the zero-curvature example's grid
+    assert np.array_equal(chen_rhs(fgrid, 0.0), [scalar(g, 0j) for g in fgrid.tolist()])
+    g = np.random.default_rng(2).uniform(-1.0, 1.0, 400)
+    z = _disk_points(3, 400, 0.99)
+    out = chen_rhs(g, z)
+    assert out.shape == (400,)
+    assert np.array_equal(out, [scalar(a, b) for a, b in zip(g.tolist(), z.tolist())])
+    assert chen_rhs(g[:, None], z[None, :3]).shape == (400, 3)
+    value = chen_rhs(0.25, 0.3 - 0.4j)
+    assert type(value) is float and value == scalar(0.25, 0.3 - 0.4j)
+
+
+def test_chen_rhs_checks_every_element():
+    with pytest.raises(OutsideDisk):
+        chen_rhs(np.zeros(3), [0.0, 0.5, 1.0])
+    with pytest.raises(ValueError):
+        chen_rhs([0.0, 1.0 + 1e-12], 0.0)
+    with pytest.raises(ValueError):
+        chen_rhs([0.0, np.nan], 0.0)
+
+
+def test_schwarz_quotient_on_arrays_is_the_scalar_formula_bit_for_bit():
+    # the scalar schwarz_quotient of the previous release, one point at a time
+    def scalar(field, z):
+        z = complex(z)
+        f, gx, gy = field.value_and_gradient_many(z)
+        f = float(f)
+        return float(np.hypot(gx, gy) * (1.0 - abs(z) ** 2) / (1.0 - f * f))
+
+    fld = analytic_field(
+        lambda x, y: 0.8 * np.tanh(np.asarray(x, float) - 0.7 * np.asarray(y, float)),
+        lambda x, y: (0.8 / np.cosh(np.asarray(x, float) - 0.7 * np.asarray(y, float)) ** 2,
+                      -0.56 / np.cosh(np.asarray(x, float) - 0.7 * np.asarray(y, float)) ** 2))
+    z = _disk_points(5, 300, 0.99)
+    out = schwarz_quotient(fld, z)
+    assert out.shape == (300,)
+    assert np.array_equal(out, [scalar(fld, p) for p in z.tolist()])
+    assert schwarz_quotient(fld, z.reshape(20, 15)).shape == (20, 15)
+    value = schwarz_quotient(fld, 0.2 + 0.1j)
+    assert type(value) is float and value == scalar(fld, 0.2 + 0.1j)
+    with pytest.raises(OutsideDisk):
+        schwarz_quotient(fld, [0.0, 1.0j])
 
 
 def test_cos_quadratic_majorant():
@@ -291,8 +344,8 @@ def test_schwarz_quotient_mobius_invariance():
     rng = np.random.default_rng(8)
     for _ in range(10):
         z = 0.7 * math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform())
-        lhs = schwarz_quotient(m, comp, z)
-        rhs = schwarz_quotient(m, fld, complex(T(z)))
+        lhs = schwarz_quotient(comp, z)
+        rhs = schwarz_quotient(fld, complex(T(z)))
         assert lhs == pytest.approx(rhs, abs=1e-6, rel=1e-6)
 
 

@@ -270,11 +270,26 @@ def test_unknown_tolerance_is_invalid_input():
         DEFAULT.replaced(nope=1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["slack_tol", "fd_update_tol", "quad_abs_tol",
+                                  "fd_nonlinear_relax"])
+def test_non_finite_tolerance_is_invalid_input(name, value):
+    from schwarzlab.config import DEFAULT, Tolerances
+    from schwarzlab.errors import InvalidInput
+    with pytest.raises(InvalidInput, match=f"tolerance '{name}' must be finite"):
+        DEFAULT.replaced(**{name: value})
+    with pytest.raises(InvalidInput, match=f"tolerance '{name}' must be finite"):
+        Tolerances(**{name: value})
+
+
 @pytest.mark.parametrize("argv", [["sweep", "--family", "psi", "--n-max", "20"],
                                   ["gallery", "--name", "half-plane"],
                                   ["check-bounds", "--metric", "metric",
-                                   "--boundary", "boundary"]])
-@pytest.mark.parametrize("override", ["nope=1", "grid_radius=1.5", "grid_radii=2.7"])
+                                   "--boundary", "boundary"],
+                                  ["curvature", "--metric", "metric"]])
+@pytest.mark.parametrize("override", ["nope=1", "grid_radius=1.5", "grid_radii=2.7",
+                                      "slack_tol=nan", "fd_update_tol=inf",
+                                      "quad_abs_tol=nan"])
 def test_bad_tolerance_exits_2_before_running(specs, capsys, argv, override):
     # sweep and gallery take no --tolerance at all: argparse exits 2
     argv = [specs.get(a, a) for a in argv]
@@ -631,10 +646,7 @@ def _check_bounds_columns():
 
 
 def _psi_columns():
-    records = lemmas.psi_sweep(50)
-    rows = [(rec.parameters["n"], rec.parameters["s"], rec.parameters["u"], rec.ratio)
-            for rec in records]
-    return {"psi_sweep.csv": (["n", "s", "u", "ratio"], list(zip(*rows)))}
+    return {"psi_sweep.csv": (["n", "s", "u", "ratio"], lemmas.psi_sweep(50))}
 
 
 def _r_ratio_columns():

@@ -502,13 +502,13 @@ def test_pde_residual_tanh_hyperbolic():
         lambda x, y: np.tanh(3 * np.asarray(x, float)),
         lambda x, y: (3 / np.cosh(3 * np.asarray(x, float)) ** 2,
                       np.zeros_like(np.asarray(y, float))))
-    assert abs(pde_residual(m, fld, 0.1 + 0.2j, 1e-3)) <= 1e-4
+    assert abs(pde_residual(m, fld, 0.1 + 0.2j)) <= 1e-4
 
 
 def test_pde_residual_constant_field():
     fld = analytic_field(lambda x, y: np.full_like(np.asarray(x, float), 0.3),
                          lambda x, y: (np.zeros_like(np.asarray(x, float)),) * 2)
-    assert pde_residual(cosine_metric(), fld, 0.1 + 0.2j, 1e-3) == 0.0
+    assert pde_residual(cosine_metric(), fld, 0.1 + 0.2j) == 0.0
 
 
 def test_pde_residual_solved_field():
@@ -517,20 +517,52 @@ def test_pde_residual_solved_field():
     rng = np.random.default_rng(5)
     for _ in range(12):
         z = 0.9 * math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform())
-        assert abs(pde_residual(m, fld, z, 1e-3)) <= 1e-3
+        assert abs(pde_residual(m, fld, z)) <= 1e-3
+
+
+def test_pde_residual_on_arrays_is_the_scalar_stencil_bit_for_bit():
+    # the scalar pde_residual of the previous release, one point at a time
+    def scalar(metric, field, z, h=1e-3):
+        z = complex(z)
+        f0, fe, fw, fn, fs = field.value_many(
+            np.array([z, z + h, z - h, z + 1j * h, z - 1j * h]))
+        lap = (fe + fw + fn + fs - 4.0 * f0) / h ** 2
+        fx = (fe - fw) / (2.0 * h)
+        fy = (fn - fs) / (2.0 * h)
+        q = float(metric.d_density(f0)) / float(metric.density(f0))
+        return float(lap + q * (fx * fx + fy * fy))
+
+    rng = np.random.default_rng(6)
+    z = 0.9 * np.sqrt(rng.uniform(0, 1, 200)) * np.exp(2j * math.pi * rng.uniform(0, 1, 200))
+    tanh3 = analytic_field(
+        lambda x, y: np.tanh(3 * np.asarray(x, float)),
+        lambda x, y: (3 / np.cosh(3 * np.asarray(x, float)) ** 2,
+                      np.zeros_like(np.asarray(y, float))))
+    wave = analytic_field(
+        lambda x, y: 0.6 * np.sin(np.asarray(x, float)) * np.cosh(np.asarray(y, float)),
+        lambda x, y: (0.6 * np.cos(np.asarray(x, float)) * np.cosh(np.asarray(y, float)),
+                      0.6 * np.sin(np.asarray(x, float)) * np.sinh(np.asarray(y, float))))
+    for metric, field in ((hyperbolic_metric(), tanh3), (cosine_metric(), wave),
+                          (exponential_metric(1.0), wave)):
+        out = pde_residual(metric, field, z)
+        assert out.shape == z.shape
+        assert np.array_equal(out, [scalar(metric, field, p) for p in z.tolist()])
+        assert pde_residual(metric, field, z.reshape(8, 25)).shape == (8, 25)
+        value = pde_residual(metric, field, 0.1 + 0.2j)
+        assert type(value) is float and value == scalar(metric, field, 0.1 + 0.2j)
 
 
 def test_pde_residual_stencil_guard():
     fld = solved_field(constant_metric(), random_smooth_boundary(1))
     with pytest.raises(StencilOutsideDisk):
-        pde_residual(constant_metric(), fld, 0.9995 + 0.0j, 1e-3)
+        pde_residual(constant_metric(), fld, 0.9995 + 0.0j)
 
 
 def test_hopf_constant_field_zero():
     fld = analytic_field(lambda x, y: np.full_like(np.asarray(x, float), 0.2),
                          lambda x, y: (np.zeros_like(np.asarray(x, float)),) * 2)
     grid = 0.3 * np.exp(1j * np.linspace(0, 2 * math.pi, 8, endpoint=False))
-    assert hopf_holomorphy_residual(cosine_metric(), fld, grid, 1e-3) == 0.0
+    assert hopf_holomorphy_residual(cosine_metric(), fld, grid) == 0.0
 
 
 def test_hopf_tanh_field():
@@ -542,14 +574,14 @@ def test_hopf_tanh_field():
         lambda x, y: (n / np.cosh(n * np.asarray(x, float)) ** 2,
                       np.zeros_like(np.asarray(y, float))))
     grid = 0.4 * np.exp(1j * np.linspace(0, 2 * math.pi, 16, endpoint=False))
-    assert hopf_holomorphy_residual(m, fld, grid, 1e-3) <= 1e-6
+    assert hopf_holomorphy_residual(m, fld, grid) <= 1e-6
 
 
 def test_hopf_solved_field():
     m = cosine_metric()
     fld = solved_field(m, random_smooth_boundary(8))
     grid = 0.8 * np.exp(1j * np.linspace(0, 2 * math.pi, 24, endpoint=False))
-    assert hopf_holomorphy_residual(m, fld, grid, 1e-3) <= 1e-3
+    assert hopf_holomorphy_residual(m, fld, grid) <= 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +740,7 @@ def test_metrics_and_check_bounds_leave_numpy_ma_unloaded(tmp_path):
 
 def _dense_shortley_weller(op):
     """The operator's matrix, assembled entry by entry from its arms."""
-    m = len(op.cells[0])
+    m = len(op.flat_cells)
     rows = np.arange(m)
     aE, aW, aN, aS = (op.arms[d] for d in "EWNS")
     weights = {"E": 1.0 / (aE * (aE + aW)), "W": 1.0 / (aW * (aE + aW)),
@@ -725,7 +757,7 @@ def _dense_shortley_weller(op):
 @pytest.mark.parametrize("n", [33, 65])
 def test_disk_operator_solve_matches_dense_solve(n, clipped):
     op = harmonic._disk_operator(n)
-    m = len(op.cells[0])
+    m = len(op.flat_cells)
     if clipped:
         # no grid node lies within 1e-6 h of the circle; shorten a third of
         # the cut arms to the clip and another third to just above it

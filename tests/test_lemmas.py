@@ -222,11 +222,52 @@ def test_sharpness_ratio_frozen_values():
 
 
 def test_sharpness_ratio_supremum_approach():
-    records = psi_sweep(1000)
-    ratios = np.array([rec.ratio for rec in records])
+    _, _, _, ratios = psi_sweep(1000)
     assert np.all(np.diff(ratios) > 0)
     assert ratios[-1] > 0.99
     assert np.max(ratios) <= 1 + 1e-12
+
+
+def _scalar_sharpness_ratio(a, s):
+    # the scalar sharpness_ratio of the previous release
+    u = a * s * s
+    return (2.0 * math.sin(0.5 * math.pi * (1.0 - s) * (1.0 - u))
+            / (math.pi * (1.0 - s * s) * (1.0 - u)))
+
+
+def test_sharpness_ratio_on_arrays_is_the_scalar_formula_bit_for_bit():
+    rng = np.random.default_rng(4)
+    s = rng.uniform(0.01, 0.99, 500)
+    a = rng.uniform(0.01, 0.99, 500) / (s * s)
+    out = sharpness_ratio(a, s)
+    assert out.shape == (500,)
+    assert np.array_equal(out, [_scalar_sharpness_ratio(x, y)
+                                for x, y in zip(a.tolist(), s.tolist())])
+    assert sharpness_ratio(1.0, s[:, None] * np.ones(3)).shape == (500, 3)
+    value = sharpness_ratio(81.0, 0.1)
+    assert type(value) is float and value == _scalar_sharpness_ratio(81.0, 0.1)
+    with pytest.raises(ParameterOutOfRange):
+        sharpness_ratio([1.0, 5.0], 0.5)   # the second u is 1.25
+
+
+def test_psi_sweep_columns_are_the_scalar_loop_bit_for_bit():
+    # the record loop of the previous release, one n at a time
+    rows = []
+    for n in range(2, 1001):
+        s = 1.0 / n
+        u = (n - 1.0) ** 2 / n ** 2
+        rows.append((float(n), s, u, _scalar_sharpness_ratio(u / (s * s), s)))
+    columns = psi_sweep(1000)
+    assert len(columns) == 4
+    for got, want in zip(columns, zip(*rows)):
+        assert np.array_equal(got, want)
+
+
+def test_tent_map_is_the_metrics_class():
+    import schwarzlab
+    from schwarzlab import metrics
+    assert ConcaveTentMap is metrics.ConcaveTentMap is schwarzlab.ConcaveTentMap
+    assert isinstance(psi_family(0.5, 0.5), metrics.ConcaveTentMap)
 
 
 def test_sharpness_ratio_rejects_bad_parameters():
