@@ -143,6 +143,15 @@ def hyperbolic_distance(z, w):
     return float(d) if d.ndim == 0 else d
 
 
+@lifetime_cache()
+def _alias_spectrum(boundary: BoundaryData) -> np.ndarray:
+    """|rfft(samples)| / N, once for as long as the boundary lives; read-only,
+    since every check shares it."""
+    spectrum = np.abs(np.fft.rfft(boundary.samples)) / boundary.sample_count
+    spectrum.flags.writeable = False
+    return spectrum
+
+
 def _sampling_warnings(boundary: BoundaryData, z, tols: Tolerances,
                       gradient: bool) -> tuple:
     """A warning when the N boundary samples are too few for the points z.
@@ -155,7 +164,7 @@ def _sampling_warnings(boundary: BoundaryData, z, tols: Tolerances,
     """
     n = boundary.sample_count
     rho = float(np.max(np.abs(np.asarray(z))))
-    coef = np.abs(np.fft.rfft(boundary.samples)) / n
+    coef = _alias_spectrum(boundary)
     k = n - np.arange(len(coef))
     fold = k * rho ** (k - 1) if gradient else rho ** k
     bound = 2.0 * float(np.sum(coef * fold)) / (1.0 - rho ** n)

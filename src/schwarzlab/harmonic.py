@@ -16,8 +16,11 @@ nodes, user points).  With c = fft(samples) / N, the N-sample sum is exactly
 
 the alias sum of the kernel's series r^|k| e^(ik(phi - theta)).  p and p'
 come from blocked Horner: per block of points, one complex matrix product
-of the point powers with the coefficient matrix of each polynomial.  A
-gradient pass returns the values with the gradient, from the same powers.
+of the point powers with the coefficient matrix of each polynomial.  The
+sums are exact up to blocks bounded below one rounding: the top rows of 64
+coefficients whose bounds over the block's max |z| add up to at most eps
+times the largest row's are left out.  A gradient pass returns the values
+with the gradient, from the same powers.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -171,7 +174,10 @@ def _random_trig_boundary(seed: int, freqs: np.ndarray, weights: np.ndarray,
         th = np.asarray(th, float)
         acc = np.zeros_like(th)
         for m, am, bm in zip(freqs, a, b):
-            acc = acc + am * np.cos(m * th) + bm * np.sin(m * th)
+            if m == 0:   # cos 0 = 1 and b_0 = 0: the same bits without the trig
+                acc = acc + am
+            else:
+                acc = acc + am * np.cos(m * th) + bm * np.sin(m * th)
         return acc
 
     probe = fn(TWO_PI * np.arange(4096) / 4096)
@@ -207,6 +213,7 @@ def random_symmetric_boundary(seed: int, **kw) -> BoundaryData:
 _BLOCK_ELEMENTS = 2 ** 19
 # powers of z per Horner block in the Laurent path
 _HORNER_BLOCK = 64
+_EPS = np.finfo(float).eps
 
 
 def _complex_points(z) -> np.ndarray:
@@ -225,8 +232,50 @@ def _flat_disk_points(z) -> tuple[np.ndarray, np.ndarray]:
     return z, flat
 
 
+class _LaurentRows(NamedTuple):
+    """The coefficient rows of one boundary's Laurent sums (see `_laurent_sums`)."""
+    mean: float              # c_0
+    coef: np.ndarray         # q, (cols, _HORNER_BLOCK)
+    d_coef: np.ndarray       # (m + 1) q_m, the rows of p'
+    coef_max: np.ndarray     # max |q_m| per row
+    d_coef_max: np.ndarray   # max |(m + 1) q_m| per row
+
+
+@lifetime_cache()
+def _laurent_rows(boundary: BoundaryData) -> _LaurentRows:
+    """The Laurent rows of the boundary's samples, once for as long as the
+    boundary lives; the arrays are read-only, since every pass shares them."""
+    n = boundary.sample_count
+    c = np.fft.fft(boundary.samples) / n
+    cols = -(-n // _HORNER_BLOCK)
+    q = np.zeros(cols * _HORNER_BLOCK, complex)
+    q[:n] = np.roll(c, -1)
+    coef = q.reshape(cols, _HORNER_BLOCK)
+    d_coef = coef * np.arange(1.0, q.size + 1).reshape(coef.shape)
+    rows = _LaurentRows(c[0].real, coef, d_coef,
+                        np.abs(coef).max(axis=1), np.abs(d_coef).max(axis=1))
+    for a in rows[1:]:
+        a.flags.writeable = False
+    return rows
+
+
+def _kept_blocks(row_max: np.ndarray, rho: float, shift: int) -> int:
+    """How many leading coefficient blocks (rows of B = `_HORNER_BLOCK`
+    coefficients) a sum over |z| <= rho keeps.
+
+    Row b adds at most B row_max[b] rho^(B b + shift) to its polynomial
+    (shift 1 for p = z q, 0 for p').  The top rows go when their bounds add
+    up to at most eps times the largest one: blocks bounded below one
+    rounding.  At least one row stays, and a NaN bound keeps them all.
+    """
+    bound = row_max * rho ** (_HORNER_BLOCK * np.arange(len(row_max)) + shift)
+    tail = np.cumsum(bound[::-1])[::-1]
+    return max(1, len(bound) - int(np.count_nonzero(tail <= _EPS * bound.max())))
+
+
 def _laurent_sums(boundary: BoundaryData, flat: np.ndarray, gradient: bool = False):
-    """The trapezoid Poisson sum at the points `flat`, by its Laurent form.
+    """The trapezoid Poisson sum at the points `flat`, by its Laurent form,
+    exact up to blocks bounded below one rounding.
 
     Returns u_N(z) = c_0 + 2 Re F(z), F = p / (1 - z^N), and with `gradient`
     also the complex 2 F'(z) = gx - i gy, where
@@ -237,25 +286,24 @@ def _laurent_sums(boundary: BoundaryData, flat: np.ndarray, gradient: bool = Fal
     `_HORNER_BLOCK` x cols.  Both q and p' = sum_m (m+1) q_m z^m share the
     powers Z = [z^0 .. z^(B-1)]: the matrix product of Z with the (cols, B)
     coefficient rows (with their differentiated rows, for p') gives the
-    block polynomials, and Horner in w = z^B adds them up.  z^(N-1) comes
-    from z by repeated squaring (`_int_power`), never by dividing by z (NaN
-    at z = 0) nor from the Horner blocks (which lose digits near the rim).
-    Both modes run the same blocks of points through the same arithmetic
-    for u, so the values of a gradient pass equal those of a values-only
-    pass bit for bit.
+    block polynomials, and Horner in w = z^B adds them up.  Per block of
+    points, at rho = max |z|, only the rows that `_kept_blocks` keeps enter
+    the product and Horner: on smooth data well inside the disk the top rows
+    are FFT noise or damped by rho^(B b), while near the rim every row
+    stays.  z^(N-1) comes from z by repeated squaring (`_int_power`), never
+    by dividing by z (NaN at z = 0) nor from the Horner blocks (which lose
+    digits near the rim).  Both modes run the same blocks of points through
+    the same arithmetic for u, with p's rows chosen by its own bound, so the
+    values of a gradient pass equal those of a values-only pass bit for bit.
     """
     n = boundary.sample_count
-    c = np.fft.fft(boundary.samples) / n
-    cols = -(-n // _HORNER_BLOCK)
-    q = np.zeros(cols * _HORNER_BLOCK, complex)
-    q[:n] = np.roll(c, -1)
-    coef = q.reshape(cols, _HORNER_BLOCK)
-    d_coef = coef * np.arange(1.0, q.size + 1).reshape(coef.shape)
+    laurent = _laurent_rows(boundary)
     u = np.empty(len(flat))
     g = np.empty(len(flat), complex) if gradient else None
-    rows = max(1, _BLOCK_ELEMENTS // (_HORNER_BLOCK + 2 * cols))
+    rows = max(1, _BLOCK_ELEMENTS // (_HORNER_BLOCK + 2 * len(laurent.coef)))
     for k in range(0, len(flat), rows):
         z = flat[k:k + rows]
+        rho = float(np.abs(z).max())
         # the running product row by row: np.cumprod over the same rows
         # takes five times as long for complex input
         powers = np.empty((_HORNER_BLOCK, len(z)), complex)
@@ -263,12 +311,14 @@ def _laurent_sums(boundary: BoundaryData, flat: np.ndarray, gradient: bool = Fal
         for j in range(1, _HORNER_BLOCK):
             np.multiply(powers[j - 1], z, out=powers[j])
         w = powers[-1] * z
-        p = z * _horner(coef @ powers, w)
+        kept = _kept_blocks(laurent.coef_max, rho, 1)
+        p = z * _horner(laurent.coef[:kept] @ powers, w)
         z_n1 = _int_power(z, n - 1)
         d = 1.0 - z_n1 * z
-        u[k:k + rows] = c[0].real + 2.0 * (p / d).real
+        u[k:k + rows] = laurent.mean + 2.0 * (p / d).real
         if gradient:
-            dp = _horner(d_coef @ powers, w)
+            kept = _kept_blocks(laurent.d_coef_max, rho, 0)
+            dp = _horner(laurent.d_coef[:kept] @ powers, w)
             g[k:k + rows] = 2.0 * (dp * d + n * z_n1 * p) / d ** 2
     return (u, g) if gradient else u
 

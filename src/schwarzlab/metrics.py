@@ -225,15 +225,18 @@ def hyperbolic_metric() -> Metric1D:
         with np.errstate(divide="ignore"):
             return 1.0 / (1.0 - u * u)
 
+    # np.square and np.power, not ** (here, in secant_metric and in
+    # curvature_at): on a 0-d input the ufuncs return numpy scalars, whose **
+    # is libm pow, so one point would round unlike the same point in an array
     def drho(u):
         u = np.asarray(u, float)
         with np.errstate(divide="ignore"):
-            return 2.0 * u / (1.0 - u * u) ** 2
+            return 2.0 * u / np.square(1.0 - u * u)
 
     def d2rho(u):
         u = np.asarray(u, float)
         with np.errstate(divide="ignore"):
-            return (2.0 + 6.0 * u * u) / (1.0 - u * u) ** 3
+            return (2.0 + 6.0 * u * u) / np.power(1.0 - u * u, 3)
 
     return Metric1D(-1.0, 1.0, rho, drho, d2rho, name="hyperbolic")
 
@@ -246,7 +249,7 @@ def secant_metric() -> Metric1D:
 
     def drho(u):
         x = h * np.asarray(u, float)
-        return h * np.sin(x) / np.cos(x) ** 2
+        return h * np.sin(x) / np.square(np.cos(x))
 
     def d2rho(u):
         x = h * np.asarray(u, float)
@@ -388,7 +391,7 @@ def curvature_at(metric: Metric1D, u):
     if np.any(R <= 0):
         raise DomainError(f"density must be positive, got {float(R.min())}")
     Rp, Rpp = metric.d_density(u), metric.d2_density(u)
-    w_prime = Rpp / R - (Rp / R) ** 2
+    w_prime = Rpp / R - np.square(Rp / R)
     curv = -w_prime / (R * R)
     return float(curv) if curv.ndim == 0 else curv
 

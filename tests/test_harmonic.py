@@ -260,6 +260,88 @@ def test_laurent_blocks_match_one_block(monkeypatch, samples):
 
 
 # ---------------------------------------------------------------------------
+# the coefficient rows a block of points keeps
+# ---------------------------------------------------------------------------
+
+def _recorded_cuts(monkeypatch) -> list:
+    """(shift, kept) of every `_kept_blocks` call, in call order."""
+    cuts = []
+    original = harmonic._kept_blocks
+
+    def recorded(row_max, rho, shift):
+        cuts.append((shift, original(row_max, rho, shift)))
+        return cuts[-1][1]
+
+    monkeypatch.setattr(harmonic, "_kept_blocks", recorded)
+    return cuts
+
+
+def _keep_every_block(monkeypatch):
+    monkeypatch.setattr(harmonic, "_kept_blocks", lambda row_max, rho, shift: len(row_max))
+
+
+def _cosine_lifted(boundary):
+    """The data H(f)/r whose Poisson sums the cosine metric's solved field takes."""
+    table = transform_table(cosine_metric())
+    return boundary_from_samples(boundary.thetas, table.h(boundary.samples) / table.r,
+                                 sample_count=boundary.sample_count)
+
+
+@pytest.mark.parametrize("metric", [None, cosine_metric(), exponential_metric(-2.0)])
+def test_smooth_data_inside_keeps_one_value_block(monkeypatch, metric):
+    boundary = random_smooth_boundary(9)
+    field = (euclidean_field(boundary) if metric is None
+             else solved_field(metric, boundary))
+    cuts = _recorded_cuts(monkeypatch)
+    field.value_and_gradient_many(ring_grid(24, 96, 0.95))
+    field.value_many(random_disk_pairs(3, 1000, 0.95))
+    # one block of points per pass; p' keeps at most one row more than p
+    assert [kept for shift, kept in cuts if shift == 1] == [1, 1]
+    assert [kept for shift, kept in cuts if shift == 0] in ([1], [2])
+
+
+def test_kept_blocks_at_the_edges():
+    rows = np.array([0.5, 1e-17, 1e-17, 0.3])
+    assert harmonic._kept_blocks(rows, 0.5, 1) == 1
+    assert harmonic._kept_blocks(rows, 0.999, 1) == 4
+    # all rows vanish (or rho = 0): one row stays; a NaN keeps them all
+    assert harmonic._kept_blocks(np.zeros(4), 0.9, 1) == 1
+    assert harmonic._kept_blocks(rows, 0.0, 1) == 1
+    assert harmonic._kept_blocks(np.array([0.5, np.nan, 0.0, 0.0]), 0.5, 1) == 4
+    assert type(harmonic._kept_blocks(rows, 0.5, 0)) is int
+
+
+def test_the_cut_stays_within_rounding_of_every_block(monkeypatch):
+    z = np.concatenate([ring_grid(24, 96, 0.95), random_disk_pairs(3, 1000, 0.95).ravel()])
+    boundaries = [cosine_boundary(0.5, 3)]
+    for seed, samples in zip(range(6), (1024, 2048, 1000) * 2):
+        smooth = random_smooth_boundary(seed, sample_count=samples)
+        boundaries += [smooth, _cosine_lifted(smooth)]
+    cut = [_point_sums(b, z) for b in boundaries]
+    _keep_every_block(monkeypatch)
+    eps = np.finfo(float).eps
+    for b, got in zip(boundaries, cut):
+        ref = _point_sums(b, z)
+        err = _max_errors(got, ref)
+        assert err[0] <= 8 * eps * np.max(np.abs(b.samples)), b.name
+        assert max(err[1:]) <= 8 * eps * np.max(np.hypot(ref[1], ref[2])), b.name
+
+
+@pytest.mark.parametrize("samples", [1000, 1024, 2048])
+def test_step_data_at_the_rim_keeps_every_block(monkeypatch, samples):
+    b = step_boundary(sample_count=samples)
+    rows = -(-samples // harmonic._HORNER_BLOCK)
+    # the oracle's reach, on a ring grid and at every sample angle
+    z = np.concatenate([ring_grid(24, 96, harmonic._LIFT_RADIUS),
+                        harmonic._LIFT_RADIUS * np.exp(1j * b.thetas)])
+    cuts = _recorded_cuts(monkeypatch)
+    got = poisson_value_and_gradient(b, z)
+    assert cuts and all(kept == rows for _, kept in cuts)
+    _keep_every_block(monkeypatch)
+    assert all(np.array_equal(q, r) for q, r in zip(got, poisson_value_and_gradient(b, z)))
+
+
+# ---------------------------------------------------------------------------
 # fused value and gradient
 # ---------------------------------------------------------------------------
 

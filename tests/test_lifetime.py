@@ -6,7 +6,7 @@ import gc
 import tracemalloc
 import weakref
 
-from schwarzlab import bounds, metrics
+from schwarzlab import bounds, harmonic, metrics
 from schwarzlab.config import DEFAULT
 from schwarzlab.errors import NonIntegrable
 from schwarzlab.harmonic import random_smooth_boundary, solved_field
@@ -102,3 +102,28 @@ def test_tables_of_dead_metrics_are_freed():
     finally:
         tracemalloc.stop()
     assert current < 2 * size, (current, size)
+
+
+def test_laurent_rows_and_alias_spectrum_die_with_their_boundary():
+    with _refcounting_only():
+        boundary = random_smooth_boundary(5)
+        rows = harmonic._laurent_rows(boundary)
+        spectrum = bounds._alias_spectrum(boundary)
+        assert harmonic._laurent_rows(boundary) is rows
+        assert not any(a.flags.writeable for a in (*rows[1:], spectrum))
+        dead = [weakref.ref(x) for x in (boundary, rows.coef, rows.d_coef, spectrum)]
+        del boundary, rows, spectrum
+        assert [ref() for ref in dead] == [None] * len(dead)
+
+
+def test_bound_checks_take_each_spectrum_once_per_boundary():
+    metric, boundary = cosine_metric(), random_smooth_boundary(6)
+    rows, spectra = harmonic._laurent_rows.cache_info(), bounds._alias_spectrum.cache_info()
+    bounds.check_gradient_bound(metric, boundary)
+    bounds.check_unimodal_bounds(metric, boundary)
+    bounds.check_distance_contraction(metric, boundary, bounds.random_disk_pairs(6, 100))
+    # four Poisson passes on the lifted data, four alias bounds on the samples
+    after = harmonic._laurent_rows.cache_info()
+    assert (after.misses - rows.misses, after.hits - rows.hits) == (1, 3)
+    after = bounds._alias_spectrum.cache_info()
+    assert (after.misses - spectra.misses, after.hits - spectra.hits) == (1, 3)

@@ -102,6 +102,21 @@ def test_curvature_array_matches_pointwise_loop():
     assert isinstance(curvature_at(cosine_metric(), 0.3), float)
 
 
+@pytest.mark.parametrize("make", [hyperbolic_metric, secant_metric, cosine_metric,
+                                  lambda: exponential_metric(1.0)])
+def test_a_point_rounds_as_it_does_inside_an_array(make):
+    # a 0-d input makes numpy scalars, whose ** is libm pow, where an array's
+    # ** 2 multiplies: every formula must take the array path at one point too
+    metric = make()
+    u = np.random.default_rng(3).uniform(-0.999, 0.999, 20000)
+    for name in ("density", "d_density", "d2_density"):
+        fn = getattr(metric, name)
+        at_points = [float(fn(x)) for x in u.tolist()]
+        assert np.array_equal(at_points, fn(u)), (metric.name, name)
+    at_points = [curvature_at(metric, x) for x in u.tolist()]
+    assert np.array_equal(at_points, curvature_at(metric, u)), metric.name
+
+
 def test_curvature_array_checks_every_element():
     with pytest.raises(DomainError):
         curvature_at(cosine_metric(), np.array([0.0, 0.5, 1.0]))
