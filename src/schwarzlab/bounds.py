@@ -226,7 +226,7 @@ def check_gradient_bound(metric: Metric1D, boundary: BoundaryData,
 
     f, gx, gy = field.value_and_gradient_many(z)
     grad = np.hypot(gx, gy)
-    one_minus = 1.0 - np.abs(z) ** 2
+    one_minus = _one_minus_abs_sq(z, "bound evaluated outside the disk")
 
     lhs = grad
     rhs = FOUR_OVER_PI * (1.0 - f * f) / one_minus
@@ -292,7 +292,8 @@ def check_unimodal_bounds(metric: Metric1D, boundary: BoundaryData,
 
     f, gx, gy = field.value_and_gradient_many(z)
     lhs1 = np.hypot(gx, gy)
-    rhs1 = 2.0 * (1.0 - np.abs(f)) / (1.0 - np.abs(z) ** 2)
+    one_minus = _one_minus_abs_sq(z, "bound evaluated outside the disk")
+    rhs1 = 2.0 * (1.0 - np.abs(f)) / one_minus
     warn1 = () if unimodal else ("density failed the sampled unimodality check",)
     warn1 += _sampling_warnings(boundary, z, tols, gradient=True)
     report1 = BoundReport("gradient_bound_unimodal", z, lhs1, rhs1,

@@ -5,8 +5,8 @@ deterministic `summary.json` plus CSV artifacts into the output directory
 (timestamps go to a separate `metadata.json` so summaries are byte-stable).
 
 Exit codes: 0 all checks passed, 1 a bound check failed, 2 usage or input
-error, 3 numeric failure (divergent integral, stalled Picard iteration, failed
-inversion).
+error, 3 numeric failure (divergent integral, stalled or non-finite defect
+correction, failed inversion).
 """
 
 from __future__ import annotations

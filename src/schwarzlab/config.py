@@ -24,12 +24,11 @@ class Tolerances:
     inverse_rel_tol: float = 1e-12
     # slack below which a bound check still counts as passed
     slack_tol: float = 1e-9
-    # finite-difference oracle; one "sweep" is one Picard step (one linear
-    # solve), and converging cases take 15-200 of them
+    # finite-difference oracle; one "sweep" is one defect-correction step
+    # (one linear solve), and converging cases take 10-150 of them
     fd_update_tol: float = 1e-10
     fd_fail_tol: float = 1e-8
     fd_max_sweeps: int = 1000
-    fd_nonlinear_relax: float = 0.8
     # boundary sampling
     boundary_samples: int = 1024
     # default check grid

@@ -3,9 +3,10 @@
 Euclidean harmonic extension by the Poisson kernel (trapezoid rule over
 uniform boundary samples, spectrally accurate for smooth data), the lift of
 boundary data to metric-harmonic solutions through the centered primitive H,
-a Picard oracle that discretizes the quasilinear equation directly by finite
-differences (solved by sine transforms with a capacitance correction at the
-cut cells, in numpy alone), and residual diagnostics
+a defect-correction oracle that discretizes the quasilinear equation directly
+by finite differences, in divergence form (each linear step solved by sine
+transforms with a capacitance correction at the cut cells, in numpy alone),
+and residual diagnostics
 (pointwise equation residual and holomorphy of the quadratic differential).
 
 A trapezoid Poisson sum means the sum at the points the caller passes, and
@@ -36,7 +37,7 @@ from .config import DEFAULT, Tolerances, spec_param, spec_params
 from .errors import (InvalidInput, NoConvergence, NonIntegrable, OutsideDisk,
                      StencilOutsideDisk)
 from .lifetime import lifetime_cache
-from .metrics import HTransform, Metric1D, _sorted_unique, transform_table
+from .metrics import HTransform, Metric1D, transform_table
 
 TWO_PI = 2.0 * math.pi
 _RANDOM_MODES = 5          # harmonics of the random boundaries
@@ -75,7 +76,9 @@ class BoundaryData:
         if samples.shape != thetas.shape:
             raise InvalidInput("boundary values must be vectorized over angles")
         pad = 1e-12 * max(1.0, abs(self.target_lo), abs(self.target_hi))
-        if samples.min() < self.target_lo - pad or samples.max() > self.target_hi + pad:
+        # written so that a NaN sample fails it
+        if not (self.target_lo - pad <= samples.min()
+                and samples.max() <= self.target_hi + pad):
             raise InvalidInput("boundary values leave the target interval")
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "samples",
@@ -118,6 +121,8 @@ def boundary_from_samples(theta: Sequence[float], values: Sequence[float],
     theta = np.mod(theta, TWO_PI)
     if theta.ndim != 1 or theta.shape != values.shape or len(theta) < 3:
         raise InvalidInput("need matching 1-d theta/values arrays with >= 3 samples")
+    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(values))):
+        raise InvalidInput("boundary sample angles and values must be finite")
     order = np.argsort(theta)
     theta, values = theta[order], values[order]
     if np.any(np.diff(theta) == 0):
@@ -566,7 +571,7 @@ class GridField:
     xs: np.ndarray
     values: np.ndarray          # (n, n), x-major; NaN outside the disk
     inside: np.ndarray          # unknown interior nodes
-    sweeps: int                 # Picard solves taken (1 for constant data)
+    sweeps: int                 # linear solves taken (1 for constant data)
     final_update: float
 
     def interior_points(self) -> tuple[np.ndarray, np.ndarray]:
@@ -594,8 +599,8 @@ class _DiskOperator:
     Unknowns are the interior nodes in `np.nonzero(inside)` order.  Each arm
     points either at another unknown or, at a cut cell, at the circle
     crossing; `nbr[d]` indexes the concatenation [unknowns, crossing values],
-    with the crossing values taken at `angles`.  Crossing value c enters the
-    row of unknown `cut_rows[c]` with weight `cut_weights[c]`.
+    with the crossing values taken at `angles`.  Row i of A is
+    sum_d weights[d][i] (u_i - v_d), v_d the value at the end of arm d.
 
     `solve` needs no factor of A.  A row with four whole arms is the row of
     A0 = 2I - (E + W + N + S)/2 on the N^2 = (n - 2)^2 interior nodes of the
@@ -612,13 +617,11 @@ class _DiskOperator:
     1e6 where an arm is clipped to 1e-6.
     """
     xs: np.ndarray
-    h: float
     inside: np.ndarray
     arms: dict                  # arm -> (m,) arm length in units of h
     nbr: dict                   # arm -> (m,) index into [unknowns, crossings]
     angles: np.ndarray          # (c,) polar angles of the circle crossings
-    cut_rows: np.ndarray = field(init=False, repr=False)     # (c,)
-    cut_weights: np.ndarray = field(init=False, repr=False)  # (c,)
+    weights: dict = field(init=False, repr=False)    # arm -> (m,) weight in A
     sines: np.ndarray = field(init=False, repr=False)        # (N, N) S
     eig: np.ndarray = field(init=False, repr=False)          # (N, N)
     flat_cells: np.ndarray = field(init=False, repr=False)   # (m,) raveled square cells
@@ -637,8 +640,7 @@ class _DiskOperator:
                    "N": 1.0 / (aN * (aN + aS)), "S": 1.0 / (aS * (aN + aS))}
         diag = 1.0 / (aE * aW) + 1.0 / (aN * aS)
         cut = {d: self.nbr[d] >= m for d in "EWNS"}
-        cut_rows = np.concatenate([np.nonzero(cut[d])[0] for d in "EWNS"])
-        irr = _sorted_unique(cut_rows)
+        irr = np.flatnonzero(cut["E"] | cut["W"] | cut["N"] | cut["S"])
         to = np.stack([irr] + [np.where(cut[d][irr], irr, self.nbr[d][irr])
                                for d in "EWNS"], axis=1)
         sw = np.stack([diag[irr]] + [np.where(cut[d][irr], 0.0, -weights[d][irr])
@@ -671,8 +673,7 @@ class _DiskOperator:
 
         def put(name, value):
             object.__setattr__(self, name, value)
-        put("cut_rows", cut_rows)
-        put("cut_weights", np.concatenate([weights[d][cut[d]] for d in "EWNS"]))
+        put("weights", weights)
         put("sines", math.sqrt(2.0 / big) * np.sin(math.pi * np.outer(t, t) / big))
         put("eig", eig)
         put("flat_cells", np.ravel_multi_index((ci, cj), eig.shape))
@@ -725,7 +726,7 @@ def _disk_operator(n: int) -> _DiskOperator:
 
     # every GridField at this n shares these two arrays
     xs.flags.writeable = inside.flags.writeable = False
-    return _DiskOperator(xs=xs, h=h, inside=inside, arms=arms, nbr=nbr,
+    return _DiskOperator(xs=xs, inside=inside, arms=arms, nbr=nbr,
                          angles=np.concatenate(angles))
 
 
@@ -733,21 +734,24 @@ def fd_solve_oracle(metric: Metric1D, boundary: BoundaryData, n: int,
                     tols: Tolerances = DEFAULT) -> GridField:
     """Finite-difference solve of the quasilinear equation on an n x n disk grid.
 
-    Shortley-Weller arms tie cut cells to exact circle crossings (boundary
-    value looked up at the crossing angle).  The linear 5-point operator and
-    its capacitance matrix are built once per n (cached, `_DiskOperator`);
-    each Picard step freezes the nonlinear term, evaluated explicitly from
-    the previous iterate with under-relaxed blending, and solves the linear
-    system exactly: two sine-transform solves on the square with a
-    capacitance correction at the cut cells between them.  One "sweep" in
-    `tols.fd_max_sweeps` and `GridField.sweeps` is one such solve.  Entirely
-    independent of the H-transform solution path.
+    The equation is taken in divergence form, div(R(f) grad f) = 0, which
+    needs the density R alone.  Its flux on each Shortley-Weller arm is
+    w (v - u_i) (R(u_i) + R(v)) / 2, the trapezoid mean of R over the arm;
+    arms at cut cells end at exact circle crossings (boundary value looked
+    up at the crossing angle).  Each step of the defect correction solves
+    A du = D(u) / R(u) for the flux sum D(u) exactly, with A the linear
+    5-point operator (`_DiskOperator`, cached per n: two sine-transform
+    solves on the square with a capacitance correction at the cut cells
+    between them), and moves u by du.  One "sweep" in `tols.fd_max_sweeps`
+    and `GridField.sweeps` is one such solve; a non-finite update raises at
+    once.  Entirely independent of the H-transform solution path.
     """
     if n < 33:
         raise InvalidInput("oracle grid needs n >= 33")
     # iterates may not leave the boundary-value range (the transform maximum
     # principle guarantees the solution stays inside it); the clamp also
-    # keeps the log-derivative of the density bounded
+    # keeps R off the ends of the target interval, where it may vanish or
+    # blow up
     lo = max(boundary.target_lo + 1e-12, float(boundary.samples.min()))
     hi = min(boundary.target_hi - 1e-12, float(boundary.samples.max()))
     if lo >= hi:   # constant data: the constant solves the equation exactly
@@ -758,44 +762,31 @@ def fd_solve_oracle(metric: Metric1D, boundary: BoundaryData, n: int,
 
     op = _disk_operator(n)
     crossing = np.asarray(boundary.values(op.angles), float)
-    b_cut = np.bincount(op.cut_rows, op.cut_weights * crossing,
-                        minlength=len(op.flat_cells))
-    u = np.full(len(b_cut), boundary.mean())
-    ext = np.concatenate([u, crossing])     # [unknowns, crossing values]
-    aE, aW, aN, aS = (op.arms[d] for d in "EWNS")
-    nE, nW, nN, nS = (op.nbr[d] for d in "EWNS")
-    h2half = 0.5 * op.h * op.h
+    m = len(op.flat_cells)
+    u = np.full(m, boundary.mean())
+    # R on [unknowns, crossing values]; the crossing part stays fixed
+    ext = np.concatenate([u, crossing])
+    dens = np.concatenate([u, metric.density(np.clip(crossing, lo, hi))])
 
-    def source(u):
-        # wide differences (crossing-to-crossing) keep the quadratic term
-        # bounded at cut cells; the arm-weighted one-sided form would let
-        # the nonlinearity balance the stiff Dirichlet pin and admit a
-        # spurious boundary-layer root
-        ext[:len(u)] = u
-        fx = (ext[nE] - ext[nW]) / ((aE + aW) * op.h)
-        fy = (ext[nN] - ext[nS]) / ((aN + aS) * op.h)
-        clipped = np.clip(u, lo, hi)
-        dens = np.asarray(metric.density(clipped), float)
-        ddens = np.asarray(metric.d_density(clipped), float)
-        return ddens / dens * (fx * fx + fy * fy)
-
-    # Picard iteration: freeze the (under-relaxed) nonlinear source, solve
-    # the linear system exactly, repeat until the iterate stops moving
-    relax = tols.fd_nonlinear_relax
-    S = None
+    # defect correction: solve the linear system exactly for the step that
+    # the flux defect asks for, repeat until the iterate stops moving
     sweeps = 0
     update = math.inf
-    # comparisons are written so that a NaN update counts as not converged
     while sweeps < tols.fd_max_sweeps and not update < tols.fd_update_tol:
-        s_new = source(u)
-        S = s_new if S is None else relax * s_new + (1.0 - relax) * S
-        new = np.clip(op.solve(b_cut + h2half * S), lo, hi)
+        ext[:m] = u
+        dens[:m] = metric.density(u)
+        flux = sum(w * (dens[op.nbr[d]] + dens[:m]) * (ext[op.nbr[d]] - u)
+                   for d, w in op.weights.items())
+        new = np.clip(u + op.solve(0.5 * flux / dens[:m]), lo, hi)
         update = float(np.max(np.abs(new - u)))
         u = new
         sweeps += 1
+        if not math.isfinite(update):
+            raise NoConvergence(
+                f"defect correction gave a non-finite update at solve {sweeps}")
     if not (update < tols.fd_update_tol or update <= tols.fd_fail_tol):
         raise NoConvergence(
-            f"Picard iteration stalled at update {update:.3e} after {sweeps} solves")
+            f"defect correction stalled at update {update:.3e} after {sweeps} solves")
 
     values = np.full((n, n), np.nan)
     values[op.inside] = u

@@ -203,6 +203,11 @@ def constant_metric(value: float = 1.0) -> Metric1D:
 
 
 def exponential_metric(c: float) -> Metric1D:
+    # R^2 = e^(2cu) must stay a normal float on (-1, 1)
+    limit = -0.5 * math.log(np.finfo(float).tiny)
+    if not abs(c) <= limit:
+        raise ParameterOutOfRange(
+            f"exponential rate needs a finite |c| <= {limit:.6g}, got {c!r}")
     return Metric1D(-1.0, 1.0,
                     lambda u: np.exp(c * np.asarray(u, float)),
                     lambda u: c * np.exp(c * np.asarray(u, float)),

@@ -272,7 +272,7 @@ def test_unknown_tolerance_is_invalid_input():
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["slack_tol", "fd_update_tol", "quad_abs_tol",
-                                  "fd_nonlinear_relax"])
+                                  "fd_fail_tol"])
 def test_non_finite_tolerance_is_invalid_input(name, value):
     from schwarzlab.config import DEFAULT, Tolerances
     from schwarzlab.errors import InvalidInput
@@ -384,6 +384,8 @@ def test_gallery_bad_parameter_exits_2(specs, capsys, which):
     ("metric", {"kind": "exponential", "params": {"c": float("nan")}}),
     ("boundary", {"kind": "expression-preset", "name": "cosine",
                   "params": {"frequency": 1.7}}),
+    ("boundary", {"kind": "samples", "theta": [0, 2, 4], "values": [math.nan, 0.1, 0.2]}),
+    ("boundary", {"kind": "samples", "theta": [0, math.nan, 4], "values": [0.0, 0.1, 0.2]}),
 ])
 def test_non_numeric_spec_parameter_exits_2(specs, capsys, kind, spec):
     bad = specs["dir"] / "bad-spec.json"
@@ -392,7 +394,9 @@ def test_non_numeric_spec_parameter_exits_2(specs, capsys, kind, spec):
     out = specs["dir"] / "o22"
     assert main(["check-bounds", "--metric", argv["metric"], "--boundary",
                  argv["boundary"], "--out", str(out)]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (out / "summary.json").exists()
 
 
 def test_spec_param_takes_integral_counts():
@@ -406,6 +410,10 @@ def test_spec_param_takes_integral_counts():
     ["curvature", "--metric", {"kind": "constant", "params": {"value": -1}}],
     ["curvature", "--metric", {"kind": "lemma_psi_family", "params": {"a": 0.5, "s": 2}}],
     ["sweep", "--family", "r-ratio", "--k-max", "0"],
+    # R^2 = e^(2cu) leaves the normal floats on (-1, 1) once |c| > 354.2
+    ["curvature", "--metric", {"kind": "exponential", "params": {"c": 360}}],
+    ["curvature", "--metric", {"kind": "exponential", "params": {"c": 1000}}],
+    ["curvature", "--metric", {"kind": "exponential", "params": {"c": -360}}],
 ])
 def test_parameter_out_of_range_exits_2(specs, capsys, argv):
     spec = specs["dir"] / "out-of-range.json"
@@ -418,6 +426,15 @@ def test_parameter_out_of_range_exits_2(specs, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_exponential_rate_just_inside_the_float_range_runs(specs):
+    spec = specs["dir"] / "exponential.json"
+    spec.write_text('{"kind": "exponential", "params": {"c": 350}}')
+    out = specs["dir"] / "o30"
+    assert main(["curvature", "--metric", str(spec), "--out", str(out)]) == 0
+    assert np.isfinite(_summary(out)["min_curvature"])
 
 
 @pytest.mark.parametrize("subcommand", ["transform", "solve", "check-bounds"])
@@ -496,7 +513,6 @@ TOLERANCE_CASES = [
     ("fd_update_tol", ["solve", "--grid-n", "65"], [], "1e-4", (0, 0)),
     ("fd_fail_tol", ["solve", "--grid-n", "65"], ["fd_max_sweeps=3"], "1.0", (3, 0)),
     ("fd_max_sweeps", ["solve", "--grid-n", "65"], [], "3", (0, 3)),
-    ("fd_nonlinear_relax", ["solve", "--grid-n", "65"], [], "0.5", (0, 0)),
     ("boundary_samples", ["check-bounds"], [], "512", (0, 0)),
     ("grid_radii", ["check-bounds"], [], "12", (0, 0)),
     ("grid_angles", ["check-bounds"], [], "48", (0, 0)),

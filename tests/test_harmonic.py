@@ -11,13 +11,15 @@ import schwarzlab.harmonic as harmonic
 from schwarzlab.bounds import (check_gradient_bound, check_unimodal_bounds,
                                random_disk_pairs, ring_grid)
 from schwarzlab.cli import _write_csv
+from schwarzlab.config import DEFAULT
 from schwarzlab.errors import (InvalidInput, NoConvergence, OutsideDisk,
                                StencilOutsideDisk)
 from schwarzlab.harmonic import (BoundaryData, analytic_field,
                                  boundary_from_json, boundary_from_samples,
                                  constant_boundary, cosine_boundary,
                                  euclidean_field, fd_solve_oracle,
-                                 hopf_holomorphy_residual, oracle_sup_difference,
+                                 hopf_holomorphy_residual, lift_sup_difference,
+                                 oracle_sup_difference,
                                  pde_residual, poisson_gradient,
                                  poisson_value_and_gradient, poisson_values,
                                  random_smooth_boundary,
@@ -25,7 +27,8 @@ from schwarzlab.harmonic import (BoundaryData, analytic_field,
                                  step_boundary)
 from schwarzlab.metrics import (HTransform, Metric1D, constant_metric,
                                 cosine_metric, exponential_metric,
-                                hyperbolic_metric, transform_table)
+                                hyperbolic_metric, metric_from_json,
+                                transform_table)
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +453,8 @@ def test_lift_caches_hold_a_bounded_number_of_tables():
 def test_boundary_values_must_stay_in_target():
     with pytest.raises(InvalidInput):
         BoundaryData(lambda th: 1.5 * np.cos(th))
+    with pytest.raises(InvalidInput, match="leave the target interval"):
+        BoundaryData(lambda th: np.where(th > 1.0, np.nan, 0.5 * np.cos(th)))
 
 
 def test_boundary_from_samples_interpolates():
@@ -721,11 +726,37 @@ def test_oracle_stall_raises_under_default_tolerances():
 
 
 def test_oracle_nan_source_raises():
-    broken = Metric1D(-1.0, 1.0, lambda u: np.ones_like(u),
-                      lambda u: np.full_like(u, np.nan),
-                      lambda u: np.full_like(u, np.nan), name="nan-slope")
-    with pytest.raises(NoConvergence):
+    # the first non-finite update raises, not the cap of 1000 solves
+    broken = Metric1D(-1.0, 1.0, lambda u: np.full_like(u, np.nan),
+                      lambda u: np.zeros_like(u),
+                      lambda u: np.zeros_like(u), name="nan-density")
+    with pytest.raises(NoConvergence, match="non-finite update at solve 1$"):
         fd_solve_oracle(broken, cosine_boundary(0.8), 65)
+
+
+def test_oracle_reads_the_density_alone():
+    def refuse(u):
+        raise AssertionError("the oracle must not read a derivative of R")
+
+    cosine = cosine_metric()
+    metric = Metric1D(-1.0, 1.0, cosine.density, refuse, refuse, name="cosine-R-only")
+    b = random_smooth_boundary(2, sample_count=2048)
+    grid = fd_solve_oracle(metric, b, 65)
+    assert np.array_equal(grid.values, fd_solve_oracle(cosine, b, 65).values,
+                          equal_nan=True)
+
+
+@pytest.mark.parametrize("boundary, tol", [(cosine_boundary(0.8), 5e-3),
+                                           (step_boundary(0.9), 2e-2)],
+                         ids=["cosine", "step"])
+@pytest.mark.parametrize("n", [65, 101])
+def test_oracle_solves_the_bare_tent(n, boundary, tol):
+    # R of the bare tent (0.5, 0.5) is continuous, while R' jumps at +-0.5;
+    # the divergence form needs R alone
+    tent = metric_from_json({"kind": "lemma_psi_family", "params": {"a": 0.5, "s": 0.5}})
+    grid = fd_solve_oracle(tent, boundary, n)
+    assert grid.final_update < DEFAULT.fd_update_tol
+    assert lift_sup_difference(grid, tent, boundary) <= tol
 
 
 def test_oracle_never_touches_transform_path(monkeypatch):
@@ -849,7 +880,7 @@ def test_disk_operator_solve_matches_dense_solve(n, clipped):
             cut = np.nonzero(op.nbr[d] >= m)[0]
             arms[d][cut[::3]] = 1e-6
             arms[d][cut[1::3]] = 1e-6 * (1.0 + rng.uniform(size=len(cut[1::3])))
-        op = harmonic._DiskOperator(xs=op.xs, h=op.h, inside=op.inside, arms=arms,
+        op = harmonic._DiskOperator(xs=op.xs, inside=op.inside, arms=arms,
                                     nbr=op.nbr, angles=op.angles)
         assert max(op.stencil[2][:, 0]) > 1e5   # diagonals near 1e6
     rhs = np.random.default_rng(1).standard_normal(m)
@@ -857,10 +888,11 @@ def test_disk_operator_solve_matches_dense_solve(n, clipped):
     assert np.max(np.abs(op.solve(rhs) - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-# Picard solves per case (seeds 0, 1, 2 at each n) as a sparse LU factor of
-# the same operator gave them: an exact linear solve must reproduce them
-_ORACLE_SWEEPS = {"cosine": {65: (20, 15, 15), 101: (20, 15, 15), 201: (20, 15, 15)},
-                  "exponential": {65: (20, 15, 16), 101: (20, 15, 16), 201: (20, 15, 16)}}
+# defect-correction solves per case (seeds 0, 1, 2 at each n), as a dense
+# inverse of the same operator gives them at n = 65: an exact, deterministic
+# linear solve must reproduce them
+_ORACLE_SWEEPS = {"cosine": {65: (19, 11, 12), 101: (19, 11, 12), 201: (19, 11, 12)},
+                  "exponential": {65: (18, 11, 12), 101: (18, 11, 12), 201: (18, 11, 12)}}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
