@@ -302,7 +302,10 @@ def check_unimodal_bounds(metric: Metric1D, boundary: BoundaryData,
                           extras={"mass": float(table.r) if table else math.inf})
 
     rad = ring_grid(25, 8, 0.95)   # 8 radial spokes of 25 points each
-    f0 = float(field.value_many(0.0))
+    # the spokes and, last, the origin in one value pass: at z = 0 the
+    # Poisson sum is c_0 whatever else the pass holds
+    values = field.value_many(np.append(rad, 0.0))
+    f0, fr = float(values[-1]), values[:-1]
     if table is not None:
         balance = abs(table.h(np.array([0.0]))[0])  # H(0) = (B - A)/2
         balanced = balance <= 1e-9 * table.r
@@ -319,12 +322,11 @@ def check_unimodal_bounds(metric: Metric1D, boundary: BoundaryData,
     if not origin_fixed:
         warn2.append(f"f(0) = {f0:.3g} is not 0")
     warn2.extend(_sampling_warnings(boundary, rad, tols, gradient=False))
-    fr = field.value_many(rad)
     report2 = BoundReport("arctan_radial_bound", rad, np.abs(fr),
                           FOUR_OVER_PI * np.arctan(np.abs(rad)),
                           tolerance=tols.slack_tol, applicable=applicable2,
                           warnings=tuple(warn2),
-                          extras={"f_origin": float(f0),
+                          extras={"f_origin": f0,
                                   "half_mass_imbalance": float(2 * balance)})
     return report1, report2
 

@@ -12,6 +12,7 @@ correction, failed inversion).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -284,6 +285,7 @@ def dispatch(args: argparse.Namespace) -> int:
         return 2
     out = Path(args.out if args.out is not None
                else os.environ.get(OUTPUT_ENV, "schwarzlab-out"))
+    created = not out.exists()
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -294,6 +296,9 @@ def dispatch(args: argparse.Namespace) -> int:
         code, summary = args.run(args, tols, out)
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if created:   # bad input leaves no output directory behind
+            with contextlib.suppress(OSError):
+                out.rmdir()
         return 2
     except (NonIntegrable, NoConvergence, NumericInversionFailure, OutOfRange) as exc:
         _write_json(out / "error.json", {

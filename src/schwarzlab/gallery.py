@@ -15,7 +15,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .bounds import FOUR_OVER_PI, chen_rhs, random_disk_pairs, schwarz_quotient
+from .bounds import (FOUR_OVER_PI, _one_minus_abs_sq, chen_rhs, random_disk_pairs,
+                     schwarz_quotient)
 from .errors import InvalidInput, NumericInversionFailure
 from .harmonic import (_equation_residual, _five_point, analytic_field,
                        pde_residual, random_smooth_boundary, solved_field)
@@ -134,7 +135,8 @@ def run_zero_curvature_example(c: float = 1.0, seed: int = 0) -> ExampleReport:
     fld = solved_field(metric, boundary)
     z = random_disk_pairs(seed, 400, 0.9)[:, 0]
     fv, gx, gy = fld.value_and_gradient_many(z)
-    a_at = _zero_curvature_majorant(c, fv, 1.0 - np.abs(z) ** 2)
+    a_at = _zero_curvature_majorant(
+        c, fv, _one_minus_abs_sq(z, "majorant evaluated outside the disk"))
     solved_slack = float(np.min(a_at - np.hypot(gx, gy)))
 
     # the majorant approaches the Euclidean bound linearly in c

@@ -55,7 +55,9 @@ class BoundaryData:
     """Samples of a 2*pi-periodic function on the circle.
 
     `values` maps angle arrays to value arrays; uniform samples are cached
-    for quadrature.  Values may touch the closed interval
+    for quadrature.  A caller that already holds the values at the uniform
+    angles `thetas` may pass them as `samples`; otherwise they are
+    `values(thetas)`.  Values may touch the closed interval
     [target_lo, target_hi]: the classical extremal step data sits exactly at
     the endpoints, while interior values of any extension stay strictly
     inside by the maximum principle.
@@ -66,13 +68,14 @@ class BoundaryData:
     sample_count: int = DEFAULT.boundary_samples
     name: str = "boundary"
     thetas: np.ndarray = field(init=False, repr=False)
-    samples: np.ndarray = field(init=False, repr=False)
+    samples: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.sample_count < 8:
             raise InvalidInput("sample_count must be at least 8")
         thetas = TWO_PI * np.arange(self.sample_count) / self.sample_count
-        samples = np.asarray(self.values(thetas), float)
+        samples = np.asarray(self.values(thetas) if self.samples is None
+                             else self.samples, float)
         if samples.shape != thetas.shape:
             raise InvalidInput("boundary values must be vectorized over angles")
         pad = 1e-12 * max(1.0, abs(self.target_lo), abs(self.target_hi))
@@ -127,6 +130,12 @@ def boundary_from_samples(theta: Sequence[float], values: Sequence[float],
     theta, values = theta[order], values[order]
     if np.any(np.diff(theta) == 0):
         raise InvalidInput("duplicate angles in boundary samples")
+    return BoundaryData(_periodic_interpolant(theta, values), name=name, **kw)
+
+
+def _periodic_interpolant(theta: np.ndarray, values: np.ndarray) -> Callable:
+    """Periodic linear interpolation through distinct increasing angles theta
+    in [0, 2 pi) and their values."""
     tx = np.concatenate([theta, [theta[0] + TWO_PI]])
     vx = np.concatenate([values, [values[0]]])
 
@@ -134,7 +143,7 @@ def boundary_from_samples(theta: Sequence[float], values: Sequence[float],
         th = np.mod(np.asarray(th, float) - theta[0], TWO_PI) + theta[0]
         return np.interp(th, tx, vx)
 
-    return BoundaryData(interp, name=name, **kw)
+    return interp
 
 
 def boundary_from_json(spec: dict, **kw) -> BoundaryData:
@@ -167,23 +176,25 @@ def _random_trig_boundary(seed: int, freqs: np.ndarray, weights: np.ndarray,
     """Random trigonometric polynomial over `freqs`, scaled into (-max_abs, max_abs).
 
     Coefficients are standard normal draws divided by `weights`; the peak
-    modulus is a random share in [1/2, 1) of max_abs.
+    modulus is a random share in [1/2, 1) of max_abs.  The polynomial
+    sum_m a_m cos(m theta) + b_m sin(m theta) is evaluated as
+    Re sum_m (a_m - i b_m) z^m at z = e^(i theta), by one Horner sum (b_0
+    drops out with the imaginary part).
     """
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(len(freqs)) / weights
     b = rng.standard_normal(len(freqs)) / weights
-    b[freqs == 0] = 0.0
     amp = max_abs * rng.uniform(0.5, 1.0)
+    coef = np.zeros(int(freqs.max()) + 1, complex)
+    coef[freqs] = a - 1j * b
 
     def fn(th):
-        th = np.asarray(th, float)
-        acc = np.zeros_like(th)
-        for m, am, bm in zip(freqs, a, b):
-            if m == 0:   # cos 0 = 1 and b_0 = 0: the same bits without the trig
-                acc = acc + am
-            else:
-                acc = acc + am * np.cos(m * th) + bm * np.sin(m * th)
-        return acc
+        z = np.exp(1j * np.asarray(th, float))
+        acc = np.full(z.shape, coef[-1])
+        for c in coef[-2::-1]:
+            acc *= z
+            acc += c
+        return acc.real
 
     probe = fn(TWO_PI * np.arange(4096) / 4096)
     scale = amp / max(np.max(np.abs(probe)), 1e-12)
@@ -476,17 +487,19 @@ def solved_field(metric: Metric1D, boundary: BoundaryData,
         table = HTransform(metric, tols, lo=min(m0, 0.0) - pad, hi=max(m1, 0.0) + pad)
         r = 1.0
     g_samples = table.h(np.clip(boundary.samples, -1.0, 1.0)) / r
-    # the interpolant takes the exact transformed samples at its nodes
-    g_boundary = boundary_from_samples(
-        boundary.thetas, g_samples, name=f"H[{boundary.name}]",
-        target_lo=float(g_samples.min()) - 1.0,
-        target_hi=float(g_samples.max()) + 1.0,
-        sample_count=boundary.sample_count)
+    if not np.all(np.isfinite(g_samples)):
+        raise InvalidInput("lifted boundary samples must be finite")
+    g_lo = float(g_samples.min())
+    g_hi = float(g_samples.max())
+    # the periodic linear interpolant of the transformed samples, which are
+    # its values at the boundary's own angles
+    g_boundary = BoundaryData(
+        _periodic_interpolant(boundary.thetas, g_samples), target_lo=g_lo,
+        target_hi=g_hi, sample_count=boundary.sample_count,
+        name=f"H[{boundary.name}]", samples=g_samples)
 
     # the maximum principle confines g to the sample range; clipping removes
     # the rim aliasing of the trapezoid Poisson integral before inversion
-    g_lo = float(g_samples.min())
-    g_hi = float(g_samples.max())
     if table.normalized:
         g_lo = max(g_lo, -1.0 + 1e-15)
         g_hi = min(g_hi, 1.0 - 1e-15)

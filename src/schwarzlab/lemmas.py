@@ -17,6 +17,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import InvalidInput, ParameterOutOfRange, PreconditionViolated
+from .lifetime import lifetime_cache
 from .metrics import ConcaveTentMap, Metric1D, mass, transform_table
 
 _UNIMODAL_SAMPLES = 401    # points per half of the sampled unimodality check
@@ -174,12 +175,14 @@ def dif_diagnostics(k: float, grid: Sequence[float]) -> DifDiagnostics:
 # unimodal densities
 # ---------------------------------------------------------------------------
 
+@lifetime_cache()
 def check_unimodal(metric: Metric1D) -> bool:
     """Sampled check that R is non-decreasing on (-1,0), non-increasing on (0,1).
 
     The slope sign is read off sampled density differences rather than the
     stored derivative: interpolant-backed densities carry derivative noise
-    near sharp smoothed corners that value differences do not see.
+    near sharp smoothed corners that value differences do not see.  The
+    verdict is taken once for as long as the metric lives.
     """
     left = np.linspace(-1.0 + 1e-6, -1e-6, _UNIMODAL_SAMPLES)
     right = np.linspace(1e-6, 1.0 - 1e-6, _UNIMODAL_SAMPLES)

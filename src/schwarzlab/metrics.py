@@ -36,7 +36,9 @@ class Metric1D:
     lists the points where the density is not smooth (a tent's corners, a
     spline's nodes); the transform table splits its cells there.  `atoms`
     holds the (u, mass) point masses of the curvature at knots where R'
-    jumps (none for a C1 density).  Instances are immutable; expensive
+    jumps (none for a C1 density).  A family may supply the closed form of
+    (log R)'' as `d2_log_density`, which the curvature then reads in place
+    of R''/R - (R'/R)^2.  Instances are immutable; expensive
     derived quantities (transform tables, divergence verdicts, curvature
     scans) are memoized per instance, for as long as it lives
     (`lifetime_cache`).
@@ -49,6 +51,7 @@ class Metric1D:
     name: str = "metric"
     knots: tuple = ()
     atoms: tuple = ()
+    d2_log_density: Optional[Callable] = None
 
     def require_inside(self, u) -> None:
         """Raise DomainError unless every element of u lies in the open domain."""
@@ -194,9 +197,25 @@ def _zeros(u) -> np.ndarray:
     return np.zeros_like(np.asarray(u, float))
 
 
+# a density whose square is a normal float: R^2 neither overflows nor
+# underflows in the curvature's 1/R^2
+_NORMAL_SQRT_LO = math.sqrt(np.finfo(float).tiny)
+_NORMAL_SQRT_HI = math.sqrt(np.finfo(float).max)
+
+
+def _require_normal_square(lo: float, hi: float, what: str) -> None:
+    """ParameterOutOfRange unless the density's range [lo, hi] on its domain
+    squares to normal floats (a NaN fails)."""
+    if not (_NORMAL_SQRT_LO <= lo and hi <= _NORMAL_SQRT_HI):
+        raise ParameterOutOfRange(
+            f"{what} must square to a normal float, within "
+            f"[{_NORMAL_SQRT_LO:.6g}, {_NORMAL_SQRT_HI:.6g}]; got [{lo!r}, {hi!r}]")
+
+
 def constant_metric(value: float = 1.0) -> Metric1D:
     if value <= 0:
         raise ParameterOutOfRange("constant density must be positive")
+    _require_normal_square(value, value, "constant density")
     return Metric1D(-1.0, 1.0,
                     lambda u: np.full_like(np.asarray(u, float), value),
                     _zeros, _zeros, name=f"constant({value:g})")
@@ -212,7 +231,7 @@ def exponential_metric(c: float) -> Metric1D:
                     lambda u: np.exp(c * np.asarray(u, float)),
                     lambda u: c * np.exp(c * np.asarray(u, float)),
                     lambda u: c * c * np.exp(c * np.asarray(u, float)),
-                    name=f"exponential({c:g})")
+                    name=f"exponential({c:g})", d2_log_density=_zeros)
 
 
 def cosine_metric() -> Metric1D:
@@ -317,8 +336,16 @@ def tent_metric(a: float, s: float) -> Metric1D:
     4a/(1 + 2as - as^2)^3 at 0.
     """
     psi = ConcaveTentMap(a, s)
-    wing = -2.0 * psi.a / (1.0 - psi.u) ** 3
-    peak = 4.0 * psi.a / (1.0 + 2.0 * psi.a * psi.s - psi.u) ** 3
+    top = 1.0 + 2.0 * psi.a * psi.s - psi.u   # R at the peak; 1 - u on the wings
+    _require_normal_square(1.0 - psi.u, top, "tent density")
+    try:   # a float's ** raises OverflowError, its * and / give inf
+        wing = -2.0 * psi.a / (1.0 - psi.u) ** 3
+        peak = 4.0 * psi.a / top ** 3
+    except OverflowError:
+        wing = peak = math.inf
+    if not (math.isfinite(wing) and math.isfinite(peak)):
+        raise ParameterOutOfRange(
+            f"tent curvature atoms must be finite, got a={a!r}, s={s!r}")
     return Metric1D(-1.0, 1.0, psi.deriv, psi.second_deriv, _zeros, name=psi.label,
                     knots=(-psi.s, 0.0, psi.s),
                     atoms=((-psi.s, wing), (0.0, peak), (psi.s, wing)))
@@ -338,6 +365,8 @@ def tabulated_metric(u: Sequence[float], R: Sequence[float]) -> Metric1D:
         raise InvalidInput("tabulated abscissae must be strictly increasing")
     if np.any(R <= 0):
         raise InvalidInput("tabulated density must be positive")
+    # PCHIP stays within the sample range
+    _require_normal_square(float(R.min()), float(R.max()), "tabulated density")
     interp = _Cubic.hermite(u, R, _pchip_slopes(u, R))
     return Metric1D(float(u[0]), float(u[-1]), interp, interp.derivative(),
                     interp.derivative(2), name="tabulated", knots=tuple(u[1:-1]))
@@ -385,7 +414,8 @@ def metric_from_json(spec: dict) -> Metric1D:
 
 def curvature_at(metric: Metric1D, u):
     """Gaussian curvature -(1/R^2) (R'/R)' of the strip metric at u, from
-    R, R' and R'' (its point masses are `metric.atoms`).
+    R, R' and R'', or from R and the family's closed-form (log R)'' where it
+    supplies one (its point masses are `metric.atoms`).
 
     Takes a float or an array and returns the same shape (a float for a
     float).  Every element must lie inside the domain.
@@ -395,9 +425,13 @@ def curvature_at(metric: Metric1D, u):
     R = np.asarray(metric.density(u), float)
     if np.any(R <= 0):
         raise DomainError(f"density must be positive, got {float(R.min())}")
-    Rp, Rpp = metric.d_density(u), metric.d2_density(u)
-    w_prime = Rpp / R - np.square(Rp / R)
-    curv = -w_prime / (R * R)
+    if metric.d2_log_density is not None:
+        # 0.0 - w: a flat metric reads +0.0, not -0.0
+        curv = (0.0 - np.asarray(metric.d2_log_density(u), float)) / (R * R)
+    else:
+        Rp, Rpp = metric.d_density(u), metric.d2_density(u)
+        w_prime = Rpp / R - np.square(Rp / R)
+        curv = -w_prime / (R * R)
     return float(curv) if curv.ndim == 0 else curv
 
 
@@ -1003,6 +1037,7 @@ def mollify(psi: Callable, epsilon: float, table_points: int = 8193) -> Metric1D
     exact = mollified_density_exact(psi, epsilon)
     xs = np.linspace(-1.0, 1.0, table_points)
     ys = exact(xs)
+    _require_normal_square(float(ys.min()), float(ys.max()), "mollified density")
     spline = _Cubic.hermite(xs, ys, _not_a_knot_slopes(xs, ys))
 
     label = getattr(psi, "label", "psi")

@@ -272,6 +272,24 @@ def test_unimodal_trivial_constant_zero_boundary():
     assert r2.passed
 
 
+@pytest.mark.parametrize("metric", [cosine_metric(), exponential_metric(-2.0),
+                                    mollify(psi_family(0.5, 0.5), 0.05)],
+                         ids=["cosine", "exponential(-2)", "smoothed-tent"])
+def test_origin_rides_in_the_spokes_pass(metric):
+    # the origin shares the spokes' value pass and reads as a pass of its own,
+    # bit for bit; the spokes may round apart by an ulp where BLAS splits the
+    # wider matrix product differently
+    for boundary in (random_smooth_boundary(8), random_symmetric_boundary(8),
+                     step_boundary(0.9)):
+        _, r2 = check_unimodal_bounds(metric, boundary)
+        field = solved_field(metric, boundary)
+        alone = float(field.value_many(0.0))
+        assert r2.extras["f_origin"] == alone
+        assert np.signbit(r2.extras["f_origin"]) == np.signbit(alone)
+        spokes = np.abs(field.value_many(r2.z))
+        assert np.max(np.abs(r2.lhs - spokes)) <= 4 * np.finfo(float).eps
+
+
 # ---------------------------------------------------------------------------
 # distance contraction
 # ---------------------------------------------------------------------------

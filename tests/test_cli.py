@@ -428,6 +428,35 @@ def test_parameter_out_of_range_exits_2(specs, capsys, argv):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("subcommand", ["curvature", "transform", "check-bounds"])
+@pytest.mark.parametrize("spec", [
+    {"kind": "lemma_psi_family", "params": {"a": 1e300, "s": 1e-151}},
+    {"kind": "lemma_psi_family", "params": {"a": 1e300, "s": 1e-151, "epsilon": 0.05}},
+    {"kind": "constant", "params": {"value": 1e-320}},
+    {"kind": "tabulated", "u": [-1, 0, 1], "R": [1e-320, 1e-320, 1e-320]},
+], ids=["tent", "smoothed-tent", "constant", "tabulated"])
+def test_metric_whose_density_overflows_exits_2(specs, capsys, subcommand, spec):
+    # R^2 (or a tent's curvature atom) leaves the normal floats: refused at
+    # construction, before any output
+    metric = specs["dir"] / "overflow.json"
+    metric.write_text(json.dumps(spec))
+    argv = [subcommand, "--metric", str(metric)]
+    if subcommand == "check-bounds":
+        argv += ["--boundary", specs["boundary"]]
+    out = specs["dir"] / "o31"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_zero_curvature_gallery_at_the_largest_rate_passes(specs):
+    out = specs["dir"] / "o33"
+    assert main(["gallery", "--name", "zero-curvature", "--c", "350", "--out", str(out)]) == 0
+    payload = json.loads((out / "gallery_zero-curvature.json").read_text())
+    assert payload["computed"]["max_abs_curvature"] == 0.0 and payload["passed"] is True
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_exponential_rate_just_inside_the_float_range_runs(specs):
     spec = specs["dir"] / "exponential.json"

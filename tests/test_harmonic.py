@@ -403,12 +403,12 @@ def test_gradient_bound_makes_one_pass_of_each_kind(monkeypatch):
     euclidean_field(boundary).value_and_gradient_many(ring_grid())
     assert calls == ["poisson_value_and_gradient"]
     # the unimodal bound on the same grid reuses the gradient bound's lift;
-    # its own passes are the origin and the radial spokes
+    # its own pass holds the origin and the radial spokes
     calls.clear()
     other = random_smooth_boundary(14)
     check_gradient_bound(metric, other)
     check_unimodal_bounds(metric, other)
-    assert calls == ["poisson_value_and_gradient", "poisson_values", "poisson_values"]
+    assert calls == ["poisson_value_and_gradient", "poisson_values"]
 
 
 def test_value_and_gradient_remembers_its_last_points(monkeypatch):
@@ -477,23 +477,48 @@ def test_boundary_from_json():
         boundary_from_json({"kind": "expression-preset", "name": "nope"})
 
 
-# SHA-256 of the samples as the two generators produced them before they
-# shared one body (numpy 2.4, x86-64); the merge must keep every RNG draw and
-# every floating-point operation
+# SHA-256 of the samples (numpy 2.4, x86-64) since the generators sum their
+# polynomial by Horner in e^(i theta); the draws are those of the earlier
+# mode loop, whose samples these differ from by at most 6.7e-16
 RANDOM_BOUNDARY_DIGESTS = [
-    (random_smooth_boundary, 0, "c84e9b0a8a838d38665a42e05e46dce18277e4a59ce4cbdfc3a6a6bc3aa8938a"),
-    (random_smooth_boundary, 3, "6f30e37e62e4561c264c47ed267c527ec2166826376959418d81ba9f9fe0a892"),
-    (random_smooth_boundary, 12, "53c168b50e619d2ea03d87752e5d2991889dbb53acfefc563419a480555b5ff3"),
-    (random_symmetric_boundary, 0, "07bf1f3cfdc91a3cf9ff89c0bc377d75b02de42e5889e09c8916172a3c91995d"),
-    (random_symmetric_boundary, 3, "952544fef27139d8154d17b19d0854aa69e096f6d0b4c607789f25f0ae7b9079"),
-    (random_symmetric_boundary, 12, "deb809361fae10b169e007a17e45250c3c3ec668647f99cbaeaf649eff76e2b6"),
+    (random_smooth_boundary, 0, "a1fa7bd792c5351e51ea8b62d6b2a32b3fa62d142d9126ec2c59b0f767ee8d0c"),
+    (random_smooth_boundary, 3, "d839978b665da20e4c2e6d448e1c666abae7eadd5f0cb65669ab9dce03f9b151"),
+    (random_smooth_boundary, 12, "54fb4b2d28aec20c5112cab533881170c66dd0457842adfa1cf4fbce0bdf997d"),
+    (random_symmetric_boundary, 0, "7b1f5aa8dc5dfc613c1e4cb8a38e9f44ad0e2ee3487df3db4c8191d890d8da9c"),
+    (random_symmetric_boundary, 3, "539679e34877d4ab53b09154e5e413c75bda4f0f8a9150b1ad086ec0016e4484"),
+    (random_symmetric_boundary, 12, "2c7be24955bb3be22a760c1d37dce6107a4bc71ea23f1adeb8dd230f71278c04"),
 ]
 
 
-@pytest.mark.parametrize("make, seed, digest", RANDOM_BOUNDARY_DIGESTS)
+@pytest.mark.parametrize("make, seed, digest", RANDOM_BOUNDARY_DIGESTS,
+                         ids=[f"{make.__name__}-{seed}"
+                              for make, seed, _ in RANDOM_BOUNDARY_DIGESTS])
 def test_random_boundary_samples_are_unchanged(make, seed, digest):
     import hashlib
     assert hashlib.sha256(make(seed).samples.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("make, freqs, weights", [
+    (random_smooth_boundary, np.arange(6), (1.0 + np.arange(6)) ** 2),
+    (random_symmetric_boundary, np.arange(1, 10, 2), np.arange(1.0, 10.0, 2.0) ** 2),
+], ids=["smooth", "symmetric"])
+def test_random_boundary_is_its_trigonometric_sum(make, freqs, weights):
+    # the Horner sum in e^(i theta) against the mode-by-mode sum of the same
+    # draws, scaled by the same peak of a 4096-point probe
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(len(freqs)) / weights
+        b = rng.standard_normal(len(freqs)) / weights
+        amp = 0.85 * rng.uniform(0.5, 1.0)
+
+        def trig(th):
+            return sum(am * np.cos(m * th) + bm * np.sin(m * th)
+                       for m, am, bm in zip(freqs, a, b))
+
+        probe = trig(2 * math.pi * np.arange(4096) / 4096)
+        boundary = make(seed)
+        expected = amp / np.max(np.abs(probe)) * trig(boundary.thetas)
+        assert np.max(np.abs(boundary.samples - expected)) <= 8 * np.finfo(float).eps
 
 
 def test_random_symmetric_boundary_antipodal():
@@ -550,14 +575,16 @@ def test_solve_hyperbolic_metric_closed_form():
                          ids=["wave", "step", "random"])
 def test_lifted_boundary_interpolates_the_lifted_samples(monkeypatch, metric,
                                                          make_boundary):
+    boundary = make_boundary()
     built = []
 
-    def spy(theta, values, **kw):
-        built.append((np.array(values), boundary_from_samples(theta, values, **kw)))
+    def spy(*args, **kw):
+        built.append((np.array(kw["samples"]), BoundaryData(*args, **kw)))
         return built[-1][1]
 
-    monkeypatch.setattr(harmonic, "boundary_from_samples", spy)
-    boundary = make_boundary()
+    # the lift hands its samples over: neither sorted, nor interpolated anew
+    monkeypatch.setattr(harmonic, "BoundaryData", spy)
+    monkeypatch.setattr(harmonic, "boundary_from_samples", None)
     solved_field(metric, boundary)
     (g, lifted), = built
     samples = np.clip(boundary.samples, -1.0, 1.0)
@@ -571,12 +598,29 @@ def test_lifted_boundary_interpolates_the_lifted_samples(monkeypatch, metric,
     assert np.array_equal(lifted.thetas, th)
     assert np.array_equal(lifted.samples, g)
     assert lifted.name == f"H[{boundary.name}]"
-    assert (lifted.target_lo, lifted.target_hi) == (g.min() - 1.0, g.max() + 1.0)
     off = np.concatenate([th + 0.5 * (th[1] - th[0]),
                           np.random.default_rng(5).uniform(-10.0, 10.0, 500)])
     periodic = np.interp(np.mod(off, 2 * math.pi), np.append(th, 2 * math.pi),
                          np.append(g, g[0]))
     assert np.array_equal(lifted.values(off), periodic)
+
+
+def test_non_finite_lifted_sample_is_invalid_input(monkeypatch):
+    metric, boundary = cosine_metric(), cosine_boundary(0.8)
+    table = transform_table(metric)
+
+    class Holed:
+        r, normalized = table.r, table.normalized
+        h_inv = table.h_inv
+
+        def h(self, u):
+            out = table.h(u)
+            out[7] = np.nan
+            return out
+
+    monkeypatch.setattr(harmonic, "transform_table", lambda m, tols: Holed())
+    with pytest.raises(InvalidInput, match="lifted boundary samples must be finite"):
+        solved_field(metric, boundary)
 
 
 # ---------------------------------------------------------------------------

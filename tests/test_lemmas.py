@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,10 +8,10 @@ from hypothesis import strategies as st
 
 from schwarzlab.errors import (InvalidInput, ParameterOutOfRange,
                                PreconditionViolated)
-from schwarzlab.lemmas import (ConcaveTentMap, LogConcaveDiffeo, dif_diagnostics,
-                               generate_logconcave, logconcave_diffeo_slack,
-                               psi_family, psi_sweep, r_ratio, sharpness_ratio,
-                               unimodal_slack)
+from schwarzlab.lemmas import (ConcaveTentMap, LogConcaveDiffeo, check_unimodal,
+                               dif_diagnostics, generate_logconcave,
+                               logconcave_diffeo_slack, psi_family, psi_sweep,
+                               r_ratio, sharpness_ratio, unimodal_slack)
 from schwarzlab.metrics import (constant_metric, cosine_metric, mollify,
                                 tent_metric)
 
@@ -200,6 +201,26 @@ def test_unimodal_slack_over_arrays(monkeypatch):
     # numpy and math may round the sine apart by an ulp
     assert np.max(np.abs(out.ravel() - scalar)) <= 1e-15
     assert isinstance(unimodal_slack(m, 0.25), float)
+
+
+def test_unimodality_verdict_reads_the_density_once_per_metric():
+    calls = []
+
+    def counted(base, density=None):
+        def read(u):
+            calls.append(np.size(u))
+            return (density or base.density)(u)
+        return dataclasses.replace(base, density=read)
+
+    m = counted(mollify(psi_family(0.5, 0.5), 0.05))
+    assert check_unimodal(m) is True
+    assert calls == [401, 401]
+    assert check_unimodal(m) is True
+    assert calls == [401, 401]
+    # another metric object takes its own verdict
+    bumpy = counted(cosine_metric(), lambda u: 1.0 + np.asarray(u, float) ** 2)
+    assert check_unimodal(bumpy) is False and check_unimodal(bumpy) is False
+    assert calls == [401] * 4
 
 
 def test_unimodal_precondition_violation():

@@ -71,10 +71,14 @@ def test_curvature_outside_domain_raises():
 
 
 def _pointwise_curvature(metric, grid):
-    """-(1/R^2)(R'/R)' one point at a time, in Python floats."""
+    """-(1/R^2)(R'/R)' one point at a time, in Python floats, with (R'/R)'
+    in the family's closed form where it supplies one."""
     out = []
     for u in map(float, grid):
         R = float(metric.density(u))
+        if metric.d2_log_density is not None:
+            out.append((0.0 - float(metric.d2_log_density(u))) / (R * R))
+            continue
         Rp, Rpp = float(metric.d_density(u)), float(metric.d2_density(u))
         out.append(-(Rpp / R - (Rp / R) ** 2) / (R * R))
     return np.array(out)
@@ -931,6 +935,44 @@ def test_tent_metric_parameter_validation():
         tent_metric(5.0, 0.5)  # a s^2 = 1.25 >= 1
     with pytest.raises(ParameterOutOfRange):
         tent_metric(1.0, 1.2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: tent_metric(1e300, 1e-151),         # the peak atom 4a/R(0)^3 overflows
+    lambda: tent_metric(1.7e308, 7.6e-155),     # R(0)^2 overflows
+    lambda: mollify(psi_family(1e300, 1e-151), 0.05),
+    lambda: constant_metric(1e-320),
+    lambda: constant_metric(1e-160),            # R^2 is subnormal
+    lambda: constant_metric(1e200),
+    lambda: tabulated_metric([-1.0, 0.0, 1.0], [1e-320] * 3),
+    lambda: tabulated_metric([-1.0, 0.0, 1.0], [1.0, 1e160, 1.0]),
+], ids=["tent-atom", "tent-peak", "smoothed-tent", "constant-1e-320",
+        "constant-1e-160", "constant-1e200", "tabulated-1e-320", "tabulated-1e160"])
+def test_density_whose_square_leaves_the_normal_floats_is_refused(make):
+    with pytest.raises(ParameterOutOfRange):
+        make()
+
+
+def test_densities_at_the_edge_of_the_normal_squares_build():
+    tiny, huge = math.sqrt(np.finfo(float).tiny), math.sqrt(np.finfo(float).max)
+    for value in (tiny, huge):
+        m = constant_metric(value)
+        assert curvature_at(m, 0.5) == 0.0
+    tabulated_metric([-1.0, 0.0, 1.0], [tiny, 1.0, huge])
+
+
+@pytest.mark.parametrize("c", [1.0, -1.0, 10.0, -10.0, 30.0, 350.0, -350.0])
+def test_exponential_metrics_are_exactly_flat(c):
+    # K = -(log R)''/R^2 with (log R)'' = 0 in closed form: no cancellation
+    # of R''/R against (R'/R)^2, and no -0
+    m = exponential_metric(c)
+    grid = _curvature_scan_grid()
+    curv = curvature_at(m, grid)
+    assert np.all(curv == 0.0) and not np.any(np.signbit(curv))
+    point = curvature_at(m, 0.3)
+    assert point == 0.0 and not math.copysign(1.0, point) < 0
+    report = log_concavity_report(m, grid)
+    assert report.min_curvature == 0.0 and report.is_nonnegative
 
 
 # ---------------------------------------------------------------------------
