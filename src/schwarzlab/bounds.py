@@ -152,22 +152,34 @@ def _alias_spectrum(boundary: BoundaryData) -> np.ndarray:
     return spectrum
 
 
+def _alias_bound(boundary: BoundaryData, rho: float, gradient: bool) -> float:
+    """At most what aliasing adds to the trapezoid Poisson sum (or its
+    gradient) at |z| <= rho.  The sum folds every k = +-q + mN, m >= 1, onto
+    the DFT bin s_q of the samples over N (q = 0..N/2, counted twice but for
+    q = 0 and N/2), which adds |s_q| times the closed-form sums of rho^|k|
+    (of |k| rho^(|k|-1) for a gradient) over |k| = N -+ q + mN, m >= 0."""
+    n = boundary.sample_count
+    coef = _alias_spectrum(boundary)
+    q = np.arange(len(coef))
+    weight = np.where((q == 0) | (2 * q == n), 1.0, 2.0)
+    rest = 1.0 - rho ** n
+
+    def images(k):
+        if gradient:
+            return rho ** (k - 1) * (k * rest + n * rho ** n) / rest ** 2
+        return rho ** k / rest
+
+    return float(np.sum(weight * coef * (images(n - q) + images(n + q))))
+
+
 def _sampling_warnings(boundary: BoundaryData, z, tols: Tolerances,
                       gradient: bool) -> tuple:
-    """A warning when the N boundary samples are too few for the points z.
-
-    The trapezoid Poisson sum folds mode q + mN onto q.  At rho = max |z|
-    the folded modes add at most 2 sum_q |s_q| rho^(N-q) / (1 - rho^N) to a
-    value, and (N-q) rho^(N-q-1) in place of rho^(N-q) to a gradient, with
-    s_q (q = 0..N/2) the DFT of the samples over N.  A bound above
-    `tols.slack_tol` can swamp a report's slack; the verdict is unchanged.
-    """
+    """A warning when the N boundary samples are too few for the points z:
+    their alias bound at rho = max |z| above `tols.slack_tol` can swamp a
+    report's slack.  The verdict is unchanged."""
     n = boundary.sample_count
     rho = float(np.max(np.abs(np.asarray(z))))
-    coef = _alias_spectrum(boundary)
-    k = n - np.arange(len(coef))
-    fold = k * rho ** (k - 1) if gradient else rho ** k
-    bound = 2.0 * float(np.sum(coef * fold)) / (1.0 - rho ** n)
+    bound = _alias_bound(boundary, rho, gradient)
     if not bound > tols.slack_tol:
         return ()
     kind = "gradient" if gradient else "value"

@@ -309,7 +309,8 @@ def dispatch(args: argparse.Namespace) -> int:
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     summary["subcommand"] = args.subcommand
-    summary["seed"] = args.seed
+    if hasattr(args, "seed"):
+        summary["seed"] = args.seed
     if overrides is not None:
         summary["effective_tolerances"] = dataclasses.asdict(tols)
     _write_json(out / "summary.json", summary)
@@ -364,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical checks for gradient bounds of metric-harmonic "
                     "functions on the unit disk.")
 
-    def common(sp, run, metric=False, boundary=False, tolerances=True):
+    # only the pipelines that draw random numbers take --seed
+    def common(sp, run, metric=False, boundary=False, tolerances=True, seed=False):
         sp.set_defaults(run=run)
         if metric:
             sp.add_argument("--metric", required=True, help="metric spec JSON")
@@ -372,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--boundary", required=True, help="boundary spec JSON")
         sp.add_argument("--out", default=None,
                         help=f"output directory (default ${OUTPUT_ENV} or ./schwarzlab-out)")
-        sp.add_argument("--seed", type=_int_at_least(0), default=0)
+        if seed:
+            sp.add_argument("--seed", type=_int_at_least(0), default=0)
         if tolerances:
             sp.add_argument("--tolerance", action="append", default=[],
                             type=_parse_tolerance, metavar="NAME=VALUE",
@@ -387,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid-n", type=_int_at_least(1), default=999)
 
     sp = sub.add_parser("transform", help="centered primitive H and round trips")
-    common(sp, _run_transform, metric=True)
+    common(sp, _run_transform, metric=True, seed=True)
     sp.add_argument("--grid-n", type=_int_at_least(1), default=201)
 
     sp = sub.add_parser("solve", help="relaxation solve + transform comparison")
@@ -395,10 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid-n", type=_int_at_least(1), default=201)
 
     sp = sub.add_parser("check-bounds", help="gradient/distance bound reports")
-    common(sp, _run_check_bounds, metric=True, boundary=True)
+    common(sp, _run_check_bounds, metric=True, boundary=True, seed=True)
 
     sp = sub.add_parser("lemma", help="randomized scalar-lemma oracles")
-    common(sp, _run_lemma)
+    common(sp, _run_lemma, seed=True)
     sp.add_argument("--which", required=True, choices=["diffeo", "unimodal"])
     sp.add_argument("--trials", type=_int_at_least(1), default=10000)
 
@@ -410,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid-n", type=_int_at_least(1), default=200)
 
     sp = sub.add_parser("gallery", help="reproduce a worked example")
-    common(sp, _run_gallery, tolerances=False)
+    common(sp, _run_gallery, tolerances=False, seed=True)
     sp.add_argument("--name", required=True, choices=list(_GALLERY))
     sp.add_argument("--n", type=int, default=3, help="tanh frequency")
     sp.add_argument("--c", type=_finite_float, default=1.0, help="exponential rate")

@@ -17,17 +17,16 @@ from .errors import InvalidInput
 
 @dataclass(frozen=True)
 class Tolerances:
-    # quadrature
+    # quadrature: how deep the transform table grades its end cells
     quad_abs_tol: float = 1e-12
-    quad_ceiling: float = 1e12
     # monotone transform inversion: |H(result) - t| <= inverse_rel_tol * r
     inverse_rel_tol: float = 1e-12
     # slack below which a bound check still counts as passed
     slack_tol: float = 1e-9
-    # finite-difference oracle; one "sweep" is one defect-correction step
-    # (one linear solve), and converging cases take 10-150 of them
+    # finite-difference oracle: stops below fd_update_tol, raises after
+    # fd_max_sweeps; one "sweep" is one defect-correction step (one linear
+    # solve), and converging cases take 10-150 of them
     fd_update_tol: float = 1e-10
-    fd_fail_tol: float = 1e-8
     fd_max_sweeps: int = 1000
     # boundary sampling
     boundary_samples: int = 1024

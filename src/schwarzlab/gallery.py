@@ -73,8 +73,7 @@ def run_negative_curvature_example(n: int = 3) -> ExampleReport:
     fld = analytic_field(
         lambda x, y: np.tanh(n * np.asarray(x, float)),
         lambda x, y: (n / np.cosh(n * np.asarray(x, float)) ** 2,
-                      np.zeros_like(np.asarray(y, float))),
-        metric=metric, name=f"tanh({n}x)")
+                      np.zeros_like(np.asarray(y, float))))
     s0 = schwarz_quotient(fld, 0.0)
     z_probe = 0.2
     grad_probe = float(np.hypot(*fld.gradient_many(z_probe)))

@@ -172,11 +172,11 @@ def boundary_from_json(spec: dict, **kw) -> BoundaryData:
 
 
 def _random_trig_boundary(seed: int, freqs: np.ndarray, weights: np.ndarray,
-                          max_abs: float, name: str, **kw) -> BoundaryData:
-    """Random trigonometric polynomial over `freqs`, scaled into (-max_abs, max_abs).
+                          name: str, **kw) -> BoundaryData:
+    """Random trigonometric polynomial over `freqs`, scaled inside +-_RANDOM_MAX_ABS.
 
     Coefficients are standard normal draws divided by `weights`; the peak
-    modulus is a random share in [1/2, 1) of max_abs.  The polynomial
+    modulus is a random share in [1/2, 1) of _RANDOM_MAX_ABS.  The polynomial
     sum_m a_m cos(m theta) + b_m sin(m theta) is evaluated as
     Re sum_m (a_m - i b_m) z^m at z = e^(i theta), by one Horner sum (b_0
     drops out with the imaginary part).
@@ -184,7 +184,7 @@ def _random_trig_boundary(seed: int, freqs: np.ndarray, weights: np.ndarray,
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(len(freqs)) / weights
     b = rng.standard_normal(len(freqs)) / weights
-    amp = max_abs * rng.uniform(0.5, 1.0)
+    amp = _RANDOM_MAX_ABS * rng.uniform(0.5, 1.0)
     coef = np.zeros(int(freqs.max()) + 1, complex)
     coef[freqs] = a - 1j * b
 
@@ -204,7 +204,7 @@ def _random_trig_boundary(seed: int, freqs: np.ndarray, weights: np.ndarray,
 def random_smooth_boundary(seed: int, **kw) -> BoundaryData:
     """Random trigonometric polynomial of order 5, scaled into (-0.85, 0.85)."""
     freqs = np.arange(_RANDOM_MODES + 1)
-    return _random_trig_boundary(seed, freqs, (1.0 + freqs) ** 2, _RANDOM_MAX_ABS,
+    return _random_trig_boundary(seed, freqs, (1.0 + freqs) ** 2,
                                  f"random(seed={seed})", **kw)
 
 
@@ -216,7 +216,7 @@ def random_symmetric_boundary(seed: int, **kw) -> BoundaryData:
     origin, which the origin-pinned bound checks require.
     """
     freqs = np.arange(1, 2 * _RANDOM_MODES, 2)
-    return _random_trig_boundary(seed, freqs, freqs.astype(float) ** 2, _RANDOM_MAX_ABS,
+    return _random_trig_boundary(seed, freqs, freqs.astype(float) ** 2,
                                  f"random-odd(seed={seed})", **kw)
 
 
@@ -395,8 +395,8 @@ def poisson_gradient(boundary: BoundaryData, z) -> tuple[np.ndarray, np.ndarray]
 class HarmonicField:
     """Evaluable scalar field on the disk with a gradient.
 
-    Wraps either a Euclidean Poisson extension (metric is None) or a lifted
-    metric-harmonic solution, or any closed-form field supplied directly.
+    Wraps a Euclidean Poisson extension, a lifted metric-harmonic solution,
+    or any closed-form field supplied directly: its two callables alone.
     `value_and_gradient_many` is the one gradient path (one Poisson pass for
     the Poisson-backed fields); `gradient_many` is that call without the
     values.
@@ -408,13 +408,10 @@ class HarmonicField:
     ones.
     """
 
-    def __init__(self, value_many: Callable, value_and_gradient_many: Callable,
-                 metric: Optional[Metric1D] = None, name: str = "field"):
+    def __init__(self, value_many: Callable, value_and_gradient_many: Callable):
         self._value_many = value_many
         self._value_and_gradient_many = value_and_gradient_many
         self._last = None   # ((shape, bytes) of the points, read-only results)
-        self.metric = metric
-        self.name = name
 
     def value_many(self, z) -> np.ndarray:
         return self._value_many(_complex_points(z))
@@ -436,13 +433,10 @@ class HarmonicField:
 
 def euclidean_field(boundary: BoundaryData) -> HarmonicField:
     return HarmonicField(lambda z: poisson_values(boundary, z),
-                         lambda z: poisson_value_and_gradient(boundary, z),
-                         metric=None, name=f"poisson[{boundary.name}]")
+                         lambda z: poisson_value_and_gradient(boundary, z))
 
 
-def analytic_field(value: Callable, grad: Callable,
-                   metric: Optional[Metric1D] = None,
-                   name: str = "analytic") -> HarmonicField:
+def analytic_field(value: Callable, grad: Callable) -> HarmonicField:
     """Field from closed-form callables value(x, y) and grad(x, y) -> (gx, gy)."""
 
     def value_many(z):
@@ -452,7 +446,7 @@ def analytic_field(value: Callable, grad: Callable,
         gx, gy = grad(z.real, z.imag)
         return value_many(z), np.asarray(gx, float), np.asarray(gy, float)
 
-    return HarmonicField(value_many, value_and_gradient_many, metric=metric, name=name)
+    return HarmonicField(value_many, value_and_gradient_many)
 
 
 @lifetime_cache(position=1)
@@ -461,8 +455,8 @@ def solved_field(metric: Metric1D, boundary: BoundaryData,
     """Lift boundary data to the metric-harmonic solution via H.
 
     Cached for as long as the boundary lives, per metric and tolerances.
-    The field keeps its metric, so it works on its own, but not the
-    boundary, so it goes with the boundary.
+    The field holds the metric's density and table but not the boundary,
+    so it works on its own and goes with the boundary.
 
     The Euclidean extension g of H(boundary)/r is computed by the Poisson
     integral and the solution is f = H^{-1}(r g); its gradient follows from
@@ -516,8 +510,7 @@ def solved_field(metric: Metric1D, boundary: BoundaryData,
         scale = r / np.asarray(metric.density(f), float)
         return f, gx * scale, gy * scale
 
-    return HarmonicField(value_many, value_and_gradient_many, metric=metric,
-                         name=f"solved[{metric.name}; {boundary.name}]")
+    return HarmonicField(value_many, value_and_gradient_many)
 
 
 # ---------------------------------------------------------------------------
@@ -756,8 +749,10 @@ def fd_solve_oracle(metric: Metric1D, boundary: BoundaryData, n: int,
     5-point operator (`_DiskOperator`, cached per n: two sine-transform
     solves on the square with a capacitance correction at the cut cells
     between them), and moves u by du.  One "sweep" in `tols.fd_max_sweeps`
-    and `GridField.sweeps` is one such solve; a non-finite update raises at
-    once.  Entirely independent of the H-transform solution path.
+    and `GridField.sweeps` is one such solve.  It stops once the update is
+    below `tols.fd_update_tol`, and raises NoConvergence at a non-finite
+    update or after `tols.fd_max_sweeps` solves short of that.  Entirely
+    independent of the H-transform solution path.
     """
     if n < 33:
         raise InvalidInput("oracle grid needs n >= 33")
@@ -797,7 +792,7 @@ def fd_solve_oracle(metric: Metric1D, boundary: BoundaryData, n: int,
         if not math.isfinite(update):
             raise NoConvergence(
                 f"defect correction gave a non-finite update at solve {sweeps}")
-    if not (update < tols.fd_update_tol or update <= tols.fd_fail_tol):
+    if not update < tols.fd_update_tol:
         raise NoConvergence(
             f"defect correction stalled at update {update:.3e} after {sweeps} solves")
 

@@ -373,7 +373,8 @@ def tabulated_metric(u: Sequence[float], R: Sequence[float]) -> Metric1D:
 
 
 def metric_from_json(spec: dict) -> Metric1D:
-    """Build a metric from {"kind": ..., "params": {...}} documents."""
+    """Build a metric from {"kind": ..., "params": {...}} documents; a
+    tabulated metric is {"kind": "tabulated", "u": [...], "R": [...]}."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InvalidInput("metric spec must be an object with a 'kind' field")
     kind = spec["kind"]
@@ -400,11 +401,9 @@ def metric_from_json(spec: dict) -> Metric1D:
             return mollify(ConcaveTentMap(a, s), spec_param(params, "epsilon"))
         return tent_metric(a, s)
     if kind == "tabulated":
-        u = spec.get("u", params.get("u"))
-        R = spec.get("R", params.get("R"))
-        if u is None or R is None:
-            raise InvalidInput("tabulated metric needs 'u' and 'R' arrays")
-        return tabulated_metric(u, R)
+        if spec.get("u") is None or spec.get("R") is None:
+            raise InvalidInput("tabulated metric needs top-level 'u' and 'R' arrays")
+        return tabulated_metric(spec["u"], spec["R"])
     raise InvalidInput(f"unknown metric kind {kind!r}")
 
 
@@ -554,25 +553,21 @@ def _cell_edges(lo: float, hi: float, knots) -> np.ndarray:
     return _sorted_unique(np.concatenate([np.linspace(lo, hi, _TABLE_CELLS + 1), [0.0], inner]))
 
 
-def _end_verdict(slices, base: float, tol: float, ceiling: float):
-    """Where one end of a unit table stops, from its dyadic slice sums.
+def _end_verdict(slices, tol: float):
+    """Where one end of a unit table stops, from its dyadic slice sums alone.
 
     `slices[j]` integrates R over the slice toward the endpoint with outer
-    distance 2^-(_COARSEST + j), coarse to fine; `base` over the rest of the
-    half-interval.  The rule is that of `integrate_to_endpoint`: a slice
-    ratio q < 0.98 models the rest as a geometric tail piece * q / (1 - q).
-    Returns (j, tail, steady): the first slice past which the modelled tail
-    is below tol / 4 (steady False; tail None when the slice itself is below
-    tol / 64, so the last cell's Gauss sum stands), else the first slice
-    whose ratio is steady enough to extrapolate the tail within tol / 4 (an
-    integrable power-law blow-up; steady True), else the divergence message.
+    distance 2^-(_COARSEST + j), coarse to fine.  The rule is that of
+    `integrate_to_endpoint`: a slice ratio q < 0.98 models the rest as a
+    geometric tail piece * q / (1 - q).  Returns (j, tail, steady): the
+    first slice past which the modelled tail is below tol / 4 (steady False;
+    tail None when the slice itself is below tol / 64, so the last cell's
+    Gauss sum stands), else the first slice whose ratio is steady enough to
+    extrapolate the tail within tol / 4 (an integrable power-law blow-up;
+    steady True), else the divergence message.
     """
-    total = base
     steady = None
     for j, piece in enumerate(slices):
-        total += piece
-        if abs(total) > ceiling:
-            return f"integral estimate exceeded ceiling {ceiling:g}"
         if abs(piece) < tol / 64.0:
             return j, None, False
         if j == 0 or slices[j - 1] == 0:
@@ -607,8 +602,8 @@ def _frozen(*arrays):
 
 
 @lifetime_cache()
-def _unit_table(metric: Metric1D, quad_tol: float,
-                ceiling: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | str:
+def _unit_table(metric: Metric1D,
+                quad_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | str:
     """Cell edges, cell polynomials, node values of H and the mass r of the
     unit table, or the divergence message.
 
@@ -618,7 +613,8 @@ def _unit_table(metric: Metric1D, quad_tol: float,
     modelled tail: it replaces the slices beyond, or, for a steady power-law
     tail, only the graded slices, and takes what the tail adds to the
     uniform cells kept beyond the stop.  The cumulative sum of the cells is
-    H + r, so H(-1) = -r and H(1) = r.  Cached for the metric's lifetime;
+    H + r, so H(-1) = -r and H(1) = r.  Only non-finite cells or undecaying
+    slices are divergent, not a large mass.  Cached for the metric's lifetime;
     the cache keeps no exception, so a NonIntegrable verdict is kept as its
     message for the callers to raise anew.
     """
@@ -633,9 +629,7 @@ def _unit_table(metric: Metric1D, quad_tol: float,
     # each end as the right end of the table seen from 0
     for side, side_piece in ((edges, piece), (-edges[::-1], piece[::-1])):
         marks = np.searchsorted(side, 1.0 - d)
-        zero = int(np.searchsorted(side, 0.0))
-        verdict = _end_verdict(np.add.reduceat(side_piece, marks)[:-1],
-                               side_piece[zero:marks[0]].sum(), quad_tol, ceiling)
+        verdict = _end_verdict(np.add.reduceat(side_piece, marks)[:-1], quad_tol)
         if isinstance(verdict, str):
             return verdict
         j, tail, steady = verdict
@@ -657,9 +651,6 @@ def _unit_table(metric: Metric1D, quad_tol: float,
             coef[last] *= fixed / piece[last]
             piece[last] = fixed
     cum = _cumulative(piece)
-    zero = int(np.searchsorted(edges, 0.0))
-    if max(cum[zero], cum[-1] - cum[zero]) > ceiling:
-        return f"integral estimate exceeded ceiling {ceiling:g}"
     r = 0.5 * cum[-1]
     return _frozen(edges, coef, cum - r) + (r,)
 
@@ -673,7 +664,7 @@ def require_unit_domain(metric: Metric1D) -> None:
 
 def _unit_cells(metric: Metric1D, tols: Tolerances):
     require_unit_domain(metric)
-    built = _unit_table(metric, tols.quad_abs_tol, tols.quad_ceiling)
+    built = _unit_table(metric, tols.quad_abs_tol)
     if isinstance(built, str):
         # a fresh instance each time: re-raising one would grow its traceback
         raise NonIntegrable(built)
@@ -809,12 +800,10 @@ def transform_table(metric: Metric1D, tols: Tolerances = DEFAULT) -> HTransform:
 # ---------------------------------------------------------------------------
 
 @lifetime_cache()
-def _half_masses(metric: Metric1D, quad_tol: float, ceiling: float) -> tuple[float, float]:
+def _half_masses(metric: Metric1D, quad_tol: float) -> tuple[float, float]:
     """The oracle's A = integral over (0, 1) and B = over (-1, 0)."""
-    A = integrate_to_endpoint(lambda t: float(metric.density(t)), 0.0, 1.0,
-                              tol=quad_tol, ceiling=ceiling)
-    B = integrate_to_endpoint(lambda t: float(metric.density(-t)), 0.0, 1.0,
-                              tol=quad_tol, ceiling=ceiling)
+    A = integrate_to_endpoint(lambda t: float(metric.density(t)), 0.0, 1.0, tol=quad_tol)
+    B = integrate_to_endpoint(lambda t: float(metric.density(-t)), 0.0, 1.0, tol=quad_tol)
     return A, B
 
 
@@ -823,15 +812,14 @@ def transform_H(metric: Metric1D, u: float, tols: Tolerances = DEFAULT) -> float
     require_unit_domain(metric)
     u = float(u)
     metric.require_inside(u)
-    A, B = _half_masses(metric, tols.quad_abs_tol, tols.quad_ceiling)
-    core = adaptive_simpson(lambda t: float(metric.density(t)), 0.0, u,
-                            tol=tols.quad_abs_tol, ceiling=tols.quad_ceiling)
+    A, B = _half_masses(metric, tols.quad_abs_tol)
+    core = adaptive_simpson(lambda t: float(metric.density(t)), 0.0, u, tol=tols.quad_abs_tol)
     return -0.5 * (A - B) + core
 
 
 def inverse_H(metric: Metric1D, t: float, tols: Tolerances = DEFAULT) -> float:
     """The unique u in (-1, 1) with H(u) = t, for t strictly inside (-r, r)."""
-    r = 0.5 * sum(_half_masses(metric, tols.quad_abs_tol, tols.quad_ceiling))
+    r = 0.5 * sum(_half_masses(metric, tols.quad_abs_tol))
     t = float(t)
     if abs(t) >= r:
         raise OutOfRange(f"target {t} outside (-r, r) with r = {r}")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schwarzlab.bounds import (BoundReport, check_distance_contraction,
+from schwarzlab.bounds import (BoundReport, _alias_bound, check_distance_contraction,
                                check_gradient_bound, check_unimodal_bounds,
                                chen_rhs, cos_quadratic_majorant_check,
                                hyperbolic_distance, mobius_automorphism,
@@ -14,8 +14,9 @@ from schwarzlab.cli import _write_csv
 from schwarzlab.config import DEFAULT
 from schwarzlab.errors import OutsideDisk
 from schwarzlab.harmonic import (BoundaryData, analytic_field,
-                                 constant_boundary, euclidean_field,
-                                 poisson_gradient, poisson_values,
+                                 constant_boundary, cosine_boundary,
+                                 euclidean_field, poisson_gradient,
+                                 poisson_value_and_gradient, poisson_values,
                                  random_smooth_boundary,
                                  random_symmetric_boundary, solved_field,
                                  step_boundary)
@@ -403,7 +404,27 @@ def test_coarse_boundary_sampling_warns_without_changing_verdicts():
     coarse = reports(64)
     for rep in coarse:
         assert len(sampling(rep)) == 1
-    assert "gradient alias bound 8.72" in sampling(coarse[0])[0]
+    assert "gradient alias bound 15.4" in sampling(coarse[0])[0]
     # the warning does not gate: the coarse gradient report still fails
     assert not coarse[0].passed
     assert not any(sampling(rep) for rep in reports(1024))
+
+
+@pytest.mark.parametrize("make", [lambda n: cosine_boundary(0.8, sample_count=n),
+                                  lambda n: random_smooth_boundary(4, sample_count=n)],
+                         ids=["cosine", "random"])
+@pytest.mark.parametrize("n, rho", [(32, 0.9), (64, 0.95), (128, 0.97)])
+def test_alias_bound_is_close_above_the_measured_alias_error(make, n, rho):
+    # the error of the n-sample Poisson sum against the exact extension (the
+    # 4096-sample sum of the same trigonometric polynomial), on the circle
+    # |z| = rho, where the error and its gradient peak; single-mode data
+    # meets the bound up to rounding
+    z = rho * np.exp(2j * math.pi * np.arange(8192) / 8192)
+    coarse = poisson_value_and_gradient(make(n), z)
+    exact = poisson_value_and_gradient(make(4096), z)
+    errors = {False: np.max(np.abs(coarse[0] - exact[0])),
+              True: np.max(np.hypot(coarse[1] - exact[1], coarse[2] - exact[2]))}
+    for gradient, measured in errors.items():
+        bound = _alias_bound(make(n), rho, gradient)
+        assert measured <= bound * (1.0 + 1e-12)
+        assert bound <= 1.25 * measured

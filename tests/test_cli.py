@@ -239,8 +239,7 @@ def test_out_wins_over_the_output_env(specs, monkeypatch):
 
 SOLVE_HELP = """\
 usage: schwarzlab solve [-h] --metric METRIC --boundary BOUNDARY [--out OUT]
-                        [--seed SEED] [--tolerance NAME=VALUE]
-                        [--grid-n GRID_N]
+                        [--tolerance NAME=VALUE] [--grid-n GRID_N]
 
 options:
   -h, --help            show this help message and exit
@@ -248,7 +247,6 @@ options:
   --boundary BOUNDARY   boundary spec JSON
   --out OUT             output directory (default $SCHWARZLAB_OUT or
                         ./schwarzlab-out)
-  --seed SEED
   --tolerance NAME=VALUE
                         override a named tolerance (repeatable)
   --grid-n GRID_N
@@ -272,7 +270,7 @@ def test_unknown_tolerance_is_invalid_input():
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["slack_tol", "fd_update_tol", "quad_abs_tol",
-                                  "fd_fail_tol"])
+                                  "inverse_rel_tol"])
 def test_non_finite_tolerance_is_invalid_input(name, value):
     from schwarzlab.config import DEFAULT, Tolerances
     from schwarzlab.errors import InvalidInput
@@ -315,6 +313,62 @@ def test_sweep_and_gallery_record_no_tolerances(specs, argv):
     summary = _summary(out)
     assert summary["subcommand"] == argv[0]
     assert "effective_tolerances" not in summary
+
+
+@pytest.mark.parametrize("name", ["quad_ceiling", "fd_fail_tol"])
+def test_retired_tolerances_are_unknown(specs, capsys, name):
+    out = specs["dir"] / "o31"
+    code = main(["solve", "--metric", specs["metric"], "--boundary", specs["boundary"],
+                 "--grid-n", "65", "--tolerance", f"{name}=1", "--out", str(out)])
+    assert code == 2
+    assert f"unknown tolerance {name!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["curvature", "solve", "sweep"])
+def test_seed_goes_only_to_the_subcommands_that_read_it(specs, subcommand):
+    argv = {"curvature": ["--metric", specs["metric"], "--grid-n", "33"],
+            "solve": ["--metric", specs["metric"], "--boundary", specs["boundary"],
+                      "--grid-n", "33"],
+            "sweep": ["--family", "psi", "--n-max", "20"]}[subcommand]
+    out = specs["dir"] / "o32"
+    with pytest.raises(SystemExit) as info:
+        main([subcommand, *argv, "--seed", "1", "--out", str(out)])
+    assert info.value.code == 2
+    assert main([subcommand, *argv, "--out", str(out)]) == 0
+    assert "seed" not in _summary(out)
+
+
+def test_tabulated_spec_in_params_form_exits_2(specs, capsys):
+    spec = specs["dir"] / "tabulated.json"
+    spec.write_text('{"kind": "tabulated", "params": {"u": [-1, 0, 1], "R": [1, 2, 1]}}')
+    out = specs["dir"] / "o33"
+    assert main(["transform", "--metric", str(spec), "--out", str(out)]) == 2
+    assert "top-level 'u' and 'R'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_scaled_density_keeps_its_mass_and_its_bound(specs):
+    # the bound |grad f| (1 - |z|^2) <= (4/pi)(1 - f^2) is invariant under
+    # R -> cR, and so is the divergence verdict: a flat density of mass 2e12
+    # gets its mass, its certificate chain and the slacks of the flat unit one
+    wave = specs["dir"] / "wave.json"
+    wave.write_text('{"kind": "expression-preset", "name": "cosine"}\n')
+    slacks = []
+    for value in (1.0, 2e12):
+        spec = specs["dir"] / f"constant-{value:g}.json"
+        spec.write_text(json.dumps({"kind": "constant", "params": {"value": value}}))
+        out = specs["dir"] / f"o34-{value:g}"
+        assert main(["transform", "--metric", str(spec), "--grid-n", "33",
+                     "--out", str(out / "transform")]) == 0
+        assert _summary(out / "transform")["mass"] == value
+        assert main(["check-bounds", "--metric", str(spec), "--boundary", str(wave),
+                     "--out", str(out / "bounds")]) == 0
+        gradient = _summary(out / "bounds")["gradient_bound"]
+        assert gradient["extras"]["mass"] == value
+        assert gradient["extras"]["chain_checked"] is True
+        slacks.append(gradient["min_slack"])
+    assert abs(slacks[1] - slacks[0]) <= 1e-12
 
 
 def test_integer_tolerances_take_only_integral_values():
@@ -532,20 +586,18 @@ def _artifacts(out):
 
 
 # One case per Tolerances field, on a subcommand that reads it: (field,
-# subcommand arguments, overrides every run shares, the override, and the exit
-# codes without and with it).  Equal exit codes mean the artifacts must differ.
+# subcommand arguments, the override, and the exit codes without and with
+# it).  Equal exit codes mean the artifacts must differ.
 TOLERANCE_CASES = [
-    ("quad_abs_tol", ["check-bounds"], [], "1e-3", (0, 0)),
-    ("quad_ceiling", ["transform", "--grid-n", "33"], [], "0.5", (0, 3)),
-    ("inverse_rel_tol", ["solve", "--grid-n", "65"], [], "1e-2", (0, 0)),
-    ("slack_tol", ["check-bounds"], [], "1e-13", (0, 0)),
-    ("fd_update_tol", ["solve", "--grid-n", "65"], [], "1e-4", (0, 0)),
-    ("fd_fail_tol", ["solve", "--grid-n", "65"], ["fd_max_sweeps=3"], "1.0", (3, 0)),
-    ("fd_max_sweeps", ["solve", "--grid-n", "65"], [], "3", (0, 3)),
-    ("boundary_samples", ["check-bounds"], [], "512", (0, 0)),
-    ("grid_radii", ["check-bounds"], [], "12", (0, 0)),
-    ("grid_angles", ["check-bounds"], [], "48", (0, 0)),
-    ("grid_radius", ["check-bounds"], [], "0.5", (0, 0)),
+    ("quad_abs_tol", ["check-bounds"], "1e-3", (0, 0)),
+    ("inverse_rel_tol", ["solve", "--grid-n", "65"], "1e-2", (0, 0)),
+    ("slack_tol", ["check-bounds"], "1e-13", (0, 0)),
+    ("fd_update_tol", ["solve", "--grid-n", "65"], "1e-4", (0, 0)),
+    ("fd_max_sweeps", ["solve", "--grid-n", "65"], "3", (0, 3)),
+    ("boundary_samples", ["check-bounds"], "512", (0, 0)),
+    ("grid_radii", ["check-bounds"], "12", (0, 0)),
+    ("grid_angles", ["check-bounds"], "48", (0, 0)),
+    ("grid_radius", ["check-bounds"], "0.5", (0, 0)),
 ]
 
 
@@ -556,9 +608,9 @@ def test_tolerance_cases_cover_every_field():
         f.name for f in fields(Tolerances))
 
 
-@pytest.mark.parametrize("name, argv, shared, value, codes", TOLERANCE_CASES,
+@pytest.mark.parametrize("name, argv, value, codes", TOLERANCE_CASES,
                          ids=[case[0] for case in TOLERANCE_CASES])
-def test_every_tolerance_is_applied(specs, name, argv, shared, value, codes):
+def test_every_tolerance_is_applied(specs, name, argv, value, codes):
     tent = specs["dir"] / "tent.json"
     tent.write_text('{"kind": "lemma_psi_family", "params": {"a": 2.0, "s": 0.3}}\n')
     argv = [str(tent) if a == "tent" else a for a in argv]
@@ -566,11 +618,10 @@ def test_every_tolerance_is_applied(specs, name, argv, shared, value, codes):
         argv += ["--metric", specs["metric"]]
     if argv[0] in ("solve", "check-bounds"):
         argv += ["--boundary", specs["boundary"]]
-    shared = [arg for item in shared for arg in ("--tolerance", item)]
     runs = []
     for i, extra in enumerate(([], ["--tolerance", f"{name}={value}"])):
         out = specs["dir"] / f"t-{name}-{i}"
-        runs.append((main(argv + shared + extra + ["--out", str(out)]), out))
+        runs.append((main(argv + extra + ["--out", str(out)]), out))
     assert (runs[0][0], runs[1][0]) == codes
     if codes[0] == codes[1]:
         assert _artifacts(runs[0][1]) != _artifacts(runs[1][1])

@@ -764,6 +764,18 @@ def test_oracle_no_convergence_with_tiny_cap():
         fd_solve_oracle(cosine_metric(), cosine_boundary(0.8), 65, tols=tols)
 
 
+@pytest.mark.parametrize("cap", [15, 18])
+def test_oracle_raises_when_its_cap_comes_before_the_update_tolerance(cap):
+    # 19 solves bring the update below fd_update_tol; a cap that stops the
+    # oracle short of it raises, however small the last update (1.0e-10 at 18)
+    tols = DEFAULT.replaced(fd_max_sweeps=cap)
+    with pytest.raises(NoConvergence, match=f"after {cap} solves$"):
+        fd_solve_oracle(cosine_metric(), random_smooth_boundary(0), 65, tols=tols)
+    grid = fd_solve_oracle(cosine_metric(), random_smooth_boundary(0), 65,
+                           tols=DEFAULT.replaced(fd_max_sweeps=19))
+    assert grid.sweeps == 19 and grid.final_update < DEFAULT.fd_update_tol
+
+
 def test_oracle_stall_raises_under_default_tolerances():
     with pytest.raises(NoConvergence):
         fd_solve_oracle(exponential_metric(3.0), step_boundary(0.9), 65)

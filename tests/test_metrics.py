@@ -200,7 +200,7 @@ def test_power_blowup_mass_matches_the_closed_form(alpha):
     assert abs(mass(_power_blowup(alpha)) - closed) <= 1e-14 * closed
 
 
-@pytest.mark.parametrize("alpha", [1.0, 1.5])
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 3.0])
 def test_power_blowup_diverges_from_alpha_one(alpha):
     with pytest.raises(NonIntegrable, match="failed to decay"):
         mass(_power_blowup(alpha))
@@ -318,8 +318,13 @@ def test_end_cells_grade_as_deep_as_the_tolerance_asks():
     assert 1.0 - loose._nodes[-2] == 1.0 / 64
     assert 0.0 < abs(loose.r - 2.0 / math.pi) < 1e-3 / 4
     assert np.all(np.diff(loose.h(np.linspace(0.9, 1.0, 10001))) > 0)
-    with pytest.raises(NonIntegrable, match="ceiling"):
-        mass(cosine_metric(), DEFAULT.replaced(quad_ceiling=0.5))
+
+
+@pytest.mark.parametrize("value", [2e12, 1e13, 1e14])
+def test_mass_of_a_large_constant_is_the_constant(value):
+    # the divergence verdict reads slice decay alone: the bound is invariant
+    # under R -> cR, and no size of the mass is divergent by itself
+    assert abs(mass(constant_metric(value)) - value) <= 2e-16 * value
 
 
 def test_table_inverse_residual():
@@ -995,6 +1000,15 @@ def test_metric_from_json_rejects_unknown():
         metric_from_json({"kind": "nope"})
     with pytest.raises(InvalidInput):
         metric_from_json({"params": {}})
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "tabulated", "params": {"u": [-1, 0, 1], "R": [1, 2, 1]}},
+    {"kind": "tabulated", "u": [-1, 0, 1], "params": {"R": [1, 2, 1]}},
+], ids=["params", "mixed"])
+def test_tabulated_spec_reads_u_and_R_at_the_top_level_only(spec):
+    with pytest.raises(InvalidInput, match="top-level 'u' and 'R'"):
+        metric_from_json(spec)
 
 
 def test_tabulated_monotone_positive():
