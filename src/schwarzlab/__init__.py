@@ -2,9 +2,8 @@
 
 from .bounds import (BoundReport, check_distance_contraction,
                      check_gradient_bound, check_unimodal_bounds, chen_rhs,
-                     cos_quadratic_majorant_check, hyperbolic_distance,
-                     mobius_automorphism, random_disk_pairs, ring_grid,
-                     schwarz_quotient)
+                     hyperbolic_distance, mobius_automorphism,
+                     random_disk_pairs, ring_grid, schwarz_quotient)
 from .config import DEFAULT, Tolerances
 from .errors import (DomainError, InvalidInput, NoConvergence, NonIntegrable,
                      NumericInversionFailure, OutOfRange, OutsideDisk,

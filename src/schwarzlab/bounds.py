@@ -20,8 +20,8 @@ from .errors import NonIntegrable, OutsideDisk
 from .harmonic import BoundaryData, HarmonicField, solved_field
 from .lemmas import check_unimodal
 from .lifetime import lifetime_cache
-from .metrics import (LogConcavityReport, Metric1D, log_concavity_report,
-                      transform_table)
+from .metrics import (HTransform, LogConcavityReport, Metric1D,
+                      log_concavity_report, transform_table)
 
 FOUR_OVER_PI = 4.0 / math.pi
 # slacks within this distance of zero are counted as equality cases
@@ -187,14 +187,6 @@ def _sampling_warnings(boundary: BoundaryData, z, tols: Tolerances,
             f"{bound:.3g} at |z| <= {rho:.3g} exceeds slack_tol {tols.slack_tol:g}",)
 
 
-def cos_quadratic_majorant_check(samples: Sequence[float]) -> float:
-    """min over samples b in [0, 1] of (1 - b^2) - cos(pi b / 2); must be >= 0."""
-    b = np.asarray(samples, float)
-    if np.any((b < 0.0) | (b > 1.0)):
-        raise ValueError("samples must lie in [0, 1]")
-    return float(np.min((1.0 - b * b) - np.cos(0.5 * math.pi * b)))
-
-
 # ---------------------------------------------------------------------------
 # bound suites
 # ---------------------------------------------------------------------------
@@ -211,6 +203,15 @@ def _curvature_scan(metric: Metric1D, tols: Tolerances) -> LogConcavityReport:
     report = log_concavity_report(metric, _curvature_scan_grid(), tols=tols)
     report.curvature.flags.writeable = False
     return report
+
+
+def _table_or_none(metric: Metric1D, tols: Tolerances) -> Optional[HTransform]:
+    """The metric's transform table, or None when its density has infinite
+    mass."""
+    try:
+        return transform_table(metric, tols)
+    except NonIntegrable:
+        return None
 
 
 def check_gradient_bound(metric: Metric1D, boundary: BoundaryData,
@@ -254,14 +255,12 @@ def check_gradient_bound(metric: Metric1D, boundary: BoundaryData,
 
     extras = {"chain_checked": chain_checked, "min_curvature": curv.min_curvature,
               "negative_atoms": curv.negative_atoms}
-    try:
-        table = transform_table(metric, tols)
-    except NonIntegrable:
-        table = None
+    table = _table_or_none(metric, tols)
+    if table is None:
         extras["chain_checked"] = False
         extras["mass"] = math.inf
         warnings.append("density has infinite mass; certificate chain unavailable")
-    if table is not None:
+    else:
         r = table.r
         psi_v = table.h(f) / r
         psi_prime = np.asarray(metric.density(f), float) / r
@@ -296,10 +295,7 @@ def check_unimodal_bounds(metric: Metric1D, boundary: BoundaryData,
     unimodal = check_unimodal(metric)
     # a unimodal density is bounded by its peak, hence integrable; the table
     # can only fail for metrics that already miss the precondition
-    try:
-        table = transform_table(metric, tols)
-    except NonIntegrable:
-        table = None
+    table = _table_or_none(metric, tols)
     field = solved_field(metric, boundary, tols)
 
     f, gx, gy = field.value_and_gradient_many(z)
@@ -354,7 +350,7 @@ def check_distance_contraction(metric: Metric1D, boundary: BoundaryData,
     field = solved_field(metric, boundary, tols)
     # one value pass over both ends of every pair
     fz, fw = field.value_many(pairs.ravel()).reshape(-1, 2).T
-    lhs = np.arctanh(np.abs(fz - fw) / np.abs(1.0 - fz * fw))
+    lhs = hyperbolic_distance(fz, fw)
     rhs = FOUR_OVER_PI * hyperbolic_distance(z, w)
     curv = _curvature_scan(metric, tols)
     warnings = () if curv.is_nonnegative else (

@@ -39,6 +39,17 @@ class Tolerances:
         for key, value in asdict(self).items():
             if not math.isfinite(value):
                 raise InvalidInput(f"tolerance {key!r} must be finite, got {value!r}")
+        # a negative slack band, a tolerance of zero or less or a sweep cap
+        # below one lies outside its range: bad input, refused before a run
+        if self.slack_tol < 0.0:
+            raise InvalidInput(f"tolerance 'slack_tol' must be >= 0, got {self.slack_tol!r}")
+        for key in ("quad_abs_tol", "inverse_rel_tol", "fd_update_tol"):
+            value = getattr(self, key)
+            if value <= 0.0:
+                raise InvalidInput(f"tolerance {key!r} must be positive, got {value!r}")
+        if self.fd_max_sweeps < 1:
+            raise InvalidInput(
+                f"tolerance 'fd_max_sweeps' must be at least 1, got {self.fd_max_sweeps!r}")
         # the check grid is input: a radius outside (0, 1) would put points
         # off the disk, and a grid needs at least one ring and one spoke
         if not 0.0 < self.grid_radius < 1.0:

@@ -42,4 +42,4 @@ class ParameterOutOfRange(InvalidInput):
 
 
 class NumericInversionFailure(SchwarzlabError):
-    """Newton inversion (of H or of a conformal map) did not converge."""
+    """Newton inversion of H did not converge."""

@@ -121,11 +121,11 @@ def boundary_from_samples(theta: Sequence[float], values: Sequence[float],
         theta, values = np.asarray(theta, float), np.asarray(values, float)
     except (TypeError, ValueError) as exc:
         raise InvalidInput("boundary samples need numeric theta/values arrays") from exc
-    theta = np.mod(theta, TWO_PI)
     if theta.ndim != 1 or theta.shape != values.shape or len(theta) < 3:
         raise InvalidInput("need matching 1-d theta/values arrays with >= 3 samples")
     if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(values))):
         raise InvalidInput("boundary sample angles and values must be finite")
+    theta = np.mod(theta, TWO_PI)
     order = np.argsort(theta)
     theta, values = theta[order], values[order]
     if np.any(np.diff(theta) == 0):

@@ -18,7 +18,7 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import InvalidInput, ParameterOutOfRange, PreconditionViolated
 from .lifetime import lifetime_cache
-from .metrics import ConcaveTentMap, Metric1D, mass, transform_table
+from .metrics import ConcaveTentMap, Metric1D, transform_table
 
 _UNIMODAL_SAMPLES = 401    # points per half of the sampled unimodality check
 _UNIMODAL_TOL = 1e-9       # its slope band, relative to the peak sample
@@ -39,6 +39,7 @@ class LogConcaveDiffeo:
     """
     knots_x: np.ndarray
     knots_h: np.ndarray
+    slopes: np.ndarray = field(init=False)
     scale: float = field(init=False)
     f_knots: np.ndarray = field(init=False)
 
@@ -50,6 +51,7 @@ class LogConcaveDiffeo:
         slopes = np.diff(hs) / np.diff(xs)
         if len(slopes) > 1 and np.any(np.diff(slopes) >= 0):
             raise InvalidInput("log-derivative slopes must strictly decrease")
+        object.__setattr__(self, "slopes", slopes)
         # integral of exp(log f') over each piece, before the normalization
         pieces = np.exp(hs[:-1]) * _expm1_over(slopes, np.diff(xs))
         total = float(np.sum(pieces))
@@ -57,19 +59,12 @@ class LogConcaveDiffeo:
         cum = np.concatenate([[0.0], np.cumsum(pieces)]) * self.scale
         object.__setattr__(self, "f_knots", -1.0 + cum)
 
-    @property
-    def slopes(self) -> np.ndarray:
-        return np.diff(self.knots_h) / np.diff(self.knots_x)
-
     def _local(self, x):
         """Piece index of x, offset from its left knot, log f' there and its slope."""
         x = np.asarray(x, float)
         i = np.clip(np.searchsorted(self.knots_x, x, side="right") - 1,
                     0, len(self.knots_x) - 2)
-        x0 = self.knots_x[i]
-        h0 = self.knots_h[i]
-        s = (self.knots_h[i + 1] - h0) / (self.knots_x[i + 1] - x0)
-        return i, x - x0, h0, s
+        return i, x - self.knots_x[i], self.knots_h[i], self.slopes[i]
 
     def f(self, x) -> np.ndarray:
         i, dx, h0, s = self._local(x)
@@ -206,8 +201,9 @@ def unimodal_slack(metric: Metric1D, v, tols: Tolerances = DEFAULT):
         raise PreconditionViolated("density is not unimodal (sampled R' sign check)")
     v = np.asarray(v, float)
     metric.require_inside(v)
-    r = mass(metric, tols=tols)
-    tail = r - transform_table(metric, tols).h(v)  # integral of R over (v, 1)
+    table = transform_table(metric, tols)
+    r = table.r
+    tail = r - table.h(v)  # integral of R over (v, 1)
     rhs = math.pi / (2.0 * r) * (1.0 - np.abs(v)) * np.asarray(metric.density(v), float)
     slack = rhs - np.sin(math.pi * tail / (2.0 * r))
     return float(slack) if slack.ndim == 0 else slack

@@ -26,8 +26,8 @@ class LifetimeCache:
     in lru_cache).  Owners are held in a WeakKeyDictionary, so they need
     identity hashing and weak references (a dataclass with eq=False has
     both).  A result must not hold its owner strongly, or the owner never
-    dies.  Exceptions are not cached.  `cache_info()` and `cache_clear()`
-    answer as lru_cache's do."""
+    dies.  Exceptions are not cached.  `cache_info()` answers as
+    lru_cache's does."""
 
     def __init__(self, fn: Callable, position: int = 0):
         functools.update_wrapper(self, fn)
@@ -51,10 +51,6 @@ class LifetimeCache:
     def cache_info(self) -> CacheInfo:
         return CacheInfo(self._hits, self._misses,
                          sum(len(results) for results in self._store.values()))
-
-    def cache_clear(self) -> None:
-        self._store.clear()
-        self._hits = self._misses = 0
 
 
 def lifetime_cache(position: int = 0) -> Callable[[Callable], LifetimeCache]:

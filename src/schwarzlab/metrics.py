@@ -13,7 +13,6 @@ as the test oracle.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -24,8 +23,7 @@ from .config import DEFAULT, Tolerances, spec_param, spec_params
 from .errors import (DomainError, InvalidInput, NonIntegrable,
                      NumericInversionFailure, OutOfRange, ParameterOutOfRange)
 from .lifetime import lifetime_cache
-from .quadrature import (adaptive_simpson, gauss_legendre,
-                         integrate_to_endpoint, segments_gauss)
+from .quadrature import adaptive_simpson, integrate_to_endpoint, segments_gauss
 
 
 @dataclass(frozen=True, eq=False)
@@ -514,7 +512,7 @@ def _primitive_matrix(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.array([leg.leg2poly(leg.legint(row, lbnd=-1.0)) for row in to_legendre])
 
 
-_GL_NODES, _GL_WEIGHTS = gauss_legendre(12)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _PRIMITIVE = _primitive_matrix(_GL_NODES, _GL_WEIGHTS)
 
 
@@ -855,7 +853,7 @@ def _raw_bump(z: np.ndarray) -> np.ndarray:
         return np.where(inside, np.exp(-1.0 / (1.0 - zz * zz)), 0.0)
 
 
-_MOLLIFY_GL = gauss_legendre(32)
+_MOLLIFY_GL = np.polynomial.legendre.leggauss(32)
 
 
 # extra z-splits so fixed-order Gauss handles the bump's flat endpoints
@@ -863,14 +861,13 @@ _BUMP_SPLITS = np.array([-0.9, -0.5, 0.5, 0.9])
 _BUMP_EDGES = np.concatenate([[-1.0], _BUMP_SPLITS, [1.0]])
 
 
-@functools.lru_cache(maxsize=1)
-def _bump_norm() -> float:
-    return float(segments_gauss(_raw_bump, _BUMP_EDGES[:-1], _BUMP_EDGES[1:], *_MOLLIFY_GL))
+_BUMP_NORM = float(segments_gauss(_raw_bump, _BUMP_EDGES[:-1], _BUMP_EDGES[1:],
+                                  *_MOLLIFY_GL))
 
 
 def bump(z: np.ndarray) -> np.ndarray:
     """Smooth even bump supported in (-1, 1) with unit integral."""
-    return _raw_bump(z) / _bump_norm()
+    return _raw_bump(z) / _BUMP_NORM
 
 
 def _bump_integrals(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -882,12 +879,10 @@ def _bump_integrals(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndar
     return mass.sum(axis=-1), (mass * t).sum(axis=-1)
 
 
-@functools.lru_cache(maxsize=1)
-def _bump_edge_moments() -> tuple[np.ndarray, np.ndarray]:
-    """M0 and M1 (see `_bump_moments`) at -1, -0.9 and -0.5, the lower edges
-    of the bump's segments below 0."""
-    m0, m1 = _bump_integrals(_BUMP_EDGES[:2], _BUMP_EDGES[1:3])
-    return np.concatenate([[0.0], np.cumsum(m0)]), np.concatenate([[0.0], np.cumsum(m1)])
+# M0 and M1 (see `_bump_moments`) at -1, -0.9 and -0.5, the lower edges of
+# the bump's segments below 0
+_EDGE_M0, _EDGE_M1 = (np.concatenate([[0.0], np.cumsum(m)])
+                      for m in _bump_integrals(_BUMP_EDGES[:2], _BUMP_EDGES[1:3]))
 
 
 def _bump_moments(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -906,11 +901,10 @@ def _bump_moments(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     m0 = np.zeros_like(w)
     m1 = np.zeros_like(w)
     inner = np.flatnonzero(w > -1.0)
-    edge_m0, edge_m1 = _bump_edge_moments()
     seg = np.searchsorted(_BUMP_EDGES, w[inner], side="right") - 1
     g0, g1 = _bump_integrals(_BUMP_EDGES[seg], w[inner])
-    m0[inner] = edge_m0[seg] + g0
-    m1[inner] = edge_m1[seg] + g1
+    m0[inner] = _EDGE_M0[seg] + g0
+    m1[inner] = _EDGE_M1[seg] + g1
     top = z > 0.0
     return np.where(top, 1.0, 0.0), np.where(top, -m0, m0), m1
 

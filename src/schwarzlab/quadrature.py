@@ -1,8 +1,8 @@
 """Quadrature rules: fixed-order Gauss-Legendre, and adaptive Simpson as an oracle.
 
-`gauss_legendre` and `segments_gauss` serve the package: the transform
-table in `metrics` sums 12-point Gauss cells, and the mollifier's bump
-is normalized over 32-point Gauss segments.
+`segments_gauss` serves the package: it sums fixed-order Gauss-Legendre
+rules (nodes and weights from numpy's `leggauss`) over batches of
+segments; the mollifier's bump is normalized over 32-point Gauss segments.
 
 `adaptive_simpson` and `integrate_to_endpoint` are the scalar test oracle
 for that table, one point at a time.  Interior integrals use plain
@@ -111,12 +111,6 @@ def integrate_to_endpoint(f: Callable[[float], float], a: float, endpoint: float
         if abs(piece) < tol / 64.0:
             return total
     raise NonIntegrable("endpoint slices failed to decay; integral diverges")
-
-
-def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [-1, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
 
 
 def segments_gauss(f, bounds_lo: np.ndarray, bounds_hi: np.ndarray,

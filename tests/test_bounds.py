@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from schwarzlab.bounds import (BoundReport, _alias_bound, check_distance_contraction,
                                check_gradient_bound, check_unimodal_bounds,
-                               chen_rhs, cos_quadratic_majorant_check,
-                               hyperbolic_distance, mobius_automorphism,
+                               chen_rhs, hyperbolic_distance, mobius_automorphism,
                                random_disk_pairs, ring_grid, schwarz_quotient)
 from schwarzlab.cli import _write_csv
 from schwarzlab.config import DEFAULT
@@ -127,12 +126,17 @@ def test_schwarz_quotient_on_arrays_is_the_scalar_formula_bit_for_bit():
 
 
 def test_cos_quadratic_majorant():
-    assert cos_quadratic_majorant_check([0.0]) == pytest.approx(0.0, abs=1e-15)
-    assert cos_quadratic_majorant_check([1.0]) == pytest.approx(0.0, abs=1e-15)
-    assert cos_quadratic_majorant_check([0.5]) == pytest.approx(
+    # the gradient check's cosine link: (1 - b^2) - cos(pi b / 2) >= 0 on [0, 1]
+    def majorant_slack(b):
+        b = np.asarray(b, float)
+        return float(np.min((1.0 - b * b) - np.cos(0.5 * math.pi * b)))
+
+    assert majorant_slack([0.0]) == pytest.approx(0.0, abs=1e-15)
+    assert majorant_slack([1.0]) == pytest.approx(0.0, abs=1e-15)
+    assert majorant_slack([0.5]) == pytest.approx(
         0.75 - math.cos(math.pi / 4), abs=1e-12)
     # float cos(pi/2) is ~6e-17, so the dense scan bottoms out there
-    assert cos_quadratic_majorant_check(np.linspace(0, 1, 10001)) >= -1e-12
+    assert majorant_slack(np.linspace(0, 1, 10001)) >= -1e-12
 
 
 def test_hyperbolic_distance_basics():
@@ -319,6 +323,14 @@ def test_distance_contraction_makes_one_value_pass(monkeypatch):
     assert sizes == [600]
     expected = np.arctanh(np.abs(fz - fw) / np.abs(1.0 - fz * fw))
     assert np.max(np.abs(rep.lhs - expected)) <= 1e-14
+
+
+def test_distance_contraction_lhs_is_the_hyperbolic_distance_of_the_values():
+    metric, boundary = cosine_metric(), random_smooth_boundary(4)
+    pairs = random_disk_pairs(3, 500)
+    rep = check_distance_contraction(metric, boundary, pairs)
+    fz, fw = solved_field(metric, boundary).value_many(pairs.ravel()).reshape(-1, 2).T
+    assert np.array_equal(rep.lhs, hyperbolic_distance(fz, fw))
 
 
 def test_distance_contraction_identical_points():

@@ -280,6 +280,19 @@ def test_non_finite_tolerance_is_invalid_input(name, value):
         Tolerances(**{name: value})
 
 
+@pytest.mark.parametrize("name, value", [
+    ("slack_tol", -1e-9), ("quad_abs_tol", 0.0), ("quad_abs_tol", -1.0),
+    ("inverse_rel_tol", 0.0), ("inverse_rel_tol", -1.0), ("fd_update_tol", 0.0),
+    ("fd_update_tol", -1.0), ("fd_max_sweeps", 0), ("fd_max_sweeps", -5)])
+def test_tolerance_outside_its_range_is_invalid_input(name, value):
+    from schwarzlab.config import DEFAULT, Tolerances
+    from schwarzlab.errors import InvalidInput
+    with pytest.raises(InvalidInput, match=f"tolerance '{name}' must be"):
+        DEFAULT.replaced(**{name: value})
+    with pytest.raises(InvalidInput, match=f"tolerance '{name}' must be"):
+        Tolerances(**{name: value})
+
+
 @pytest.mark.parametrize("argv", [["sweep", "--family", "psi", "--n-max", "20"],
                                   ["gallery", "--name", "half-plane"],
                                   ["check-bounds", "--metric", "metric",
@@ -287,7 +300,9 @@ def test_non_finite_tolerance_is_invalid_input(name, value):
                                   ["curvature", "--metric", "metric"]])
 @pytest.mark.parametrize("override", ["nope=1", "grid_radius=1.5", "grid_radii=2.7",
                                       "slack_tol=nan", "fd_update_tol=inf",
-                                      "quad_abs_tol=nan"])
+                                      "quad_abs_tol=nan", "slack_tol=-1",
+                                      "quad_abs_tol=0", "inverse_rel_tol=-1",
+                                      "fd_update_tol=0", "fd_max_sweeps=0"])
 def test_bad_tolerance_exits_2_before_running(specs, capsys, argv, override):
     # sweep and gallery take no --tolerance at all: argparse exits 2
     argv = [specs.get(a, a) for a in argv]
@@ -502,6 +517,112 @@ def test_metric_whose_density_overflows_exits_2(specs, capsys, subcommand, spec)
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
+
+
+_NAN, _INF = math.nan, math.inf
+
+# Malformed specs, written with json.dumps (NaN and Infinity as the tokens
+# json.load reads back)
+MALFORMED_METRICS = {
+    "not-an-object": [],
+    "no-kind": {},
+    "unknown-kind": {"kind": "nope"},
+    "kind-not-a-string": {"kind": 3},
+    "params-a-list": {"kind": "constant", "params": [1]},
+    "constant-nan": {"kind": "constant", "params": {"value": _NAN}},
+    "constant-inf": {"kind": "constant", "params": {"value": _INF}},
+    "constant-minus-inf": {"kind": "constant", "params": {"value": -_INF}},
+    "constant-huge": {"kind": "constant", "params": {"value": 1e300}},
+    "constant-string": {"kind": "constant", "params": {"value": "abc"}},
+    "constant-boolean": {"kind": "constant", "params": {"value": True}},
+    "constant-negative": {"kind": "constant", "params": {"value": -1}},
+    "constant-array": {"kind": "constant", "params": {"value": [1, 2]}},
+    "exponential-no-rate": {"kind": "exponential"},
+    "exponential-nan": {"kind": "exponential", "params": {"c": _NAN}},
+    "exponential-huge": {"kind": "exponential", "params": {"c": 1e300}},
+    "tent-no-s": {"kind": "lemma_psi_family", "params": {"a": 2}},
+    "tent-inf": {"kind": "lemma_psi_family", "params": {"a": _INF, "s": 0.3}},
+    "tent-s-outside": {"kind": "lemma_psi_family", "params": {"a": 2, "s": 2}},
+    "tent-epsilon-nan": {"kind": "lemma_psi_family",
+                         "params": {"a": 2, "s": 0.3, "epsilon": _NAN}},
+    "tent-epsilon-negative": {"kind": "lemma_psi_family",
+                              "params": {"a": 2, "s": 0.3, "epsilon": -0.1}},
+    "tabulated-no-R": {"kind": "tabulated", "u": [-1, 0, 1]},
+    "tabulated-lengths": {"kind": "tabulated", "u": [-1, 0, 1], "R": [1, 1]},
+    "tabulated-ragged": {"kind": "tabulated", "u": [[-1, 0], [1]], "R": [1, 1, 1]},
+    "tabulated-nested": {"kind": "tabulated", "u": [[-1, 0, 1]], "R": [[1, 1, 1]]},
+    "tabulated-duplicate": {"kind": "tabulated", "u": [-1, 0, 0, 1], "R": [1, 1, 1, 1]},
+    "tabulated-unsorted": {"kind": "tabulated", "u": [-1, 0.5, 0, 1],
+                           "R": [1, 1, 1, 1]},
+    "tabulated-nan": {"kind": "tabulated", "u": [-1, 0, 1], "R": [1, _NAN, 1]},
+    "tabulated-inf-u": {"kind": "tabulated", "u": [-_INF, 0, 1], "R": [1, 1, 1]},
+    "tabulated-negative": {"kind": "tabulated", "u": [-1, 0, 1], "R": [1, -1, 1]},
+    "tabulated-strings": {"kind": "tabulated", "u": ["a", "b", "c"], "R": [1, 1, 1]},
+}
+
+MALFORMED_BOUNDARIES = {
+    "not-an-object": [],
+    "no-kind": {},
+    "unknown-kind": {"kind": "nope"},
+    "samples-no-values": {"kind": "samples", "theta": [0, 1, 2]},
+    "samples-inf-angle": {"kind": "samples", "theta": [0, _INF, 4],
+                          "values": [0.1, 0.2, 0.3]},
+    "samples-nan-value": {"kind": "samples", "theta": [0, 2, 4],
+                          "values": [0.1, _NAN, 0.3]},
+    "samples-lengths": {"kind": "samples", "theta": [0, 2, 4], "values": [0.1, 0.3]},
+    "samples-ragged": {"kind": "samples", "theta": [[0, 2], [4]],
+                       "values": [0.1, 0.2, 0.3]},
+    "samples-nested": {"kind": "samples", "theta": [[0, 2, 4]],
+                       "values": [[0.1, 0.2, 0.3]]},
+    "samples-duplicate": {"kind": "samples", "theta": [0, 2, 2],
+                          "values": [0.1, 0.2, 0.3]},
+    "samples-too-few": {"kind": "samples", "theta": [0, 2], "values": [0.1, 0.2]},
+    "samples-strings": {"kind": "samples", "theta": [0, 2, 4],
+                        "values": ["a", "b", "c"]},
+    "samples-huge": {"kind": "samples", "theta": [0, 2, 4],
+                     "values": [1e300, 0.2, 0.3]},
+    "preset-unknown": {"kind": "expression-preset", "name": "nope"},
+    "preset-step-nan": {"kind": "expression-preset", "name": "step",
+                        "params": {"amplitude": _NAN}},
+    "preset-step-huge": {"kind": "expression-preset", "name": "step",
+                         "params": {"amplitude": 1e300}},
+    "preset-cosine-fractional": {"kind": "expression-preset", "name": "cosine",
+                                 "params": {"frequency": 1.5}},
+    "preset-cosine-inf": {"kind": "expression-preset", "name": "cosine",
+                          "params": {"amplitude": _INF}},
+    "preset-constant-no-value": {"kind": "expression-preset", "name": "constant"},
+    "preset-params-a-list": {"kind": "expression-preset", "name": "step", "params": [1]},
+}
+
+
+def _assert_refused(specs, capsys, argv):
+    out = specs["dir"] / "o35"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("subcommand", ["curvature", "transform", "solve", "check-bounds"])
+@pytest.mark.parametrize("spec", MALFORMED_METRICS.values(), ids=MALFORMED_METRICS)
+def test_malformed_metric_spec_exits_2(specs, capsys, subcommand, spec):
+    metric = specs["dir"] / "malformed-metric.json"
+    metric.write_text(json.dumps(spec))
+    argv = [subcommand, "--metric", str(metric)]
+    if subcommand in ("solve", "check-bounds"):
+        argv += ["--boundary", specs["boundary"]]
+    _assert_refused(specs, capsys, argv)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("subcommand", ["solve", "check-bounds"])
+@pytest.mark.parametrize("spec", MALFORMED_BOUNDARIES.values(), ids=MALFORMED_BOUNDARIES)
+def test_malformed_boundary_spec_exits_2(specs, capsys, subcommand, spec):
+    boundary = specs["dir"] / "malformed-boundary.json"
+    boundary.write_text(json.dumps(spec))
+    _assert_refused(specs, capsys, [subcommand, "--metric", specs["metric"],
+                                    "--boundary", str(boundary)])
 
 
 def test_zero_curvature_gallery_at_the_largest_rate_passes(specs):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from schwarzlab.gallery import (golden_section_max, run_halfplane_example,
+from schwarzlab.gallery import (_strip_dphi, _strip_phi, _strip_phi_inverse,
+                                golden_section_max, run_halfplane_example,
                                 run_negative_curvature_example,
                                 run_strip_example, run_zero_curvature_example)
 
@@ -54,6 +55,25 @@ def test_strip_example():
     assert rep.computed["strip_hyperbolic_density_on_axis"] == pytest.approx(
         math.pi / 4, abs=1e-12)
     assert rep.ungated_note
+
+
+def test_strip_inverse_round_trip_in_the_strip():
+    # phi' reaches 56 near v = +-3, where it amplifies the rounding of z
+    # itself: the residual is measured against max(1, |phi'(z)|)
+    u, v = np.meshgrid(np.linspace(-0.9, 0.9, 91), np.linspace(-3.0, 3.0, 121))
+    w = u + 1j * v
+    z = _strip_phi_inverse(w)
+    assert np.all(np.abs(z.real) < 1.0)
+    scale = np.maximum(1.0, np.abs(_strip_dphi(z)))
+    assert np.max(np.abs(_strip_phi(z) - w) / scale) <= 2e-15
+
+
+def test_strip_inverse_returns_the_axis():
+    # the run's 50 axis points; phi' falls to 0.018 at y = +-3, which
+    # amplifies the rounding of phi(iy) in the inverse
+    y = np.linspace(-3.0, 3.0, 50)
+    back = _strip_phi_inverse(_strip_phi(1j * y))
+    assert np.max(np.abs(back - 1j * y) * np.abs(_strip_dphi(1j * y))) <= 1e-15
 
 
 def test_strip_example_scales_with_k():
