@@ -35,7 +35,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances, spec_param, spec_params
 from .errors import (InvalidInput, NoConvergence, NonIntegrable, OutsideDisk,
-                     StencilOutsideDisk)
+                     ParameterOutOfRange, StencilOutsideDisk)
 from .lifetime import lifetime_cache
 from .metrics import HTransform, Metric1D, transform_table
 
@@ -99,6 +99,18 @@ def constant_boundary(value: float, **kw) -> BoundaryData:
 
 def cosine_boundary(amplitude: float = 0.8, frequency: int = 1,
                     phase: float = 0.0, **kw) -> BoundaryData:
+    """amplitude * cos(frequency * theta + phase).
+
+    The frequency is an integer m with |m| < N/2, N the sample count (a
+    higher one aliases on the samples), and the phase is finite with
+    |phase| <= 2 pi.
+    """
+    half = kw.get("sample_count", DEFAULT.boundary_samples) / 2
+    if not (float(frequency).is_integer() and abs(frequency) < half):
+        raise ParameterOutOfRange(
+            f"cosine frequency must be an integer m with |m| < {half:g}, got {frequency!r}")
+    if not abs(phase) <= TWO_PI:   # written so that a NaN phase fails it
+        raise ParameterOutOfRange(f"cosine phase must lie in [-2 pi, 2 pi], got {phase!r}")
     return BoundaryData(
         lambda th: amplitude * np.cos(frequency * np.asarray(th, float) + phase),
         name=f"cosine(a={amplitude:g}, m={frequency})", **kw)
@@ -745,14 +757,19 @@ def fd_solve_oracle(metric: Metric1D, boundary: BoundaryData, n: int,
     w (v - u_i) (R(u_i) + R(v)) / 2, the trapezoid mean of R over the arm;
     arms at cut cells end at exact circle crossings (boundary value looked
     up at the crossing angle).  Each step of the defect correction solves
-    A du = D(u) / R(u) for the flux sum D(u) exactly, with A the linear
-    5-point operator (`_DiskOperator`, cached per n: two sine-transform
-    solves on the square with a capacitance correction at the cut cells
-    between them), and moves u by du.  One "sweep" in `tols.fd_max_sweeps`
-    and `GridField.sweeps` is one such solve.  It stops once the update is
+    A dH = D(u) for the flux sum D(u) exactly, with A the linear 5-point
+    operator (`_DiskOperator`, cached per n: two sine-transform solves on
+    the square with a capacitance correction at the cut cells between
+    them), and moves u by du = dH / R(u).  The flux sum is the 5-point
+    Laplacian of the Kirchhoff primitive H(u) = int R, up to the trapezoid
+    rule on each arm, and dH / R(u) moves H(u) by dH to first order, so
+    each step is a Newton step for "H(u) harmonic" and converges faster
+    than linearly; dividing D by R before the solve is right only where R
+    is constant.  One "sweep" in `tols.fd_max_sweeps` and
+    `GridField.sweeps` is one such solve.  It stops once the update is
     below `tols.fd_update_tol`, and raises NoConvergence at a non-finite
     update or after `tols.fd_max_sweeps` solves short of that.  Entirely
-    independent of the H-transform solution path.
+    independent of the H-transform solution path: it reads R, never H.
     """
     if n < 33:
         raise InvalidInput("oracle grid needs n >= 33")
@@ -776,8 +793,9 @@ def fd_solve_oracle(metric: Metric1D, boundary: BoundaryData, n: int,
     ext = np.concatenate([u, crossing])
     dens = np.concatenate([u, metric.density(np.clip(crossing, lo, hi))])
 
-    # defect correction: solve the linear system exactly for the step that
-    # the flux defect asks for, repeat until the iterate stops moving
+    # defect correction: solve the linear system exactly for the change of
+    # H(u) that the flux defect asks for, turn it into a change of u by
+    # dividing by R(u), and repeat until the iterate stops moving
     sweeps = 0
     update = math.inf
     while sweeps < tols.fd_max_sweeps and not update < tols.fd_update_tol:
@@ -785,7 +803,7 @@ def fd_solve_oracle(metric: Metric1D, boundary: BoundaryData, n: int,
         dens[:m] = metric.density(u)
         flux = sum(w * (dens[op.nbr[d]] + dens[:m]) * (ext[op.nbr[d]] - u)
                    for d, w in op.weights.items())
-        new = np.clip(u + op.solve(0.5 * flux / dens[:m]), lo, hi)
+        new = np.clip(u + op.solve(0.5 * flux) / dens[:m], lo, hi)
         update = float(np.max(np.abs(new - u)))
         u = new
         sweeps += 1

@@ -396,7 +396,14 @@ def metric_from_json(spec: dict) -> Metric1D:
             raise InvalidInput("lemma_psi_family needs params.a and params.s")
         a, s = spec_param(params, "a"), spec_param(params, "s")
         if "epsilon" in params:
-            return mollify(ConcaveTentMap(a, s), spec_param(params, "epsilon"))
+            epsilon = spec_param(params, "epsilon")
+            # a spline of the default table cannot resolve a narrower smoothing
+            spacing = 2.0 / (_MOLLIFY_TABLE_POINTS - 1)
+            if 0.0 < epsilon < spacing:
+                raise ParameterOutOfRange(
+                    f"epsilon {epsilon:g} is below the spline spacing "
+                    f"2/(table_points - 1) = {spacing:g}")
+            return mollify(ConcaveTentMap(a, s), epsilon)
         return tent_metric(a, s)
     if kind == "tabulated":
         if spec.get("u") is None or spec.get("R") is None:
@@ -982,7 +989,11 @@ def mollified_density_exact(psi: Callable, epsilon: float) -> Callable:
     return density
 
 
-def mollify(psi: Callable, epsilon: float, table_points: int = 8193) -> Metric1D:
+_MOLLIFY_TABLE_POINTS = 8193
+
+
+def mollify(psi: Callable, epsilon: float,
+            table_points: int = _MOLLIFY_TABLE_POINTS) -> Metric1D:
     """Smooth the derivative of an odd increasing piecewise map into a metric.
 
     The map is extended beyond [-1, 1] by point reflection (which pins the

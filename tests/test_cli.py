@@ -547,6 +547,11 @@ MALFORMED_METRICS = {
                          "params": {"a": 2, "s": 0.3, "epsilon": _NAN}},
     "tent-epsilon-negative": {"kind": "lemma_psi_family",
                               "params": {"a": 2, "s": 0.3, "epsilon": -0.1}},
+    "tent-epsilon-tiny": {"kind": "lemma_psi_family",
+                          "params": {"a": 2, "s": 0.3, "epsilon": 1e-300}},
+    # just below the spline spacing 2/8192
+    "tent-epsilon-below-spacing": {"kind": "lemma_psi_family",
+                                   "params": {"a": 2, "s": 0.3, "epsilon": 2.4e-4}},
     "tabulated-no-R": {"kind": "tabulated", "u": [-1, 0, 1]},
     "tabulated-lengths": {"kind": "tabulated", "u": [-1, 0, 1], "R": [1, 1]},
     "tabulated-ragged": {"kind": "tabulated", "u": [[-1, 0], [1]], "R": [1, 1, 1]},
@@ -590,6 +595,15 @@ MALFORMED_BOUNDARIES = {
                                  "params": {"frequency": 1.5}},
     "preset-cosine-inf": {"kind": "expression-preset", "name": "cosine",
                           "params": {"amplitude": _INF}},
+    "preset-cosine-huge-frequency": {"kind": "expression-preset", "name": "cosine",
+                                     "params": {"frequency": 1e300}},
+    # half the 1024 boundary samples: the frequency aliases
+    "preset-cosine-nyquist": {"kind": "expression-preset", "name": "cosine",
+                              "params": {"frequency": -512}},
+    "preset-cosine-huge-phase": {"kind": "expression-preset", "name": "cosine",
+                                 "params": {"phase": 1e308}},
+    "preset-cosine-phase-past-two-pi": {"kind": "expression-preset", "name": "cosine",
+                                        "params": {"phase": 6.3}},
     "preset-constant-no-value": {"kind": "expression-preset", "name": "constant"},
     "preset-params-a-list": {"kind": "expression-preset", "name": "step", "params": [1]},
 }

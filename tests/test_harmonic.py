@@ -13,7 +13,7 @@ from schwarzlab.bounds import (check_gradient_bound, check_unimodal_bounds,
 from schwarzlab.cli import _write_csv
 from schwarzlab.config import DEFAULT
 from schwarzlab.errors import (InvalidInput, NoConvergence, OutsideDisk,
-                               StencilOutsideDisk)
+                               ParameterOutOfRange, StencilOutsideDisk)
 from schwarzlab.harmonic import (BoundaryData, analytic_field,
                                  boundary_from_json, boundary_from_samples,
                                  constant_boundary, cosine_boundary,
@@ -45,6 +45,17 @@ def test_cosine_boundary_gives_real_part():
     b = cosine_boundary(1.0, 1, 0.0)
     assert poisson_values(b, 0.3 + 0.2j) == pytest.approx(0.3, abs=1e-10)
     assert poisson_values(b, -0.55 - 0.1j) == pytest.approx(-0.55, abs=1e-10)
+
+
+def test_cosine_boundary_ranges():
+    # |m| < N/2 for N samples and |phase| <= 2 pi, the edges included
+    two_pi = 2 * math.pi
+    assert cosine_boundary(0.5, -31, two_pi, sample_count=64).samples.shape == (64,)
+    assert cosine_boundary(0.5, 31, -two_pi, sample_count=64).samples.shape == (64,)
+    for bad in ({"frequency": 32}, {"frequency": 1.5}, {"phase": math.nan},
+                {"phase": math.nextafter(two_pi, 7.0)}):
+        with pytest.raises(ParameterOutOfRange):
+            cosine_boundary(0.5, **bad, sample_count=64)
 
 
 def test_step_boundary_odd_symmetry_at_origin():
@@ -764,21 +775,22 @@ def test_oracle_no_convergence_with_tiny_cap():
         fd_solve_oracle(cosine_metric(), cosine_boundary(0.8), 65, tols=tols)
 
 
-@pytest.mark.parametrize("cap", [15, 18])
+@pytest.mark.parametrize("cap", [5, 6])
 def test_oracle_raises_when_its_cap_comes_before_the_update_tolerance(cap):
-    # 19 solves bring the update below fd_update_tol; a cap that stops the
-    # oracle short of it raises, however small the last update (1.0e-10 at 18)
+    # 7 solves bring the update below fd_update_tol; a cap that stops the
+    # oracle short of it raises, however small the last update (1.6e-9 at 6)
     tols = DEFAULT.replaced(fd_max_sweeps=cap)
     with pytest.raises(NoConvergence, match=f"after {cap} solves$"):
         fd_solve_oracle(cosine_metric(), random_smooth_boundary(0), 65, tols=tols)
     grid = fd_solve_oracle(cosine_metric(), random_smooth_boundary(0), 65,
-                           tols=DEFAULT.replaced(fd_max_sweeps=19))
-    assert grid.sweeps == 19 and grid.final_update < DEFAULT.fd_update_tol
+                           tols=DEFAULT.replaced(fd_max_sweeps=7))
+    assert grid.sweeps == 7 and grid.final_update < DEFAULT.fd_update_tol
 
 
 def test_oracle_stall_raises_under_default_tolerances():
-    with pytest.raises(NoConvergence):
-        fd_solve_oracle(exponential_metric(3.0), step_boundary(0.9), 65)
+    # the iterate jumps between the clip bounds (final update 1.6 = hi - lo)
+    with pytest.raises(NoConvergence, match="after 1000 solves$"):
+        fd_solve_oracle(exponential_metric(10.0), cosine_boundary(0.8), 65)
 
 
 def test_oracle_nan_source_raises():
@@ -813,6 +825,36 @@ def test_oracle_solves_the_bare_tent(n, boundary, tol):
     grid = fd_solve_oracle(tent, boundary, n)
     assert grid.final_update < DEFAULT.fd_update_tol
     assert lift_sup_difference(grid, tent, boundary) <= tol
+
+
+@pytest.mark.parametrize("n", [65, 101, 201])
+def test_oracle_solves_the_steep_bare_tent(n):
+    # R' of the tent (4, 1/3) jumps at +-1/3, and R varies 5.8-fold; each
+    # step solves for the change of the primitive of R, not of f
+    tent = metric_from_json({"kind": "lemma_psi_family", "params": {"a": 4, "s": 1 / 3}})
+    boundary = cosine_boundary(0.8)
+    grid = fd_solve_oracle(tent, boundary, n)
+    assert grid.final_update < DEFAULT.fd_update_tol
+    assert lift_sup_difference(grid, tent, boundary) <= 5e-3
+
+
+@pytest.mark.parametrize("n", [65, 101])
+def test_oracle_converges_fast_on_a_steep_exponential(n):
+    grid = fd_solve_oracle(exponential_metric(3.0), cosine_boundary(0.8), n)
+    assert grid.final_update < DEFAULT.fd_update_tol
+    assert grid.sweeps <= 12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", ["cosine", "exponential"])
+def test_oracle_stops_within_its_update_of_the_fixed_point(name, seed):
+    # faster than linear convergence: the last update bounds the distance to
+    # the fixed point, so a tighter stop rule moves no node by more than 1e-12
+    metric = cosine_metric() if name == "cosine" else exponential_metric(1.0)
+    b = random_smooth_boundary(seed)
+    grid = fd_solve_oracle(metric, b, 65)
+    tight = fd_solve_oracle(metric, b, 65, tols=DEFAULT.replaced(fd_update_tol=1e-13))
+    assert np.nanmax(np.abs(grid.values - tight.values)) <= 1e-12
 
 
 def test_oracle_never_touches_transform_path(monkeypatch):
@@ -947,8 +989,8 @@ def test_disk_operator_solve_matches_dense_solve(n, clipped):
 # defect-correction solves per case (seeds 0, 1, 2 at each n), as a dense
 # inverse of the same operator gives them at n = 65: an exact, deterministic
 # linear solve must reproduce them
-_ORACLE_SWEEPS = {"cosine": {65: (19, 11, 12), 101: (19, 11, 12), 201: (19, 11, 12)},
-                  "exponential": {65: (18, 11, 12), 101: (18, 11, 12), 201: (18, 11, 12)}}
+_ORACLE_SWEEPS = {"cosine": {65: (7, 5, 6), 101: (7, 5, 6), 201: (7, 5, 6)},
+                  "exponential": {65: (7, 5, 6), 101: (6, 5, 6), 201: (6, 5, 5)}}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

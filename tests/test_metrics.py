@@ -576,6 +576,17 @@ def test_mollify_identity_gives_unit_density():
     assert np.max(np.abs(np.asarray(m.density(grid)) - 1.0)) < 1e-12
 
 
+def test_smoothed_tent_spec_epsilon_reaches_down_to_the_spline_spacing():
+    # epsilon >= 2/(table_points - 1) = 2/8192: the spacing itself is valid
+    def spec(epsilon):
+        return {"kind": "lemma_psi_family", "params": {"a": 2, "s": 0.3, "epsilon": epsilon}}
+
+    assert metric_from_json(spec(2.0 / 8192)).name.endswith("eps=0.000244141)")
+    for epsilon in (math.nextafter(2.0 / 8192, 0.0), 1e-300):
+        with pytest.raises(ParameterOutOfRange, match="spline spacing"):
+            metric_from_json(spec(epsilon))
+
+
 def test_mollify_needs_the_derivative_and_knots():
     class NoDerivative:
         knots = (0.0, 1.0)
