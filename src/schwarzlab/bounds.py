@@ -285,9 +285,9 @@ def check_unimodal_bounds(metric: Metric1D, boundary: BoundaryData,
     """The two bounds for unimodal densities.
 
     Report 1: |grad f| <= 2 (1 - |f|) / (1 - |z|^2) on the ring grid.
-    Report 2: |f(z)| <= (4/pi) arctan |z| on radial grids; it additionally
-    requires f(0) = 0 and balanced half-masses, otherwise it is marked
-    not applicable (not failed).
+    Report 2: |f(z)| <= (4/pi) arctan |z| on radial spokes out to
+    `tols.grid_radius`; it additionally requires f(0) = 0 and balanced
+    half-masses, otherwise it is marked not applicable (not failed).
     """
     if grid is None:
         grid = ring_grid(tols.grid_radii, tols.grid_angles, tols.grid_radius)
@@ -309,7 +309,8 @@ def check_unimodal_bounds(metric: Metric1D, boundary: BoundaryData,
                           warnings=warn1,
                           extras={"mass": float(table.r) if table else math.inf})
 
-    rad = ring_grid(25, 8, 0.95)   # 8 radial spokes of 25 points each
+    # 8 radial spokes of 25 points each, out to the check grid's radius
+    rad = ring_grid(25, 8, tols.grid_radius)
     # the spokes and, last, the origin in one value pass: at z = 0 the
     # Poisson sum is c_0 whatever else the pass holds
     values = field.value_many(np.append(rad, 0.0))

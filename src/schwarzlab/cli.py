@@ -393,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, _run_transform, metric=True, seed=True)
     sp.add_argument("--grid-n", type=_int_at_least(1), default=201)
 
-    sp = sub.add_parser("solve", help="relaxation solve + transform comparison")
+    sp = sub.add_parser("solve", help="defect-correction solve + transform comparison")
     common(sp, _run_solve, metric=True, boundary=True)
     sp.add_argument("--grid-n", type=_int_at_least(1), default=201)
 

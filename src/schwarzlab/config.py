@@ -25,7 +25,8 @@ class Tolerances:
     slack_tol: float = 1e-9
     # finite-difference oracle: stops below fd_update_tol, raises after
     # fd_max_sweeps; one "sweep" is one defect-correction step (one linear
-    # solve), and converging cases take 10-150 of them
+    # solve); 208 converging cases (11 metrics, 10 boundaries, n = 33 and
+    # 65) took 2-86 of them
     fd_update_tol: float = 1e-10
     fd_max_sweeps: int = 1000
     # boundary sampling

@@ -57,14 +57,13 @@ class BoundaryData:
     `values` maps angle arrays to value arrays; uniform samples are cached
     for quadrature.  A caller that already holds the values at the uniform
     angles `thetas` may pass them as `samples`; otherwise they are
-    `values(thetas)`.  Values may touch the closed interval
-    [target_lo, target_hi]: the classical extremal step data sits exactly at
-    the endpoints, while interior values of any extension stay strictly
-    inside by the maximum principle.
+    `values(thetas)`.  Values lie in the closed interval [-1, 1], the target
+    of the paper's f and of the lift's Euclidean-harmonic g: the classical
+    extremal step data sits exactly at the endpoints, while interior values
+    of any extension stay strictly inside by the maximum principle.  Samples
+    within 1e-12 past an end are clipped onto it.
     """
     values: Callable
-    target_lo: float = -1.0
-    target_hi: float = 1.0
     sample_count: int = DEFAULT.boundary_samples
     name: str = "boundary"
     thetas: np.ndarray = field(init=False, repr=False)
@@ -78,14 +77,11 @@ class BoundaryData:
                              else self.samples, float)
         if samples.shape != thetas.shape:
             raise InvalidInput("boundary values must be vectorized over angles")
-        pad = 1e-12 * max(1.0, abs(self.target_lo), abs(self.target_hi))
         # written so that a NaN sample fails it
-        if not (self.target_lo - pad <= samples.min()
-                and samples.max() <= self.target_hi + pad):
+        if not (-1.0 - 1e-12 <= samples.min() and samples.max() <= 1.0 + 1e-12):
             raise InvalidInput("boundary values leave the target interval")
         object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "samples",
-                           np.clip(samples, self.target_lo, self.target_hi))
+        object.__setattr__(self, "samples", np.clip(samples, -1.0, 1.0))
 
     def mean(self) -> float:
         return float(np.mean(self.samples))
@@ -472,17 +468,17 @@ def solved_field(metric: Metric1D, boundary: BoundaryData,
 
     The Euclidean extension g of H(boundary)/r is computed by the Poisson
     integral and the solution is f = H^{-1}(r g); its gradient follows from
-    the chain rule, grad f = r grad g / R(f).
+    the chain rule, grad f = r grad g / R(f).  r is the table's half-span,
+    so the transformed samples, and with them g, lie in [-1, 1].
 
     Densities of infinite mass still admit the lift whenever the boundary
-    values stay compactly inside the target interval: scaling by r is only
-    cosmetic (harmonicity is scale-invariant), so a transform table over a
-    compact value range replaces the centered H.  Both tables integrate and
-    invert with the quadrature and inversion tolerances of `tols`.
+    values stay compactly inside (-1, 1): the scale r is only cosmetic
+    (harmonicity is scale-invariant), so a transform table over a compact
+    value range replaces the centered H.  Both tables integrate and invert
+    with the quadrature and inversion tolerances of `tols`.
     """
     try:
         table = transform_table(metric, tols)
-        r = table.r
     except NonIntegrable:
         m0 = float(boundary.samples.min())
         m1 = float(boundary.samples.max())
@@ -491,24 +487,21 @@ def solved_field(metric: Metric1D, boundary: BoundaryData,
             raise
         pad = min(0.02, 0.5 * (1.0 - maxabs))
         table = HTransform(metric, tols, lo=min(m0, 0.0) - pad, hi=max(m1, 0.0) + pad)
-        r = 1.0
-    g_samples = table.h(np.clip(boundary.samples, -1.0, 1.0)) / r
+    r = table.r
+    g_samples = table.h(boundary.samples) / r
     if not np.all(np.isfinite(g_samples)):
         raise InvalidInput("lifted boundary samples must be finite")
-    g_lo = float(g_samples.min())
-    g_hi = float(g_samples.max())
     # the periodic linear interpolant of the transformed samples, which are
     # its values at the boundary's own angles
     g_boundary = BoundaryData(
-        _periodic_interpolant(boundary.thetas, g_samples), target_lo=g_lo,
-        target_hi=g_hi, sample_count=boundary.sample_count,
-        name=f"H[{boundary.name}]", samples=g_samples)
+        _periodic_interpolant(boundary.thetas, g_samples),
+        sample_count=boundary.sample_count, name=f"H[{boundary.name}]",
+        samples=g_samples)
 
     # the maximum principle confines g to the sample range; clipping removes
     # the rim aliasing of the trapezoid Poisson integral before inversion
-    if table.normalized:
-        g_lo = max(g_lo, -1.0 + 1e-15)
-        g_hi = min(g_hi, 1.0 - 1e-15)
+    g_lo = max(float(g_samples.min()), -1.0 + 1e-15)
+    g_hi = min(float(g_samples.max()), 1.0 - 1e-15)
 
     def lift(g):
         return table.h_inv(r * np.clip(g, g_lo, g_hi))
@@ -585,8 +578,7 @@ def hopf_holomorphy_residual(metric: Metric1D, field: HarmonicField,
 @dataclass
 class GridField:
     """Solution samples on a Cartesian grid masked to the disk."""
-    n: int
-    xs: np.ndarray
+    xs: np.ndarray              # (n,) node coordinates on both axes
     values: np.ndarray          # (n, n), x-major; NaN outside the disk
     inside: np.ndarray          # unknown interior nodes
     sweeps: int                 # linear solves taken (1 for constant data)
@@ -775,14 +767,13 @@ def fd_solve_oracle(metric: Metric1D, boundary: BoundaryData, n: int,
         raise InvalidInput("oracle grid needs n >= 33")
     # iterates may not leave the boundary-value range (the transform maximum
     # principle guarantees the solution stays inside it); the clamp also
-    # keeps R off the ends of the target interval, where it may vanish or
-    # blow up
-    lo = max(boundary.target_lo + 1e-12, float(boundary.samples.min()))
-    hi = min(boundary.target_hi - 1e-12, float(boundary.samples.max()))
+    # keeps R off the ends of (-1, 1), where it may vanish or blow up
+    lo = max(-1.0 + 1e-12, float(boundary.samples.min()))
+    hi = min(1.0 - 1e-12, float(boundary.samples.max()))
     if lo >= hi:   # constant data: the constant solves the equation exactly
         xs, inside = _disk_nodes(n)
         values = np.where(inside, boundary.mean(), np.nan)
-        return GridField(n=n, xs=xs, values=values, inside=inside,
+        return GridField(xs=xs, values=values, inside=inside,
                          sweeps=1, final_update=0.0)
 
     op = _disk_operator(n)
@@ -816,7 +807,7 @@ def fd_solve_oracle(metric: Metric1D, boundary: BoundaryData, n: int,
 
     values = np.full((n, n), np.nan)
     values[op.inside] = u
-    return GridField(n=n, xs=op.xs, values=values, inside=op.inside,
+    return GridField(xs=op.xs, values=values, inside=op.inside,
                      sweeps=sweeps, final_update=update)
 
 

@@ -702,26 +702,27 @@ class HTransform:
     not exist, but the primitive is still strictly increasing, so a table
     restricted to a compact value range (the range table, built when `lo`
     and `hi` are given: uniform cells of [lo, hi] split at 0 and at the
-    knots, H(0) = 0, r = nan) still lifts boundary data whose values stay
-    inside that range.  Either table inverts targets strictly between its
-    end values, which are -r and r for the unit table.
+    knots, H(0) = 0) still lifts boundary data whose values stay inside
+    that range.  Every table's scale r is the half-span of its H,
+    max(-H(lo end), H(hi end)): the mass for the unit table, whose end
+    values are -r and r.  Either table inverts targets strictly between its
+    end values, to a residual of `inverse_rel_tol` * r.
     """
 
     def __init__(self, metric: Metric1D, tols: Tolerances = DEFAULT,
                  lo: Optional[float] = None, hi: Optional[float] = None):
         require_unit_domain(metric)
         self.tols = tols
-        self.normalized = lo is None and hi is None
-        if self.normalized:
-            self._nodes, self._coef, self._h_nodes, self.r = _unit_cells(metric, tols)
-            return
-        if lo is None or hi is None or not (-1.0 <= lo < 0.0 < hi <= 1.0):
+        if lo is None and hi is None:
+            self._nodes, self._coef, self._h_nodes, _ = _unit_cells(metric, tols)
+        elif lo is None or hi is None or not (-1.0 <= lo < 0.0 < hi <= 1.0):
             raise DomainError("range table needs lo < 0 < hi inside [-1, 1]")
-        self.r = math.nan
-        self._nodes = _cell_edges(lo, hi, metric.knots)
-        piece, self._coef = _gauss_cells(metric.density, self._nodes[:-1], self._nodes[1:])
-        cum = _cumulative(piece)
-        self._h_nodes = cum - cum[np.searchsorted(self._nodes, 0.0)]
+        else:
+            self._nodes = _cell_edges(lo, hi, metric.knots)
+            piece, self._coef = _gauss_cells(metric.density, self._nodes[:-1], self._nodes[1:])
+            cum = _cumulative(piece)
+            self._h_nodes = cum - cum[np.searchsorted(self._nodes, 0.0)]
+        self.r = max(-self._h_nodes[0], self._h_nodes[-1])
 
     def _cell_frames(self, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Midpoint and half-width of the given cells."""
@@ -764,7 +765,7 @@ class HTransform:
         u = lo + (hi - lo) * np.clip(
             (flat - base) / np.maximum(self._h_nodes[cell + 1] - base, 1e-300),
             0.0, 1.0)
-        target = self.tols.inverse_rel_tol * max(-h_lo, h_hi)
+        target = self.tols.inverse_rel_tol * self.r
         # only points still above target move: a converged point's Newton
         # step rounds back onto its bracket end and would count as a
         # bisection, throwing it half a cell away

@@ -8,8 +8,8 @@ segments; the mollifier's bump is normalized over 32-point Gauss segments.
 for that table, one point at a time.  Interior integrals use plain
 adaptive Simpson; integrals up to an open endpoint refine toward it in
 dyadic slices and declare divergence when the slice contributions stop
-decaying or the running estimate blows past a ceiling.  The table's
-divergence verdict applies the same slice rule to its own graded cells.
+decaying.  The table's divergence verdict applies the same slice rule to
+its own graded cells.
 """
 
 from __future__ import annotations
@@ -25,16 +25,16 @@ _MAX_DEPTH = 48
 _ENDPOINT_HALVINGS = 48
 
 
-def _simpson(f, a, fa, b, fb, m, fm):
+def _simpson(a, fa, b, fb, fm):
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float = 1e-12, ceiling: float = 1e12) -> float:
+                     tol: float = 1e-12) -> float:
     """Integrate f over [a, b] with adaptive Simpson refinement.
 
-    Raises NonIntegrable if the running estimate exceeds `ceiling` or the
-    recursion bottoms out without meeting the tolerance budget.
+    Raises NonIntegrable at a non-finite estimate, or if the recursion
+    bottoms out without meeting the tolerance budget.
     """
     if a == b:
         return 0.0
@@ -45,33 +45,31 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
-    whole = _simpson(f, a, fa, b, fb, m, fm)
-    total = _adaptive(f, a, fa, b, fb, m, fm, whole, tol, ceiling, _MAX_DEPTH)
+    whole = _simpson(a, fa, b, fb, fm)
+    total = _adaptive(f, a, fa, b, fb, m, fm, whole, tol, _MAX_DEPTH)
     return sign * total
 
 
-def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, ceiling, depth):
+def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth):
     lm = 0.5 * (a + m)
     rm = 0.5 * (m + b)
     flm, frm = f(lm), f(rm)
-    left = _simpson(f, a, fa, m, fm, lm, flm)
-    right = _simpson(f, m, fm, b, fb, rm, frm)
+    left = _simpson(a, fa, m, fm, flm)
+    right = _simpson(m, fm, b, fb, frm)
     if not (math.isfinite(left) and math.isfinite(right)):
         raise NonIntegrable(f"non-finite quadrature values on [{a}, {b}]")
-    if abs(left) + abs(right) > ceiling:
-        raise NonIntegrable(f"integral estimate exceeded ceiling {ceiling:g}")
     err = left + right - whole
     if abs(err) <= 15.0 * tol or depth <= 0:
         if depth <= 0 and abs(err) > 1e6 * tol:
             raise NonIntegrable("adaptive refinement exhausted without convergence")
         return left + right + err / 15.0
     half = 0.5 * tol
-    return (_adaptive(f, a, fa, m, fm, lm, flm, left, half, ceiling, depth - 1)
-            + _adaptive(f, m, fm, b, fb, rm, frm, right, half, ceiling, depth - 1))
+    return (_adaptive(f, a, fa, m, fm, lm, flm, left, half, depth - 1)
+            + _adaptive(f, m, fm, b, fb, rm, frm, right, half, depth - 1))
 
 
 def integrate_to_endpoint(f: Callable[[float], float], a: float, endpoint: float,
-                          tol: float = 1e-12, ceiling: float = 1e12) -> float:
+                          tol: float = 1e-12) -> float:
     """Integrate f from a up to an *open* endpoint (endpoint > a).
 
     Splits off dyadic slices [endpoint - d, endpoint - d/2] and sums them
@@ -81,7 +79,7 @@ def integrate_to_endpoint(f: Callable[[float], float], a: float, endpoint: float
     if endpoint <= a:
         raise ValueError("endpoint must exceed the lower limit")
     d = (endpoint - a) / 8.0
-    total = adaptive_simpson(f, a, endpoint - d, tol / 4.0, ceiling)
+    total = adaptive_simpson(f, a, endpoint - d, tol / 4.0)
     pieces: list[float] = []
     for _ in range(_ENDPOINT_HALVINGS):
         nxt = d / 2.0
@@ -89,11 +87,9 @@ def integrate_to_endpoint(f: Callable[[float], float], a: float, endpoint: float
         if not lo < hi < endpoint:
             # float resolution reached before the slices decayed
             raise NonIntegrable("endpoint slices failed to decay; integral diverges")
-        piece = adaptive_simpson(f, lo, hi, tol / 8.0, ceiling)
+        piece = adaptive_simpson(f, lo, hi, tol / 8.0)
         total += piece
         pieces.append(piece)
-        if abs(total) > ceiling:
-            raise NonIntegrable(f"integral estimate exceeded ceiling {ceiling:g}")
         d = nxt
         # geometric tail extrapolation: dyadic slices of an integrable
         # endpoint singularity decay with a stable ratio q < 1, and the

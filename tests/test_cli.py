@@ -157,7 +157,7 @@ def test_grid_radius_override_moves_the_ring_grid(specs):
                  "--tolerance", "grid_radius=0.5"])
     assert code == 0
     assert _summary(out)["radius"] == 0.5
-    for name in ("gradient_bound", "unimodal_gradient_bound"):
+    for name in ("gradient_bound", "unimodal_gradient_bound", "arctan_radial_bound"):
         rows = np.loadtxt(out / f"{name}.csv", delimiter=",", skiprows=1)
         assert np.max(np.hypot(rows[:, 0], rows[:, 1])) == pytest.approx(0.5, abs=1e-15)
     rows = np.loadtxt(out / "distance_contraction.csv", delimiter=",", skiprows=1)

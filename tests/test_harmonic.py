@@ -588,23 +588,34 @@ def test_lifted_boundary_interpolates_the_lifted_samples(monkeypatch, metric,
                                                          make_boundary):
     boundary = make_boundary()
     built = []
+    ranges = []
 
     def spy(*args, **kw):
         built.append((np.array(kw["samples"]), BoundaryData(*args, **kw)))
         return built[-1][1]
 
+    def range_spy(*args, **kw):
+        ranges.append(HTransform(*args, **kw))
+        return ranges[-1]
+
     # the lift hands its samples over: neither sorted, nor interpolated anew
     monkeypatch.setattr(harmonic, "BoundaryData", spy)
+    monkeypatch.setattr(harmonic, "HTransform", range_spy)
     monkeypatch.setattr(harmonic, "boundary_from_samples", None)
     solved_field(metric, boundary)
     (g, lifted), = built
     samples = np.clip(boundary.samples, -1.0, 1.0)
     if metric.name == "hyperbolic":
-        # the range table's H is atanh, centered at 0
-        assert np.max(np.abs(g - np.arctanh(samples))) < 1e-10
+        # the range table's H is atanh, centered at 0, and its r the
+        # half-span atanh of the range's wider end
+        (table,) = ranges
+        lo, hi = table._nodes[[0, -1]]
+        assert np.max(np.abs(table.h(samples) - np.arctanh(samples))) < 1e-10
+        assert table.r == pytest.approx(max(-np.arctanh(lo), np.arctanh(hi)), abs=1e-10)
     else:
+        assert ranges == []
         table = transform_table(metric)
-        assert np.array_equal(g, table.h(samples) / table.r)
+    assert np.array_equal(g, table.h(samples) / table.r)
     th = boundary.thetas
     assert np.array_equal(lifted.thetas, th)
     assert np.array_equal(lifted.samples, g)
@@ -616,12 +627,34 @@ def test_lifted_boundary_interpolates_the_lifted_samples(monkeypatch, metric,
     assert np.array_equal(lifted.values(off), periodic)
 
 
+@pytest.mark.parametrize("metric, make_boundary", [
+    (hyperbolic_metric(), lambda: cosine_boundary(0.8)),
+    (exponential_metric(3.0), lambda: step_boundary(1.0)),
+], ids=["range-table", "unit-table"])
+def test_lifted_samples_lie_in_the_closed_unit_interval(monkeypatch, metric,
+                                                        make_boundary):
+    # g = H(samples)/r with r the table's half-span: a range table's g stays
+    # inside [-1, 1] (not atanh(0.8) = 1.10), and a unit table's H(1)/r,
+    # which may round to 1 + 2.2e-16, is clipped onto the end
+    boundary = make_boundary()
+    built = []
+
+    def spy(*args, **kw):
+        built.append(BoundaryData(*args, **kw))
+        return built[-1]
+
+    monkeypatch.setattr(harmonic, "BoundaryData", spy)
+    solved_field(metric, boundary)
+    (lifted,) = built
+    assert np.max(np.abs(lifted.samples)) <= 1.0
+
+
 def test_non_finite_lifted_sample_is_invalid_input(monkeypatch):
     metric, boundary = cosine_metric(), cosine_boundary(0.8)
     table = transform_table(metric)
 
     class Holed:
-        r, normalized = table.r, table.normalized
+        r = table.r
         h_inv = table.h_inv
 
         def h(self, u):

@@ -470,7 +470,9 @@ def test_table_makes_no_density_call_after_the_build(smooth_tables):
 def test_range_table_for_infinite_mass():
     m = hyperbolic_metric()
     tab = HTransform(m, lo=-0.9, hi=0.9)
-    assert not tab.normalized and math.isnan(tab.r)
+    # its scale r is the half-span of H: atanh(0.9), where the mass is infinite
+    assert tab.r == max(-tab._h_nodes[0], tab._h_nodes[-1])
+    assert tab.r == pytest.approx(math.atanh(0.9), abs=1e-10)
     # H restricted to (-0.9, 0.9) is atanh up to the centering at 0
     us = np.linspace(-0.85, 0.85, 101)
     assert np.max(np.abs(tab.h(us) - np.arctanh(us))) < 1e-10
@@ -478,12 +480,37 @@ def test_range_table_for_infinite_mass():
     assert np.max(np.abs(tab.h_inv(ts) - np.tanh(ts))) < 1e-10
 
 
+@settings(max_examples=25, deadline=None)
+@given(lo=st.floats(-0.99, -0.01), hi=st.floats(0.01, 0.99))
+def test_range_table_scale_is_its_half_span(lo, hi):
+    tab = HTransform(hyperbolic_metric(), lo=lo, hi=hi)
+    H_lo, H_hi = tab.h(np.array([lo, hi]))
+    assert tab.r == pytest.approx(max(-H_lo, H_hi), rel=1e-13)
+    assert tab.r == pytest.approx(max(math.atanh(-lo), math.atanh(hi)), rel=1e-10)
+    us = np.linspace(lo, hi, 203)[1:-1]
+    back = tab.h_inv(tab.h(us))
+    assert np.max(np.abs(back - us)) <= 1e-10
+
+
+def test_oracle_agrees_with_the_table_on_a_large_mass():
+    # no size of the mass is divergent by itself, in the oracle as in the table
+    m = constant_metric(2e12)
+    tab = transform_table(m)
+    assert tab.r == 2e12
+    for u in (-0.7, 0.0, 0.3, 0.95):
+        assert transform_H(m, u) == pytest.approx(tab.h(np.array([u]))[0],
+                                                  rel=1e-12, abs=1e-3)
+    for t in (-1.5e12, 0.0, 4e11, 1.9e12):
+        assert inverse_H(m, t) == pytest.approx(tab.h_inv(np.array([t]))[0], abs=1e-11)
+
+
 def test_both_tables_invert_strictly_inside_their_end_values():
     unit = HTransform(cosine_metric())
-    assert unit.normalized
+    assert unit.r == mass(cosine_metric())
     assert (unit._h_nodes[0], unit._h_nodes[-1]) == (-unit.r, unit.r)
     for tab in (unit, HTransform(hyperbolic_metric(), lo=-0.9, hi=0.9)):
         h_lo, h_hi = tab._h_nodes[0], tab._h_nodes[-1]
+        assert tab.r == max(-h_lo, h_hi)
         inside = np.array([np.nextafter(h_lo, 0.0), 0.0, np.nextafter(h_hi, 0.0)])
         assert np.all(np.isfinite(tab.h_inv(inside)))
         for t in (h_lo, h_hi, np.inf):
