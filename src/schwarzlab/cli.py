@@ -165,6 +165,8 @@ def _run_transform(args, tols: Tolerances, out: Path):
 def _run_solve(args, tols: Tolerances, out: Path):
     metric = _metric(args, unit_domain=True)
     boundary = _boundary(args, tols)
+    # the lift first: data it refuses fail before the oracle's solves
+    harmonic_mod.solved_field(metric, boundary, tols)
     grid = harmonic_mod.fd_solve_oracle(metric, boundary, args.grid_n, tols=tols)
     pts, vals = grid.interior_points()
     _write_csv(out / "solution.csv", ["x", "y", "f"], [pts.real, pts.imag, vals])

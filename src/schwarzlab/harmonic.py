@@ -186,8 +186,8 @@ def _random_trig_boundary(seed: int, freqs: np.ndarray, weights: np.ndarray,
     Coefficients are standard normal draws divided by `weights`; the peak
     modulus is a random share in [1/2, 1) of _RANDOM_MAX_ABS.  The polynomial
     sum_m a_m cos(m theta) + b_m sin(m theta) is evaluated as
-    Re sum_m (a_m - i b_m) z^m at z = e^(i theta), by one Horner sum (b_0
-    drops out with the imaginary part).
+    Re sum_m (a_m - i b_m) z^m at z = e^(i theta), by one Horner sum
+    (`_horner`; b_0 drops out with the imaginary part).
     """
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(len(freqs)) / weights
@@ -197,12 +197,7 @@ def _random_trig_boundary(seed: int, freqs: np.ndarray, weights: np.ndarray,
     coef[freqs] = a - 1j * b
 
     def fn(th):
-        z = np.exp(1j * np.asarray(th, float))
-        acc = np.full(z.shape, coef[-1])
-        for c in coef[-2::-1]:
-            acc *= z
-            acc += c
-        return acc.real
+        return _horner(coef, np.exp(1j * np.asarray(th, float))).real
 
     probe = fn(TWO_PI * np.arange(4096) / 4096)
     scale = amp / max(np.max(np.abs(probe)), 1e-12)
@@ -240,16 +235,9 @@ _HORNER_BLOCK = 64
 _EPS = np.finfo(float).eps
 
 
-def _complex_points(z) -> np.ndarray:
-    z = np.asarray(z)
-    if z.dtype.kind != "c":
-        z = z.astype(complex)
-    return z
-
-
 def _flat_disk_points(z) -> tuple[np.ndarray, np.ndarray]:
     """(z as a complex array, its flat view), once every point is in the disk."""
-    z = _complex_points(z)
+    z = np.asarray(z, complex)
     flat = np.ravel(z)
     if np.any(np.abs(flat) >= 1.0):
         raise OutsideDisk("evaluation point outside the open unit disk")
@@ -422,10 +410,10 @@ class HarmonicField:
         self._last = None   # ((shape, bytes) of the points, read-only results)
 
     def value_many(self, z) -> np.ndarray:
-        return self._value_many(_complex_points(z))
+        return self._value_many(np.asarray(z, complex))
 
     def value_and_gradient_many(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        z = _complex_points(z)
+        z = np.asarray(z, complex)
         key = (z.shape, z.tobytes())
         if self._last is None or self._last[0] != key:
             out = tuple(np.asarray(q).view() for q in self._value_and_gradient_many(z))
@@ -476,6 +464,12 @@ def solved_field(metric: Metric1D, boundary: BoundaryData,
     (harmonicity is scale-invariant), so a transform table over a compact
     value range replaces the centered H.  Both tables integrate and invert
     with the quadrature and inversion tolerances of `tols`.
+
+    g is clipped into the transformed samples' range, kept 1e-15 inside
+    (-1, 1), where H^{-1} is defined.  Data constant at -1 or at 1, or with
+    H/r within 1e-15 of one end at every sample (the constant 0.99999999 on
+    the cosine density, which vanishes at 1), leave that interval empty and
+    have no lift: InvalidInput.
     """
     try:
         table = transform_table(metric, tols)
@@ -502,6 +496,9 @@ def solved_field(metric: Metric1D, boundary: BoundaryData,
     # the rim aliasing of the trapezoid Poisson integral before inversion
     g_lo = max(float(g_samples.min()), -1.0 + 1e-15)
     g_hi = min(float(g_samples.max()), 1.0 - 1e-15)
+    if g_lo > g_hi:
+        raise InvalidInput("boundary data constant at -1 or 1 (H/r within 1e-15 of it) "
+                           "have no lift inside (-1, 1)")
 
     def lift(g):
         return table.h_inv(r * np.clip(g, g_lo, g_hi))
@@ -565,7 +562,7 @@ def hopf_holomorphy_residual(metric: Metric1D, field: HarmonicField,
         f, gx, gy = field.value_and_gradient_many(pts)
         return np.asarray(metric.density(f), float) ** 2 * (0.5 * (gx - 1j * gy)) ** 2
 
-    _, _, wx, wy = _five_point(quadratic_differential, np.ravel(_complex_points(grid)),
+    _, _, wx, wy = _five_point(quadratic_differential, np.ravel(np.asarray(grid, complex)),
                                _RESIDUAL_STEP, in_disk=True)
     # w = u + iv is holomorphic where u_x = v_y and u_y = -v_x
     return float(np.max(np.abs(wx.real - wy.imag) + np.abs(wy.real + wx.imag)))

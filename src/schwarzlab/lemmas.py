@@ -18,7 +18,7 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import InvalidInput, ParameterOutOfRange, PreconditionViolated
 from .lifetime import lifetime_cache
-from .metrics import ConcaveTentMap, Metric1D, transform_table
+from .metrics import ConcaveTentMap, Metric1D, _cell_of, transform_table
 
 _UNIMODAL_SAMPLES = 401    # points per half of the sampled unimodality check
 _UNIMODAL_TOL = 1e-9       # its slope band, relative to the peak sample
@@ -62,8 +62,7 @@ class LogConcaveDiffeo:
     def _local(self, x):
         """Piece index of x, offset from its left knot, log f' there and its slope."""
         x = np.asarray(x, float)
-        i = np.clip(np.searchsorted(self.knots_x, x, side="right") - 1,
-                    0, len(self.knots_x) - 2)
+        i = _cell_of(self.knots_x, x)
         return i, x - self.knots_x[i], self.knots_h[i], self.slopes[i]
 
     def f(self, x) -> np.ndarray:

@@ -99,9 +99,18 @@ class _Cubic:
     def __call__(self, u) -> np.ndarray:
         u = np.asarray(u, float)
         flat = np.ravel(u)
-        # searching the inner breakpoints extends the end cells outward
-        cell = np.searchsorted(self.x[1:-1], flat, side="right")
+        cell = _cell_of(self.x, flat)
         return _power_sum(self.c[:, cell], flat - self.x[cell]).reshape(u.shape)
+
+
+def _cell_of(edges: np.ndarray, u) -> np.ndarray:
+    """The index i of the cell [edges[i], edges[i + 1]) that holds each u,
+    the end cells extended past edges[0] and edges[-1].
+
+    Searching the inner edges does the extending: -inf goes to the first
+    cell, +inf and NaN to the last, and a single cell takes every u.
+    """
+    return np.searchsorted(edges[1:-1], u, side="right")
 
 
 def _power_sum(rows, s):
@@ -608,19 +617,20 @@ def _frozen(*arrays):
 
 @lifetime_cache()
 def _unit_table(metric: Metric1D,
-                quad_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | str:
-    """Cell edges, cell polynomials, node values of H and the mass r of the
-    unit table, or the divergence message.
+                quad_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray] | str:
+    """Cell edges, cell polynomials and node values of H of the unit table,
+    or the divergence message.
 
     The uniform cells, split at the knots, have their two end cells graded
     into dyadic slices, and `_end_verdict` reads each end's slices.  Past
     the slice where it stops, one last cell, sampled anew, carries the
     modelled tail: it replaces the slices beyond, or, for a steady power-law
     tail, only the graded slices, and takes what the tail adds to the
-    uniform cells kept beyond the stop.  The cumulative sum of the cells is
-    H + r, so H(-1) = -r and H(1) = r.  Only non-finite cells or undecaying
-    slices are divergent, not a large mass.  Cached for the metric's lifetime;
-    the cache keeps no exception, so a NonIntegrable verdict is kept as its
+    uniform cells kept beyond the stop.  The cumulative sum of the cells,
+    less half its total r, is H, so H(-1) = -r and H(1) = r (`HTransform`
+    reads r as its half-span).  Only non-finite cells or undecaying slices
+    are divergent, not a large mass.  Cached for the metric's lifetime; the
+    cache keeps no exception, so a NonIntegrable verdict is kept as its
     message for the callers to raise anew.
     """
     d = 0.5 ** np.arange(_COARSEST, _FINEST + 1)
@@ -656,8 +666,7 @@ def _unit_table(metric: Metric1D,
             coef[last] *= fixed / piece[last]
             piece[last] = fixed
     cum = _cumulative(piece)
-    r = 0.5 * cum[-1]
-    return _frozen(edges, coef, cum - r) + (r,)
+    return _frozen(edges, coef, cum - 0.5 * cum[-1])
 
 
 def require_unit_domain(metric: Metric1D) -> None:
@@ -667,36 +676,22 @@ def require_unit_domain(metric: Metric1D) -> None:
                            f"{metric.domain_hi:g}); the mass and H need (-1, 1)")
 
 
-def _unit_cells(metric: Metric1D, tols: Tolerances):
-    require_unit_domain(metric)
-    built = _unit_table(metric, tols.quad_abs_tol)
-    if isinstance(built, str):
-        # a fresh instance each time: re-raising one would grow its traceback
-        raise NonIntegrable(built)
-    return built
-
-
-def mass(metric: Metric1D, tols: Tolerances = DEFAULT) -> float:
-    """r = (1/2) * integral of R over (-1, 1): half the sum of the unit
-    table's cells, with any modelled endpoint tail."""
-    return _unit_cells(metric, tols)[-1]
-
-
 class HTransform:
     """Per-cell polynomial table of H with vectorized evaluation and inversion.
 
     Built once per (metric, tolerances) from R at the 12 Gauss nodes of each
     cell.  The unit table's cells are `_unit_table`'s: the uniform cells
     split at the metric's knots, graded toward +-1 as far as the divergence
-    verdict needs; their cumulative sum is the mass r and the node values
-    H(node).  In each cell, H(u) - H(node) is the primitive of the degree-11
-    interpolant of the 12 samples, stored as its 13 power coefficients in
-    s = (u - mid) / half.  h() is a cell lookup and a Horner sum; h_inv() is
-    bracketed Newton in the point's cell, with the residual and the slope
-    from the same polynomial, so neither calls the density after the build,
-    and the table keeps no reference to its metric (`transform_table` caches
-    it for as long as the metric lives).  Agrees with the scalar oracle
-    transform_H (tested).  h() and h_inv() accept numpy arrays.
+    verdict needs; their cumulative sum gives the node values H(node), and
+    its half-span the mass r.  In each cell, H(u) - H(node) is the primitive
+    of the degree-11 interpolant of the 12 samples, stored as its 13 power
+    coefficients in s = (u - mid) / half.  h() is a cell lookup
+    (`_cell_of`) and a Horner sum; h_inv() is bracketed Newton in the
+    point's cell, with the residual and the slope from the same polynomial,
+    so neither calls the density after the build, and the table keeps no
+    reference to its metric (`transform_table` caches it for as long as the
+    metric lives).  Agrees with the scalar oracle transform_H (tested).
+    h() and h_inv() accept numpy arrays.
 
     For densities of infinite mass the centered H of the unit interval does
     not exist, but the primitive is still strictly increasing, so a table
@@ -714,7 +709,11 @@ class HTransform:
         require_unit_domain(metric)
         self.tols = tols
         if lo is None and hi is None:
-            self._nodes, self._coef, self._h_nodes, _ = _unit_cells(metric, tols)
+            built = _unit_table(metric, tols.quad_abs_tol)
+            if isinstance(built, str):
+                # a fresh instance each time: re-raising one would grow its traceback
+                raise NonIntegrable(built)
+            self._nodes, self._coef, self._h_nodes = built
         elif lo is None or hi is None or not (-1.0 <= lo < 0.0 < hi <= 1.0):
             raise DomainError("range table needs lo < 0 < hi inside [-1, 1]")
         else:
@@ -747,8 +746,7 @@ class HTransform:
     def h(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, float)
         flat = np.ravel(u)
-        cell = np.clip(np.searchsorted(self._nodes, flat, side="right") - 1,
-                       0, len(self._nodes) - 2)
+        cell = _cell_of(self._nodes, flat)
         return (self._h_nodes[cell] + self._local(cell, flat)).reshape(u.shape)
 
     def h_inv(self, t: np.ndarray) -> np.ndarray:
@@ -799,6 +797,12 @@ def transform_table(metric: Metric1D, tols: Tolerances = DEFAULT) -> HTransform:
     """The unit table of the metric, built once per tolerances for as long
     as the metric lives."""
     return HTransform(metric, tols)
+
+
+def mass(metric: Metric1D, tols: Tolerances = DEFAULT) -> float:
+    """r = (1/2) * integral of R over (-1, 1): the unit table's half-span,
+    half the sum of its cells, with any modelled endpoint tail."""
+    return transform_table(metric, tols).r
 
 
 # ---------------------------------------------------------------------------
@@ -909,7 +913,7 @@ def _bump_moments(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     m0 = np.zeros_like(w)
     m1 = np.zeros_like(w)
     inner = np.flatnonzero(w > -1.0)
-    seg = np.searchsorted(_BUMP_EDGES, w[inner], side="right") - 1
+    seg = _cell_of(_BUMP_EDGES, w[inner])
     g0, g1 = _bump_integrals(_BUMP_EDGES[seg], w[inner])
     m0[inner] = _EDGE_M0[seg] + g0
     m1[inner] = _EDGE_M1[seg] + g1

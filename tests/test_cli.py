@@ -85,6 +85,42 @@ def test_numeric_failure_exits_3(specs):
     assert payload["error_type"] == "NonIntegrable"
 
 
+def test_solve_lifts_before_the_oracle(specs, monkeypatch):
+    # data at +-1 on an infinite-mass metric have no lift: the run fails at
+    # once, without the oracle's 1000 stalled solves
+    hyp = specs["dir"] / "hyperbolic.json"
+    hyp.write_text('{"kind": "hyperbolic"}\n')
+    wave = specs["dir"] / "wave1m2.json"
+    wave.write_text('{"kind": "expression-preset", "name": "cosine", '
+                    '"params": {"amplitude": 1, "frequency": 2}}\n')
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran before the lift")
+
+    monkeypatch.setattr(harmonic, "fd_solve_oracle", no_oracle)
+    out = specs["dir"] / "o-lift-first"
+    assert main(["solve", "--metric", str(hyp), "--boundary", str(wave),
+                 "--out", str(out)]) == 3
+    payload = json.loads((out / "error.json").read_text())
+    assert payload["error_type"] == "NonIntegrable"
+
+
+@pytest.mark.parametrize("subcommand", ["check-bounds", "solve"])
+@pytest.mark.parametrize("value", [-1, 1])
+def test_boundary_constant_at_an_end_exits_2(specs, capsys, subcommand, value):
+    boundary = specs["dir"] / "end.json"
+    boundary.write_text(json.dumps({"kind": "expression-preset", "name": "constant",
+                                    "params": {"value": value}}))
+    argv = [subcommand, "--metric", specs["metric"], "--boundary", str(boundary)]
+    if subcommand == "solve":
+        argv += ["--grid-n", "33"]
+    out = specs["dir"] / "o-end"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "constant at -1 or 1" in err and "no lift" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_gallery_negative_curvature_exits_1(specs):
     out = specs["dir"] / "o7"
     code = main(["gallery", "--name", "negative-curvature", "--n", "3",

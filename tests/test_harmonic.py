@@ -12,7 +12,7 @@ from schwarzlab.bounds import (check_gradient_bound, check_unimodal_bounds,
                                random_disk_pairs, ring_grid)
 from schwarzlab.cli import _write_csv
 from schwarzlab.config import DEFAULT
-from schwarzlab.errors import (InvalidInput, NoConvergence, OutsideDisk,
+from schwarzlab.errors import (InvalidInput, NoConvergence, NonIntegrable, OutsideDisk,
                                ParameterOutOfRange, StencilOutsideDisk)
 from schwarzlab.harmonic import (BoundaryData, analytic_field,
                                  boundary_from_json, boundary_from_samples,
@@ -665,6 +665,36 @@ def test_non_finite_lifted_sample_is_invalid_input(monkeypatch):
     monkeypatch.setattr(harmonic, "transform_table", lambda m, tols: Holed())
     with pytest.raises(InvalidInput, match="lifted boundary samples must be finite"):
         solved_field(metric, boundary)
+
+
+@pytest.mark.parametrize("value", [-1.0, 1.0])
+def test_boundary_constant_at_an_end_has_no_lift(value):
+    boundary = constant_boundary(value)
+    # a finite mass: the clip interval of g is empty
+    with pytest.raises(InvalidInput, match="constant at -1 or 1"):
+        solved_field(cosine_metric(), boundary)
+    # as it is for data whose H/r lies within 1e-15 of the end: the cosine
+    # density vanishes there, so H/r at +-(1 - 1e-8) is +-1 to 1.3e-16
+    with pytest.raises(InvalidInput, match="within 1e-15"):
+        solved_field(cosine_metric(), constant_boundary(value * (1.0 - 1e-8)))
+    # an infinite mass: no table reaches the data
+    with pytest.raises(NonIntegrable):
+        solved_field(hyperbolic_metric(), boundary)
+    # the oracle keeps the constant grid
+    _, vals = fd_solve_oracle(cosine_metric(), boundary, 33).interior_points()
+    assert np.all(vals == value)
+
+
+def test_single_precision_points_give_the_double_precision_results():
+    # points are taken to complex128 before any arithmetic, so z^(N-1) is
+    # never formed in single precision
+    rho = np.linspace(0.0, 0.99, 12)[:, None]
+    z64 = (rho * np.exp(2j * np.pi * np.linspace(0.0, 1.0, 13))).astype(np.complex64)
+    z128 = z64.astype(complex)
+    boundary = random_smooth_boundary(8)
+    assert np.array_equal(poisson_values(boundary, z64), poisson_values(boundary, z128))
+    field = solved_field(cosine_metric(), boundary)
+    assert np.array_equal(field.value_many(z64), field.value_many(z128))
 
 
 # ---------------------------------------------------------------------------

@@ -492,6 +492,19 @@ def test_range_table_scale_is_its_half_span(lo, hi):
     assert np.max(np.abs(back - us)) <= 1e-10
 
 
+@settings(max_examples=60, deadline=None)
+@given(edges=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=12, unique=True),
+       points=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=20))
+def test_cell_of_is_the_clipped_search(edges, points):
+    # the one cell lookup: the inner-edge search equals the clipped search of
+    # all edges for every point, the edges themselves, +-inf and NaN, in one
+    # cell as in many
+    edges = np.sort(np.array(edges))
+    u = np.concatenate([points, edges, [-math.inf, math.inf, math.nan]])
+    clipped = np.clip(np.searchsorted(edges, u, side="right") - 1, 0, len(edges) - 2)
+    assert np.array_equal(metrics._cell_of(edges, u), clipped)
+
+
 def test_oracle_agrees_with_the_table_on_a_large_mass():
     # no size of the mass is divergent by itself, in the oracle as in the table
     m = constant_metric(2e12)
