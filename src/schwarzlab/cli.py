@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -124,8 +125,8 @@ def _boundary(args: argparse.Namespace, tols: Tolerances):
 
 
 # ---------------------------------------------------------------------------
-# subcommand pipelines: each takes (args, tols, out), returns (exit_code,
-# summary); build_parser binds each to its subcommand as `args.run`
+# pipelines: each takes (args, tols, out) and returns (exit_code, summary);
+# RUNS binds each to its run
 # ---------------------------------------------------------------------------
 
 def _run_curvature(args, tols: Tolerances, out: Path):
@@ -210,45 +211,52 @@ def _run_check_bounds(args, tols: Tolerances, out: Path):
     return (1 if failed else 0), summary
 
 
-def _run_lemma(args, tols: Tolerances, out: Path):
+def _run_diffeo(args, tols: Tolerances, out: Path):
+    grid = np.linspace(-1.0 + 1e-4, 1.0 - 1e-4, 2001)
     worst = math.inf
-    if args.which == "diffeo":
-        grid = np.linspace(-1.0 + 1e-4, 1.0 - 1e-4, 2001)
-        failed = []
-        for i in range(args.trials):
-            diffeo = lemmas_mod.generate_logconcave(args.seed + i, 2 + i % 7)
-            slack = lemmas_mod.logconcave_diffeo_slack(diffeo, grid)
-            worst = min(worst, slack)
-            if slack < -tols.slack_tol:
-                failed.append({"seed": args.seed + i,
-                               "slack": slack, **diffeo.to_json_dict()})
-        if failed:
-            _write_json(out / "diffeo_failures.json", {"failures": failed})
-        failures = len(failed)
-    else:
-        rng = np.random.default_rng(args.seed)
-        failures = 0
-        vs = np.linspace(-0.999, 0.999, 201)
-        for _ in range(args.trials):
-            s = rng.uniform(0.05, 0.95)
-            a = rng.uniform(0.05, 0.95) / (s * s)
-            slack = lemmas_mod.unimodal_slack(metrics_mod.tent_metric(a, s), vs, tols=tols)
-            worst = min(worst, float(np.min(slack)))
-            failures += int(np.sum(slack < -tols.slack_tol))
+    failed = []
+    for i in range(args.trials):
+        diffeo = lemmas_mod.generate_logconcave(args.seed + i, 2 + i % 7)
+        slack = lemmas_mod.logconcave_diffeo_slack(diffeo, grid)
+        worst = min(worst, slack)
+        if slack < -tols.slack_tol:
+            failed.append({"seed": args.seed + i, "slack": slack, **diffeo.to_json_dict()})
+    if failed:
+        _write_json(out / "diffeo_failures.json", {"failures": failed})
+    return _lemma_summary(args, worst, len(failed))
+
+
+def _run_unimodal(args, tols: Tolerances, out: Path):
+    rng = np.random.default_rng(args.seed)
+    worst = math.inf
+    failures = 0
+    vs = np.linspace(-0.999, 0.999, 201)
+    for _ in range(args.trials):
+        s = rng.uniform(0.05, 0.95)
+        a = rng.uniform(0.05, 0.95) / (s * s)
+        slack = lemmas_mod.unimodal_slack(metrics_mod.tent_metric(a, s), vs, tols=tols)
+        worst = min(worst, float(np.min(slack)))
+        failures += int(np.sum(slack < -tols.slack_tol))
+    return _lemma_summary(args, worst, failures)
+
+
+def _lemma_summary(args, worst: float, failures: int):
     summary = {"which": args.which, "trials": args.trials, "min_slack": worst,
                "failures": failures}
     return (1 if failures else 0), summary
 
 
-def _run_sweep(args, tols: Tolerances, out: Path):
-    if args.family == "psi":
-        columns = lemmas_mod.psi_sweep(args.n_max)
-        ratio = columns[-1]
-        _write_csv(out / "psi_sweep.csv", ["n", "s", "u", "ratio"], columns)
-        summary = {"family": args.family, "n_max": args.n_max,
-                   "max_ratio": float(np.max(ratio)),
-                   "monotone": bool(np.all(np.diff(ratio) > 0))}
-        return 0, summary
+def _run_psi_sweep(args, tols: Tolerances, out: Path):
+    columns = lemmas_mod.psi_sweep(args.n_max)
+    ratio = columns[-1]
+    _write_csv(out / "psi_sweep.csv", ["n", "s", "u", "ratio"], columns)
+    summary = {"family": args.family, "n_max": args.n_max,
+               "max_ratio": float(np.max(ratio)),
+               "monotone": bool(np.all(np.diff(ratio) > 0))}
+    return 0, summary
+
+
+def _run_r_ratio_sweep(args, tols: Tolerances, out: Path):
     ks = np.linspace(args.k_max / args.grid_n, args.k_max, args.grid_n)
     xs = np.linspace(0.0, 0.999, args.grid_n)
     vals = lemmas_mod.r_ratio(ks[:, None], xs[None, :])
@@ -259,29 +267,23 @@ def _run_sweep(args, tols: Tolerances, out: Path):
     return 0, summary
 
 
-_GALLERY = {
-    "negative-curvature": lambda args: gallery_mod.run_negative_curvature_example(args.n),
-    "zero-curvature": lambda args: gallery_mod.run_zero_curvature_example(
-        args.c, seed=args.seed),
-    "strip": lambda args: gallery_mod.run_strip_example(args.k),
-    "half-plane": lambda args: gallery_mod.run_halfplane_example(),
-}
+def _gallery(example):
+    """The pipeline of one gallery example; `example(args)` gives its report."""
 
+    def run(args, tols: Tolerances, out: Path):
+        report = example(args)
+        payload = report.to_json_dict()
+        _write_json(out / f"gallery_{report.name}.json", payload)
+        failed = not report.passed or report.bound_violated
+        return (1 if failed else 0), payload
 
-def _run_gallery(args, tols: Tolerances, out: Path):
-    report = _GALLERY[args.name](args)
-    payload = report.to_json_dict()
-    _write_json(out / f"gallery_{report.name}.json", payload)
-    failed = not report.passed or report.bound_violated
-    return (1 if failed else 0), payload
+    return run
 
 
 def dispatch(args: argparse.Namespace) -> int:
     """Run the parsed subcommand; write summary + metadata; return exit code."""
-    # None: the subcommand reads no tolerances and takes no --tolerance
-    overrides = args.tolerance
     try:
-        tols = DEFAULT.replaced(**dict(overrides or ()))
+        run, tols = _read_settings(args)
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -295,7 +297,7 @@ def dispatch(args: argparse.Namespace) -> int:
         return 2
     started = time.time()
     try:
-        code, summary = args.run(args, tols, out)
+        code, summary = run.pipeline(args, tols, out)
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         if created:   # bad input leaves no output directory behind
@@ -311,10 +313,11 @@ def dispatch(args: argparse.Namespace) -> int:
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     summary["subcommand"] = args.subcommand
-    if hasattr(args, "seed"):
+    if "seed" in run.options:
         summary["seed"] = args.seed
-    if overrides is not None:
-        summary["effective_tolerances"] = dataclasses.asdict(tols)
+    if run.tolerances:
+        summary["effective_tolerances"] = {key: getattr(tols, key)
+                                           for key in run.tolerances}
     _write_json(out / "summary.json", summary)
     _write_json(out / "metadata.json", {
         "elapsed_seconds": time.time() - started,
@@ -358,6 +361,100 @@ def _finite_float(value: str) -> float:
 _finite_float.__name__ = "float"    # argparse names the type in its messages
 
 
+# ---------------------------------------------------------------------------
+# the runs: a run is a subcommand, or one variant of lemma, sweep or gallery,
+# and reads exactly the tolerances and options declared here; the parser
+# offers a subcommand the union over its variants, and dispatch refuses a
+# setting the run does not read (exit 2) and records the ones it does
+# ---------------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class Run:
+    """A pipeline, taking (args, tols, out) and returning (exit_code,
+    summary); the `Tolerances` fields it reads; and the options it reads,
+    each with its default."""
+    pipeline: Callable
+    tolerances: tuple[str, ...] = ()
+    options: dict[str, object] = dataclasses.field(default_factory=dict)
+
+
+# subcommand -> (help, the specs it reads, the option that picks its variant)
+_SUBCOMMANDS = {
+    "curvature": ("curvature profile of a metric", ("metric",), None),
+    "transform": ("centered primitive H and round trips", ("metric",), None),
+    "solve": ("defect-correction solve + transform comparison",
+              ("metric", "boundary"), None),
+    "check-bounds": ("gradient/distance bound reports", ("metric", "boundary"), None),
+    "lemma": ("randomized scalar-lemma oracles", (), "which"),
+    "sweep": ("sharpness sweeps as CSV", (), "family"),
+    "gallery": ("reproduce a worked example", (), "name"),
+}
+
+# option -> (argparse type, help)
+_OPTIONS = {
+    "trials": (_int_at_least(1), None),
+    "n_max": (_int_at_least(2), None),
+    "k_max": (_finite_float, None),
+    "grid_n": (_int_at_least(1), None),
+    "n": (int, "tanh frequency"),
+    "c": (_finite_float, "exponential rate"),
+    "k": (_finite_float, "strip slope"),
+    "seed": (_int_at_least(0), None),
+}
+
+# (subcommand, variant) -> the run
+RUNS = {
+    ("curvature", None): Run(_run_curvature, ("slack_tol",), {"grid_n": 999}),
+    ("transform", None): Run(_run_transform, ("quad_abs_tol", "inverse_rel_tol"),
+                             {"grid_n": 201, "seed": 0}),
+    ("solve", None): Run(_run_solve, ("quad_abs_tol", "inverse_rel_tol", "fd_update_tol",
+                                      "fd_max_sweeps", "boundary_samples"),
+                         {"grid_n": 201}),
+    ("check-bounds", None): Run(_run_check_bounds,
+                                ("quad_abs_tol", "inverse_rel_tol", "slack_tol",
+                                 "boundary_samples", "grid_radii", "grid_angles",
+                                 "grid_radius"),
+                                {"seed": 0}),
+    ("lemma", "diffeo"): Run(_run_diffeo, ("slack_tol",), {"trials": 10000, "seed": 0}),
+    ("lemma", "unimodal"): Run(_run_unimodal, ("slack_tol", "quad_abs_tol"),
+                               {"trials": 10000, "seed": 0}),
+    ("sweep", "psi"): Run(_run_psi_sweep, (), {"n_max": 1000}),
+    ("sweep", "r-ratio"): Run(_run_r_ratio_sweep, (), {"k_max": 20.0, "grid_n": 200}),
+    ("gallery", "negative-curvature"): Run(_gallery(
+        lambda args: gallery_mod.run_negative_curvature_example(args.n)), (), {"n": 3}),
+    ("gallery", "zero-curvature"): Run(_gallery(
+        lambda args: gallery_mod.run_zero_curvature_example(args.c, seed=args.seed)),
+        (), {"c": 1.0, "seed": 0}),
+    ("gallery", "strip"): Run(_gallery(
+        lambda args: gallery_mod.run_strip_example(args.k)), (), {"k": 1.0}),
+    ("gallery", "half-plane"): Run(_gallery(
+        lambda args: gallery_mod.run_halfplane_example())),
+}
+
+
+def _read_settings(args: argparse.Namespace) -> tuple[Run, Tolerances]:
+    """The run the arguments pick and its tolerances, with the run's unset
+    options put to their defaults; InvalidInput for a bad tolerance or a
+    setting the run does not read."""
+    variant_option = _SUBCOMMANDS[args.subcommand][2]
+    variant = getattr(args, variant_option) if variant_option else None
+    name = args.subcommand + (f" --{variant_option} {variant}" if variant_option else "")
+    run = RUNS[args.subcommand, variant]
+    for option in _OPTIONS:
+        value = getattr(args, option, None)
+        if option in run.options:
+            if value is None:
+                setattr(args, option, run.options[option])
+        elif value is not None:
+            raise InvalidInput(f"{name} does not read --{option.replace('_', '-')}")
+    overrides = dict(getattr(args, "tolerance", ()))
+    tols = DEFAULT.replaced(**overrides)
+    for key in overrides:
+        if key not in run.tolerances:
+            raise InvalidInput(f"{name} does not read tolerance {key!r}")
+    return run, tols
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later runs in
@@ -367,59 +464,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical checks for gradient bounds of metric-harmonic "
                     "functions on the unit disk.")
 
-    # only the pipelines that draw random numbers take --seed
-    def common(sp, run, metric=False, boundary=False, tolerances=True, seed=False):
-        sp.set_defaults(run=run)
-        if metric:
-            sp.add_argument("--metric", required=True, help="metric spec JSON")
-        if boundary:
-            sp.add_argument("--boundary", required=True, help="boundary spec JSON")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for subcommand, (help_text, specs, variant_option) in _SUBCOMMANDS.items():
+        runs = {variant: run for (command, variant), run in RUNS.items()
+                if command == subcommand}
+        # no abbreviations: `sweep --n` must not be read as --n-max
+        sp = sub.add_parser(subcommand, help=help_text, allow_abbrev=False)
+        for spec in specs:
+            sp.add_argument(f"--{spec}", required=True, help=f"{spec} spec JSON")
         sp.add_argument("--out", default=None,
                         help=f"output directory (default ${OUTPUT_ENV} or ./schwarzlab-out)")
-        if seed:
-            sp.add_argument("--seed", type=_int_at_least(0), default=0)
-        if tolerances:
+        if variant_option is not None:
+            sp.add_argument(f"--{variant_option}", required=True, choices=list(runs))
+        if any(run.tolerances for run in runs.values()):
             sp.add_argument("--tolerance", action="append", default=[],
                             type=_parse_tolerance, metavar="NAME=VALUE",
                             help="override a named tolerance (repeatable)")
-        else:
-            sp.set_defaults(tolerance=None)
-
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    sp = sub.add_parser("curvature", help="curvature profile of a metric")
-    common(sp, _run_curvature, metric=True)
-    sp.add_argument("--grid-n", type=_int_at_least(1), default=999)
-
-    sp = sub.add_parser("transform", help="centered primitive H and round trips")
-    common(sp, _run_transform, metric=True, seed=True)
-    sp.add_argument("--grid-n", type=_int_at_least(1), default=201)
-
-    sp = sub.add_parser("solve", help="defect-correction solve + transform comparison")
-    common(sp, _run_solve, metric=True, boundary=True)
-    sp.add_argument("--grid-n", type=_int_at_least(1), default=201)
-
-    sp = sub.add_parser("check-bounds", help="gradient/distance bound reports")
-    common(sp, _run_check_bounds, metric=True, boundary=True, seed=True)
-
-    sp = sub.add_parser("lemma", help="randomized scalar-lemma oracles")
-    common(sp, _run_lemma, seed=True)
-    sp.add_argument("--which", required=True, choices=["diffeo", "unimodal"])
-    sp.add_argument("--trials", type=_int_at_least(1), default=10000)
-
-    sp = sub.add_parser("sweep", help="sharpness sweeps as CSV")
-    common(sp, _run_sweep, tolerances=False)
-    sp.add_argument("--family", required=True, choices=["psi", "r-ratio"])
-    sp.add_argument("--n-max", type=_int_at_least(2), default=1000)
-    sp.add_argument("--k-max", type=_finite_float, default=20.0)
-    sp.add_argument("--grid-n", type=_int_at_least(1), default=200)
-
-    sp = sub.add_parser("gallery", help="reproduce a worked example")
-    common(sp, _run_gallery, tolerances=False, seed=True)
-    sp.add_argument("--name", required=True, choices=list(_GALLERY))
-    sp.add_argument("--n", type=int, default=3, help="tanh frequency")
-    sp.add_argument("--c", type=_finite_float, default=1.0, help="exponential rate")
-    sp.add_argument("--k", type=_finite_float, default=1.0, help="strip slope")
+        # each option unset (None) here, so that dispatch can tell a given one
+        for option, (kind, option_help) in _OPTIONS.items():
+            readers = [variant for variant, run in runs.items() if option in run.options]
+            if not readers:
+                continue
+            if len(readers) < len(runs):
+                default = runs[readers[0]].options[option]
+                read = (f"default {default}; read only by "
+                        f"--{variant_option} {' and '.join(readers)}")
+                option_help = f"{option_help} ({read})" if option_help else read
+            sp.add_argument(f"--{option.replace('_', '-')}", type=kind, help=option_help)
 
     return parser
 

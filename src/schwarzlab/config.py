@@ -2,8 +2,9 @@
 
 Every tolerance that a bound check or solver consults lives here so that the
 CLI can override them uniformly and reports can record the effective values.
-`spec_param` reads the numeric parameters of JSON specs the same way: a value
-that is not a finite number is bad input (`InvalidInput`).
+`spec_params` reads the parameters of JSON specs, refusing a key their kind
+does not name, and `spec_param` each numeric one: a value that is not a finite
+number is bad input (`InvalidInput`).
 """
 
 from __future__ import annotations
@@ -77,11 +78,21 @@ class Tolerances:
 DEFAULT = Tolerances()
 
 
-def spec_params(spec: dict) -> dict:
-    """The "params" object of a JSON spec ({} when absent or null)."""
+def spec_params(spec: dict, *keys: str, top: tuple[str, ...] = ()) -> dict:
+    """The "params" object of a JSON spec ({} when absent or null).
+
+    A spec reader names the keys of its kind: `keys` inside "params", and
+    `top` beside "kind" and "params".  Any other key is bad input.
+    """
+    for key in spec:
+        if key not in ("kind", "params", *top):
+            raise InvalidInput(f"unknown key {key!r} in the {spec['kind']!r} spec")
     params = spec.get("params") or {}
     if not isinstance(params, dict):
         raise InvalidInput(f"spec params must be an object, got {params!r}")
+    for key in params:
+        if key not in keys:
+            raise InvalidInput(f"unknown parameter {key!r} in the {spec['kind']!r} spec")
     return params
 
 

@@ -105,10 +105,21 @@ def run_negative_curvature_example(n: int = 3) -> ExampleReport:
 # ---------------------------------------------------------------------------
 
 def _zero_curvature_majorant(c: float, f: np.ndarray, one_minus_zsq) -> np.ndarray:
+    """A = 4 e^(-cf) sinh(c) sin(t) / (c pi (1 - |z|^2)), with
+    t = pi (e^c - e^(cf)) / (2 sinh c) in (0, pi).
+
+    Written so that nothing cancels or overflows for 0 < |c| <= 354:
+    t = pi e^(cf) expm1(c(1 - f)) / (2 sinh c) and
+    pi - t = pi e^(-c) expm1(c(1 + f)) / (2 sinh c); the smaller of the two,
+    x, has sin x = sin t, and with sin x = x sinc(x / pi) the factors of A
+    reduce to A = 2 y sinc(x / pi) / (c (1 - |z|^2)), y = expm1(c(1 - f))
+    when x = t and -expm1(-c(1 + f)) when x = pi - t.
+    """
     f = np.asarray(f, float)
-    return (4.0 * np.exp(-c * f)
-            * np.sin(math.pi * (math.exp(c) - np.exp(c * f)) / (2.0 * math.sinh(c)))
-            * math.sinh(c)) / (c * math.pi * one_minus_zsq)
+    t = math.pi * np.exp(c * f) * np.expm1(c * (1.0 - f)) / (2.0 * math.sinh(c))
+    rest = math.pi * math.exp(-c) * np.expm1(c * (1.0 + f)) / (2.0 * math.sinh(c))
+    y = np.where(t <= rest, np.expm1(c * (1.0 - f)), -np.expm1(-c * (1.0 + f)))
+    return 2.0 * y * np.sinc(np.minimum(t, rest) / math.pi) / (c * one_minus_zsq)
 
 
 def run_zero_curvature_example(c: float = 1.0, seed: int = 0) -> ExampleReport:

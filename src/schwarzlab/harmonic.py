@@ -155,23 +155,29 @@ def _periodic_interpolant(theta: np.ndarray, values: np.ndarray) -> Callable:
 
 
 def boundary_from_json(spec: dict, **kw) -> BoundaryData:
+    """Boundary data from {"kind": "samples", "theta": [...], "values": [...]}
+    or {"kind": "expression-preset", "name": ..., "params": {...}} documents;
+    each kind and preset takes only the keys it names."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InvalidInput("boundary spec must be an object with a 'kind' field")
     kind = spec["kind"]
     if kind == "samples":
         if "theta" not in spec or "values" not in spec:
             raise InvalidInput("samples boundary needs 'theta' and 'values' arrays")
+        spec_params(spec, top=("theta", "values"))
         return boundary_from_samples(spec["theta"], spec["values"], **kw)
     if kind == "expression-preset":
         name = spec.get("name")
-        params = spec_params(spec)
         if name == "step":
+            params = spec_params(spec, "amplitude", top=("name",))
             return step_boundary(spec_param(params, "amplitude", 1.0), **kw)
         if name == "cosine":
+            params = spec_params(spec, "amplitude", "frequency", "phase", top=("name",))
             return cosine_boundary(spec_param(params, "amplitude", 0.8),
                                    spec_param(params, "frequency", 1, int),
                                    spec_param(params, "phase", 0.0), **kw)
         if name == "constant":
+            params = spec_params(spec, "value", top=("name",))
             if "value" not in params:
                 raise InvalidInput("constant boundary needs params.value")
             return constant_boundary(spec_param(params, "value"), **kw)

@@ -118,12 +118,19 @@ def logconcave_diffeo_slack(diffeo: LogConcaveDiffeo,
 # ---------------------------------------------------------------------------
 
 def r_ratio(k, x):
-    """2 (cosh k - cosh kx) csch(k) / (k (1 - x^2)); even in k and in x, <= 1."""
-    k = np.asarray(k, float)
-    x = np.asarray(x, float)
+    """2 (cosh k - cosh kx) csch(k) / (k (1 - x^2)); even in k and in x, <= 1.
+
+    Evaluated, with K = |k| and X = |x|, as
+    2 expm1(-K(1 - X)) expm1(-K(1 + X)) / (-expm1(-2K) K (1 - X^2)), which
+    neither overflows at large K (cosh and sinh do past 710) nor cancels at
+    small K (cosh k - cosh kx does).
+    """
+    k = np.abs(np.asarray(k, float))
+    x = np.abs(np.asarray(x, float))
     if np.any(k == 0.0):
         raise ParameterOutOfRange("k must be nonzero (use a small k for the limit)")
-    return 2.0 * (np.cosh(k) - np.cosh(k * x)) / (np.sinh(k) * k * (1.0 - x * x))
+    return (2.0 * np.expm1(-k * (1.0 - x)) * np.expm1(-k * (1.0 + x))
+            / (-np.expm1(-2.0 * k) * k * (1.0 - x * x)))
 
 
 def _dif(k, x):

@@ -381,17 +381,20 @@ def tabulated_metric(u: Sequence[float], R: Sequence[float]) -> Metric1D:
 
 def metric_from_json(spec: dict) -> Metric1D:
     """Build a metric from {"kind": ..., "params": {...}} documents; a
-    tabulated metric is {"kind": "tabulated", "u": [...], "R": [...]}."""
+    tabulated metric is {"kind": "tabulated", "u": [...], "R": [...]}.
+    Each kind takes only the keys it names."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InvalidInput("metric spec must be an object with a 'kind' field")
     kind = spec["kind"]
-    params = spec_params(spec)
     if kind == "constant":
-        return constant_metric(spec_param(params, "value", 1.0))
+        return constant_metric(spec_param(spec_params(spec, "value"), "value", 1.0))
     if kind == "exponential":
+        params = spec_params(spec, "c")
         if "c" not in params:
             raise InvalidInput("exponential metric needs params.c")
         return exponential_metric(spec_param(params, "c"))
+    if kind in ("cosine", "hyperbolic", "secant", "half_plane_one_minus_exp"):
+        spec_params(spec)   # these kinds take no params
     if kind == "cosine":
         return cosine_metric()
     if kind == "hyperbolic":
@@ -401,6 +404,7 @@ def metric_from_json(spec: dict) -> Metric1D:
     if kind == "half_plane_one_minus_exp":
         return half_plane_metric()
     if kind == "lemma_psi_family":
+        params = spec_params(spec, "a", "s", "epsilon")
         if "a" not in params or "s" not in params:
             raise InvalidInput("lemma_psi_family needs params.a and params.s")
         a, s = spec_param(params, "a"), spec_param(params, "s")
@@ -417,6 +421,7 @@ def metric_from_json(spec: dict) -> Metric1D:
     if kind == "tabulated":
         if spec.get("u") is None or spec.get("R") is None:
             raise InvalidInput("tabulated metric needs top-level 'u' and 'R' arrays")
+        spec_params(spec, top=("u", "R"))
         return tabulated_metric(spec["u"], spec["R"])
     raise InvalidInput(f"unknown metric kind {kind!r}")
 

@@ -1,13 +1,14 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from schwarzlab import bounds, harmonic, lemmas, metrics
+from schwarzlab import bounds, cli, harmonic, lemmas, metrics
 from schwarzlab.cli import (_CSV_BLOCK, _CSV_DEDUP_SHARE, _write_csv, _write_json,
                             build_parser, main)
-from schwarzlab.config import DEFAULT, spec_param
+from schwarzlab.config import DEFAULT, Tolerances, spec_param
 from schwarzlab.metrics import cosine_metric, curvature_at
 
 
@@ -146,6 +147,18 @@ def test_sweep_r_ratio(specs):
                  "--out", str(out)])
     assert code == 0
     assert _summary(out)["max_ratio"] <= 1 + 1e-9
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k_max", ["1000", "1e-3"])
+def test_r_ratio_sweep_stays_finite_and_at_most_one(specs, k_max):
+    # cosh and sinh overflow past k = 710, and cosh k - cosh kx cancels at small k
+    out = specs["dir"] / "o36"
+    assert main(["sweep", "--family", "r-ratio", "--k-max", k_max, "--grid-n", "50",
+                 "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "r_ratio_sweep.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (2500, 3) and np.all(np.isfinite(rows))
+    assert _summary(out)["max_ratio"] <= 1.0
 
 
 def test_lemma_diffeo(specs):
@@ -376,18 +389,30 @@ def test_retired_tolerances_are_unknown(specs, capsys, name):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("subcommand", ["curvature", "solve", "sweep"])
-def test_seed_goes_only_to_the_subcommands_that_read_it(specs, subcommand):
+@pytest.mark.parametrize("run", ["curvature", "solve", "sweep",
+                                 "gallery --name negative-curvature",
+                                 "gallery --name zero-curvature", "gallery --name strip",
+                                 "gallery --name half-plane"])
+def test_seed_goes_only_to_the_subcommands_that_read_it(specs, run):
+    # a subcommand without --seed refuses it in argparse; a gallery example
+    # that draws nothing refuses it too, and only zero-curvature records one
     argv = {"curvature": ["--metric", specs["metric"], "--grid-n", "33"],
             "solve": ["--metric", specs["metric"], "--boundary", specs["boundary"],
                       "--grid-n", "33"],
-            "sweep": ["--family", "psi", "--n-max", "20"]}[subcommand]
+            "sweep": ["--family", "psi", "--n-max", "20"]}.get(run, [])
+    argv = [*run.split(), *argv]
     out = specs["dir"] / "o32"
-    with pytest.raises(SystemExit) as info:
-        main([subcommand, *argv, "--seed", "1", "--out", str(out)])
-    assert info.value.code == 2
-    assert main([subcommand, *argv, "--out", str(out)]) == 0
-    assert "seed" not in _summary(out)
+    try:
+        code = main([*argv, "--seed", "1", "--out", str(out)])
+    except SystemExit as exc:
+        assert argv[0] != "gallery"
+        code = exc.code
+    if run == "gallery --name zero-curvature":
+        assert code == 0 and _summary(out)["seed"] == 1
+    else:
+        assert code == 2 and not out.exists()
+        assert main([*argv, "--out", str(out)]) in (0, 1)
+        assert "seed" not in _summary(out)
 
 
 def test_tabulated_spec_in_params_form_exits_2(specs, capsys):
@@ -557,9 +582,62 @@ def test_metric_whose_density_overflows_exits_2(specs, capsys, subcommand, spec)
 
 _NAN, _INF = math.nan, math.inf
 
+# One spec per kind with a key that its kind does not name: (spec, the key)
+UNNAMED_METRIC_KEYS = {
+    "constant": ({"kind": "constant", "params": {"value": 2, "c": 1}}, "c"),
+    "exponential": ({"kind": "exponential", "params": {"c": 1, "value": 1}}, "value"),
+    "cosine": ({"kind": "cosine", "params": {"c": 3}}, "c"),
+    "hyperbolic": ({"kind": "hyperbolic", "params": {"a": 1}}, "a"),
+    "secant": ({"kind": "secant", "u": [-1, 0, 1]}, "u"),
+    "half-plane": ({"kind": "half_plane_one_minus_exp", "params": {"epsilon": 0.1}},
+                   "epsilon"),
+    "tent": ({"kind": "lemma_psi_family", "params": {"a": 2, "s": 0.3, "amplitude": 1}},
+             "amplitude"),
+    "tabulated": ({"kind": "tabulated", "u": [-1, 0, 1], "R": [1, 2, 1],
+                   "params": {"c": 1}}, "c"),
+    "tabulated-top": ({"kind": "tabulated", "u": [-1, 0, 1], "R": [1, 2, 1],
+                       "theta": [0, 1, 2]}, "theta"),
+}
+UNNAMED_BOUNDARY_KEYS = {
+    "samples": ({"kind": "samples", "theta": [0, 2, 4], "values": [0.1, 0.2, 0.3],
+                 "params": {"amplitude": 1}}, "amplitude"),
+    "samples-top": ({"kind": "samples", "theta": [0, 2, 4], "values": [0.1, 0.2, 0.3],
+                     "name": "step"}, "name"),
+    "step": ({"kind": "expression-preset", "name": "step", "params": {"frequency": 2}},
+             "frequency"),
+    "cosine": ({"kind": "expression-preset", "name": "cosine", "params": {"value": 0.5}},
+               "value"),
+    "constant": ({"kind": "expression-preset", "name": "constant",
+                  "params": {"value": 0.5, "phase": 0}}, "phase"),
+    "preset-top": ({"kind": "expression-preset", "name": "step", "amplitude": 0.5},
+                   "amplitude"),
+}
+
+
+@pytest.mark.parametrize("reader, spec, key", [
+    *((metrics.metric_from_json, *case) for case in UNNAMED_METRIC_KEYS.values()),
+    *((harmonic.boundary_from_json, *case) for case in UNNAMED_BOUNDARY_KEYS.values())],
+    ids=[*(f"metric-{k}" for k in UNNAMED_METRIC_KEYS),
+         *(f"boundary-{k}" for k in UNNAMED_BOUNDARY_KEYS)])
+def test_a_spec_key_its_kind_does_not_name_is_invalid_input(reader, spec, key):
+    from schwarzlab.errors import InvalidInput
+    with pytest.raises(InvalidInput, match=f"unknown (key|parameter) '{key}'"):
+        reader(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "cosine", "params": None},
+    {"kind": "exponential", "params": {"c": 2}},
+    {"kind": "tabulated", "u": [-1, 0, 1], "R": [1, 2, 1], "params": None},
+    {"kind": "lemma_psi_family", "params": {"a": 2, "s": 0.3, "epsilon": 0.05}}])
+def test_a_spec_of_its_kinds_keys_alone_is_read(spec):
+    assert metrics.metric_from_json(spec).domain_lo == -1.0
+
+
 # Malformed specs, written with json.dumps (NaN and Infinity as the tokens
-# json.load reads back)
+# json.load reads back); the specs with an unnamed key are among them
 MALFORMED_METRICS = {
+    **{f"unnamed-key-{k}": spec for k, (spec, _) in UNNAMED_METRIC_KEYS.items()},
     "not-an-object": [],
     "no-kind": {},
     "unknown-kind": {"kind": "nope"},
@@ -602,6 +680,7 @@ MALFORMED_METRICS = {
 }
 
 MALFORMED_BOUNDARIES = {
+    **{f"unnamed-key-{k}": spec for k, (spec, _) in UNNAMED_BOUNDARY_KEYS.items()},
     "not-an-object": [],
     "no-kind": {},
     "unknown-kind": {"kind": "nope"},
@@ -683,6 +762,16 @@ def test_zero_curvature_gallery_at_the_largest_rate_passes(specs):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_zero_curvature_gallery_at_a_vanishing_rate_passes(specs):
+    # e^c - e^(cf) rounds to 0 at c = 1e-300, which broke the majorant
+    out = specs["dir"] / "o37"
+    assert main(["gallery", "--name", "zero-curvature", "--c", "1e-300",
+                 "--out", str(out)]) == 0
+    payload = json.loads((out / "gallery_zero-curvature.json").read_text())
+    assert payload["bound_violated"] is False and payload["passed"] is True
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_exponential_rate_just_inside_the_float_range_runs(specs):
     spec = specs["dir"] / "exponential.json"
     spec.write_text('{"kind": "exponential", "params": {"c": 350}}')
@@ -743,60 +832,197 @@ def test_solve_compares_like_oracle_sup_difference(specs):
         cosine_metric(), step_boundary(), 65, tols=tols)
 
 
-def _artifacts(out):
-    """Every output but the timing file, with the recorded tolerances dropped."""
+# What each run reads: its Tolerances fields and its options
+READS = {
+    "curvature": ({"slack_tol"}, {"grid_n"}),
+    "transform": ({"quad_abs_tol", "inverse_rel_tol"}, {"grid_n", "seed"}),
+    "solve": ({"quad_abs_tol", "inverse_rel_tol", "fd_update_tol", "fd_max_sweeps",
+               "boundary_samples"}, {"grid_n"}),
+    "check-bounds": ({"quad_abs_tol", "inverse_rel_tol", "slack_tol", "boundary_samples",
+                      "grid_radii", "grid_angles", "grid_radius"}, {"seed"}),
+    "lemma --which diffeo": ({"slack_tol"}, {"trials", "seed"}),
+    "lemma --which unimodal": ({"slack_tol", "quad_abs_tol"}, {"trials", "seed"}),
+    "sweep --family psi": (set(), {"n_max"}),
+    "sweep --family r-ratio": (set(), {"k_max", "grid_n"}),
+    "gallery --name negative-curvature": (set(), {"n"}),
+    "gallery --name zero-curvature": (set(), {"c", "seed"}),
+    "gallery --name strip": (set(), {"k"}),
+    "gallery --name half-plane": (set(), set()),
+}
+TOLERANCE_FIELDS = [f.name for f in dataclasses.fields(Tolerances)]
+# a valid value of each option
+OPTION_VALUES = {"grid_n": "33", "trials": "2", "n_max": "20", "k_max": "2", "n": "2",
+                 "c": "2", "k": "2", "seed": "1"}
+
+
+def _run_argv(specs, run):
+    """The run's arguments, with the specs it reads."""
+    argv = run.split()
+    if argv[0] in ("curvature", "transform", "solve", "check-bounds"):
+        argv += ["--metric", specs["metric"]]
+    if argv[0] in ("solve", "check-bounds"):
+        argv += ["--boundary", specs["boundary"]]
+    return argv
+
+
+def _flag(option):
+    return "--" + option.replace("_", "-")
+
+
+def test_the_runs_read_what_the_table_says():
+    names = {}
+    for (subcommand, variant), run in cli.RUNS.items():
+        variant_option = cli._SUBCOMMANDS[subcommand][2]
+        name = subcommand if variant is None else f"{subcommand} --{variant_option} {variant}"
+        names[name] = (set(run.tolerances), set(run.options))
+    assert names == READS
+    # every field is read by some run
+    assert set().union(*(tols for tols, _ in READS.values())) == set(TOLERANCE_FIELDS)
+
+
+REFUSALS = [(run, "--tolerance", f"{name}={getattr(DEFAULT, name)}")
+            for run, (tols, _) in READS.items()
+            for name in TOLERANCE_FIELDS if name not in tols] + [
+            (run, _flag(option), value)
+            for run, (_, options) in READS.items()
+            for option, value in OPTION_VALUES.items() if option not in options]
+
+
+@pytest.mark.parametrize("run, flag, value", REFUSALS,
+                         ids=[f"{run}-{flag}-{value}" for run, flag, value in REFUSALS])
+def test_a_setting_the_run_does_not_read_exits_2(specs, capsys, run, flag, value):
+    # argparse refuses a setting that no variant of the subcommand reads
+    # (--seed on curvature, --tolerance on sweep), dispatch the rest
+    out = specs["dir"] / "o38"
+    try:
+        code = main(_run_argv(specs, run) + [flag, value, "--out", str(out)])
+        refusal = f"error: {run} does not read "
+    except SystemExit as exc:
+        code = exc.code
+        refusal = "unrecognized arguments: "
+    err = capsys.readouterr().err
+    assert code == 2
+    assert refusal in err
+    assert (value.partition("=")[0] if flag == "--tolerance" else flag) in err
+    assert not out.exists()
+
+
+def _artifacts(out, record):
+    """Every output but the timing file, with the summary's record of the
+    setting set aside: the effective tolerances, or the option's key."""
     files = {}
     for path in sorted(out.iterdir()):
         if path.name == "summary.json":
             summary = _summary(out)
-            summary.pop("effective_tolerances")
+            summary.pop("effective_tolerances", None)
+            summary.pop(record, None)
             files[path.name] = summary
         elif path.name != "metadata.json":
             files[path.name] = path.read_bytes()
     return files
 
 
-# One case per Tolerances field, on a subcommand that reads it: (field,
-# subcommand arguments, the override, and the exit codes without and with
-# it).  Equal exit codes mean the artifacts must differ.
+def _assert_applied(specs, run, extra, settings, codes, record):
+    """Two runs of `run` with `extra`, each with its own `settings`: their
+    exit codes are `codes`, and equal codes mean the artifacts differ.
+    Returns the two output directories."""
+    outs = [specs["dir"] / f"t-{i}" for i in range(2)]
+    got = tuple(main(_run_argv(specs, run) + extra + setting + ["--out", str(out)])
+                for setting, out in zip(settings, outs))
+    assert got == codes
+    if codes[0] == codes[1]:
+        assert _artifacts(outs[0], record) != _artifacts(outs[1], record)
+    return outs
+
+
+# One case per (run, Tolerances field it reads): the run, the field, the
+# override, the run's other arguments, and the exit codes without and with
+# the override.  A field's first case has the field alone as its id.
 TOLERANCE_CASES = [
-    ("quad_abs_tol", ["check-bounds"], "1e-3", (0, 0)),
-    ("inverse_rel_tol", ["solve", "--grid-n", "65"], "1e-2", (0, 0)),
-    ("slack_tol", ["check-bounds"], "1e-13", (0, 0)),
-    ("fd_update_tol", ["solve", "--grid-n", "65"], "1e-4", (0, 0)),
-    ("fd_max_sweeps", ["solve", "--grid-n", "65"], "3", (0, 3)),
-    ("boundary_samples", ["check-bounds"], "512", (0, 0)),
-    ("grid_radii", ["check-bounds"], "12", (0, 0)),
-    ("grid_angles", ["check-bounds"], "48", (0, 0)),
-    ("grid_radius", ["check-bounds"], "0.5", (0, 0)),
+    ("check-bounds", "quad_abs_tol", "1e-3", [], (0, 0)),
+    ("solve", "inverse_rel_tol", "1e-2", ["--grid-n", "65"], (0, 0)),
+    ("check-bounds", "slack_tol", "1e-13", [], (0, 0)),
+    ("solve", "fd_update_tol", "1e-4", ["--grid-n", "65"], (0, 0)),
+    ("solve", "fd_max_sweeps", "3", ["--grid-n", "65"], (0, 3)),
+    ("check-bounds", "boundary_samples", "512", [], (0, 0)),
+    ("check-bounds", "grid_radii", "12", [], (0, 0)),
+    ("check-bounds", "grid_angles", "48", [], (0, 0)),
+    ("check-bounds", "grid_radius", "0.5", [], (0, 0)),
+    ("check-bounds", "inverse_rel_tol", "1e-2", [], (0, 0)),
+    ("solve", "quad_abs_tol", "1e-3", ["--grid-n", "65"], (0, 0)),
+    ("solve", "boundary_samples", "512", ["--grid-n", "65"], (0, 0)),
+    ("curvature", "slack_tol", "1e-3", [], (0, 0)),
+    ("transform", "quad_abs_tol", "1e-3", ["--grid-n", "33"], (0, 0)),
+    ("transform", "inverse_rel_tol", "1e-2", ["--grid-n", "33"], (0, 0)),
+    # the lemma holds, so only a band of 0 fails a diffeomorphism: the least
+    # slack of the first 100000 trials of seed 0 is -8.3e-17, a rounding,
+    # at trial 10528 (two knots, as for seed 10528 alone)
+    ("lemma --which diffeo", "slack_tol", "0", ["--trials", "1", "--seed", "10528"],
+     (0, 1)),
+    # under the default quadrature the tents' least slack stays above 8e-14
+    # (one trial each of seeds 0-1499), so the band forgives nothing; with
+    # quad_abs_tol=1 four slacks of these 20 trials go negative
+    ("lemma --which unimodal", "slack_tol", "1",
+     ["--trials", "20", "--tolerance", "quad_abs_tol=1"], (1, 0)),
+    # quad_abs_tol=1e-3 moved no digit of min_slack (20 trials each of
+    # seeds 0-2); quad_abs_tol=1 moves it
+    ("lemma --which unimodal", "quad_abs_tol", "1", ["--trials", "20", "--seed", "2"],
+     (0, 0)),
+]
+
+# One case per (run, option it reads): the run, the option, two values, the
+# run's other arguments, and the exit codes with the two values.
+OPTION_CASES = [
+    ("curvature", "grid_n", ("33", "34"), [], (0, 0)),
+    ("transform", "grid_n", ("33", "34"), [], (0, 0)),
+    ("transform", "seed", ("0", "1"), ["--grid-n", "33"], (0, 0)),
+    ("solve", "grid_n", ("33", "34"), [], (0, 0)),
+    ("check-bounds", "seed", ("0", "1"), [], (0, 0)),
+    ("lemma --which diffeo", "trials", ("1", "50"), [], (0, 0)),
+    ("lemma --which diffeo", "seed", ("0", "1"), ["--trials", "5"], (0, 0)),
+    ("lemma --which unimodal", "trials", ("1", "5"), [], (0, 0)),
+    ("lemma --which unimodal", "seed", ("0", "1"), ["--trials", "2"], (0, 0)),
+    ("sweep --family psi", "n_max", ("20", "21"), [], (0, 0)),
+    ("sweep --family r-ratio", "k_max", ("2", "3"), ["--grid-n", "10"], (0, 0)),
+    ("sweep --family r-ratio", "grid_n", ("10", "11"), [], (0, 0)),
+    ("gallery --name negative-curvature", "n", ("2", "3"), [], (1, 1)),
+    ("gallery --name zero-curvature", "c", ("1", "2"), [], (0, 0)),
+    ("gallery --name zero-curvature", "seed", ("0", "1"), [], (0, 0)),
+    ("gallery --name strip", "k", ("1", "2"), [], (0, 0)),
 ]
 
 
+def _case_ids(cases):
+    seen = set()
+    ids = []
+    for run, name, *_ in cases:
+        words = [w for w in run.split() if not w.startswith("--")]
+        ids.append(name if name not in seen else "-".join([name, *words]))
+        seen.add(name)
+    return ids
+
+
 def test_tolerance_cases_cover_every_field():
-    from dataclasses import fields
-    from schwarzlab.config import Tolerances
-    assert sorted(case[0] for case in TOLERANCE_CASES) == sorted(
-        f.name for f in fields(Tolerances))
+    pairs = {(run, name) for run, (tols, options) in READS.items()
+             for name in (*tols, *options)}
+    cases = [(run, name) for run, name, *_ in TOLERANCE_CASES + OPTION_CASES]
+    assert sorted(cases) == sorted(pairs)
 
 
-@pytest.mark.parametrize("name, argv, value, codes", TOLERANCE_CASES,
-                         ids=[case[0] for case in TOLERANCE_CASES])
-def test_every_tolerance_is_applied(specs, name, argv, value, codes):
-    tent = specs["dir"] / "tent.json"
-    tent.write_text('{"kind": "lemma_psi_family", "params": {"a": 2.0, "s": 0.3}}\n')
-    argv = [str(tent) if a == "tent" else a for a in argv]
-    if "--metric" not in argv:
-        argv += ["--metric", specs["metric"]]
-    if argv[0] in ("solve", "check-bounds"):
-        argv += ["--boundary", specs["boundary"]]
-    runs = []
-    for i, extra in enumerate(([], ["--tolerance", f"{name}={value}"])):
-        out = specs["dir"] / f"t-{name}-{i}"
-        runs.append((main(argv + extra + ["--out", str(out)]), out))
-    assert (runs[0][0], runs[1][0]) == codes
+@pytest.mark.parametrize("run, name, value, extra, codes", TOLERANCE_CASES,
+                         ids=_case_ids(TOLERANCE_CASES))
+def test_every_tolerance_is_applied(specs, run, name, value, extra, codes):
+    outs = _assert_applied(specs, run, extra, ([], ["--tolerance", f"{name}={value}"]),
+                           codes, "effective_tolerances")
     if codes[0] == codes[1]:
-        assert _artifacts(runs[0][1]) != _artifacts(runs[1][1])
-        assert _summary(runs[1][1])["effective_tolerances"][name] == float(value)
+        assert _summary(outs[1])["effective_tolerances"][name] == float(value)
+
+
+@pytest.mark.parametrize("run, name, values, extra, codes", OPTION_CASES,
+                         ids=_case_ids(OPTION_CASES))
+def test_every_option_is_applied(specs, run, name, values, extra, codes):
+    _assert_applied(specs, run, extra, [[_flag(name), value] for value in values],
+                    codes, name)
 
 
 def _bare_tent(a, s):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from schwarzlab.gallery import (_strip_dphi, _strip_phi, _strip_phi_inverse,
-                                run_halfplane_example,
+                                _zero_curvature_majorant, run_halfplane_example,
                                 run_negative_curvature_example,
                                 run_strip_example, run_zero_curvature_example)
 
@@ -39,6 +39,15 @@ def test_zero_curvature_example():
     assert rep.computed["solved_min_slack"] >= -1e-9
     assert rep.computed["c_to_0_limit_dev"] <= 1e-6
     assert rep.computed["c_to_0_limit_dev_at_1e-4"] <= 1e-5
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c", [1e-12, -1e-12])
+def test_zero_curvature_majorant_at_a_small_rate_meets_its_limit(c):
+    # the c -> 0 limit of the majorant is the Euclidean bound (4/pi) cos(pi f / 2)
+    f = np.linspace(-0.99, 0.99, 1981)
+    limit = 4.0 / math.pi * np.cos(0.5 * math.pi * f)
+    assert np.max(np.abs(_zero_curvature_majorant(c, f, 1.0) - limit)) <= 1e-12
 
 
 def test_strip_example():
