@@ -482,15 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="override a named tolerance (repeatable)")
         # each option unset (None) here, so that dispatch can tell a given one
         for option, (kind, option_help) in _OPTIONS.items():
-            readers = [variant for variant, run in runs.items() if option in run.options]
-            if not readers:
-                continue
-            if len(readers) < len(runs):
-                default = runs[readers[0]].options[option]
-                read = (f"default {default}; read only by "
-                        f"--{variant_option} {' and '.join(readers)}")
-                option_help = f"{option_help} ({read})" if option_help else read
-            sp.add_argument(f"--{option.replace('_', '-')}", type=kind, help=option_help)
+            if any(option in run.options for run in runs.values()):
+                sp.add_argument(f"--{option.replace('_', '-')}", type=kind,
+                                help=option_help)
 
     return parser
 

@@ -379,6 +379,12 @@ def tabulated_metric(u: Sequence[float], R: Sequence[float]) -> Metric1D:
                     interp.derivative(2), name="tabulated", knots=tuple(u[1:-1]))
 
 
+# the spec kinds that take no params
+_PARAMETERLESS_METRICS = {"cosine": cosine_metric, "hyperbolic": hyperbolic_metric,
+                          "secant": secant_metric,
+                          "half_plane_one_minus_exp": half_plane_metric}
+
+
 def metric_from_json(spec: dict) -> Metric1D:
     """Build a metric from {"kind": ..., "params": {...}} documents; a
     tabulated metric is {"kind": "tabulated", "u": [...], "R": [...]}.
@@ -393,16 +399,9 @@ def metric_from_json(spec: dict) -> Metric1D:
         if "c" not in params:
             raise InvalidInput("exponential metric needs params.c")
         return exponential_metric(spec_param(params, "c"))
-    if kind in ("cosine", "hyperbolic", "secant", "half_plane_one_minus_exp"):
-        spec_params(spec)   # these kinds take no params
-    if kind == "cosine":
-        return cosine_metric()
-    if kind == "hyperbolic":
-        return hyperbolic_metric()
-    if kind == "secant":
-        return secant_metric()
-    if kind == "half_plane_one_minus_exp":
-        return half_plane_metric()
+    if kind in _PARAMETERLESS_METRICS:
+        spec_params(spec)
+        return _PARAMETERLESS_METRICS[kind]()
     if kind == "lemma_psi_family":
         params = spec_params(spec, "a", "s", "epsilon")
         if "a" not in params or "s" not in params:

@@ -402,17 +402,22 @@ def test_seed_goes_only_to_the_subcommands_that_read_it(specs, run):
             "sweep": ["--family", "psi", "--n-max", "20"]}.get(run, [])
     argv = [*run.split(), *argv]
     out = specs["dir"] / "o32"
-    try:
-        code = main([*argv, "--seed", "1", "--out", str(out)])
-    except SystemExit as exc:
-        assert argv[0] != "gallery"
-        code = exc.code
-    if run == "gallery --name zero-curvature":
-        assert code == 0 and _summary(out)["seed"] == 1
+    if argv[0] != "gallery":
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--seed", "1", "--out", str(out)])
+        assert info.value.code == 2
+    elif run == "gallery --name zero-curvature":
+        assert main([*argv, "--seed", "1", "--out", str(out)]) == 0
+        assert _summary(out)["seed"] == 1
+        return
     else:
-        assert code == 2 and not out.exists()
-        assert main([*argv, "--out", str(out)]) in (0, 1)
-        assert "seed" not in _summary(out)
+        assert main([*argv, "--seed", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+    # negative-curvature and half-plane exhibit a violated bound: exit 1
+    expected = 1 if run in ("gallery --name negative-curvature",
+                            "gallery --name half-plane") else 0
+    assert main([*argv, "--out", str(out)]) == expected
+    assert "seed" not in _summary(out)
 
 
 def test_tabulated_spec_in_params_form_exits_2(specs, capsys):
@@ -954,11 +959,6 @@ TOLERANCE_CASES = [
     ("curvature", "slack_tol", "1e-3", [], (0, 0)),
     ("transform", "quad_abs_tol", "1e-3", ["--grid-n", "33"], (0, 0)),
     ("transform", "inverse_rel_tol", "1e-2", ["--grid-n", "33"], (0, 0)),
-    # the lemma holds, so only a band of 0 fails a diffeomorphism: the least
-    # slack of the first 100000 trials of seed 0 is -8.3e-17, a rounding,
-    # at trial 10528 (two knots, as for seed 10528 alone)
-    ("lemma --which diffeo", "slack_tol", "0", ["--trials", "1", "--seed", "10528"],
-     (0, 1)),
     # under the default quadrature the tents' least slack stays above 8e-14
     # (one trial each of seeds 0-1499), so the band forgives nothing; with
     # quad_abs_tol=1 four slacks of these 20 trials go negative
@@ -968,6 +968,18 @@ TOLERANCE_CASES = [
     # seeds 0-2); quad_abs_tol=1 moves it
     ("lemma --which unimodal", "quad_abs_tol", "1", ["--trials", "20", "--seed", "2"],
      (0, 0)),
+]
+
+# The (run, Tolerances field) pairs that no input of the run shows, each
+# with the probe that was tried.  `test_the_diffeo_band_is_applied` checks
+# the band's use with a stubbed slack instead.
+UNSHOWN_TOLERANCES = [
+    # the lemma holds, so a diffeomorphism's slack goes negative only by a
+    # rounding, and the run takes no input but --trials and --seed
+    ("lemma --which diffeo", "slack_tol",
+     "slack_tol=0 against the default over the first 100000 trials of seed 0: "
+     "the least slack, -8.3e-17 at trial 10528, is one rounding of exp/expm1, "
+     "whose sign may differ on another host"),
 ]
 
 # One case per (run, option it reads): the run, the option, two values, the
@@ -1005,8 +1017,19 @@ def _case_ids(cases):
 def test_tolerance_cases_cover_every_field():
     pairs = {(run, name) for run, (tols, options) in READS.items()
              for name in (*tols, *options)}
-    cases = [(run, name) for run, name, *_ in TOLERANCE_CASES + OPTION_CASES]
+    cases = [(run, name) for run, name, *_ in
+             TOLERANCE_CASES + OPTION_CASES + UNSHOWN_TOLERANCES]
     assert sorted(cases) == sorted(pairs)
+
+
+@pytest.mark.parametrize("slack_tol, code", [("1e-9", 1), ("1e-6", 0)])
+def test_the_diffeo_band_is_applied(specs, monkeypatch, slack_tol, code):
+    # every trial's slack is -1e-7: outside the default band, inside 1e-6
+    monkeypatch.setattr(lemmas, "logconcave_diffeo_slack", lambda diffeo, grid: -1e-7)
+    out = specs["dir"] / "o39"
+    assert main(["lemma", "--which", "diffeo", "--trials", "3",
+                 "--tolerance", f"slack_tol={slack_tol}", "--out", str(out)]) == code
+    assert (out / "diffeo_failures.json").exists() == bool(code)
 
 
 @pytest.mark.parametrize("run, name, value, extra, codes", TOLERANCE_CASES,
